@@ -99,10 +99,11 @@ def tuple_of(structure: PartyStructure, flat: int) -> tuple[int, ...]:
 class StateVector:
     """Normalized pure state over a :class:`PartyStructure`.
 
-    The amplitude array is flat, complex128, and read-only.  By default the
-    constructor rejects input whose squared norm deviates from 1 by more than
-    ``NORM_TOL``; pass ``normalize=True`` to rescale explicitly.  Silent
-    renormalization is deliberately not done, so mistyped inputs fail loudly.
+    The amplitude array is flat, complex128, and read-only.  The constructor
+    rejects NaN and infinite amplitudes.  By default it also rejects input
+    whose squared norm deviates from 1 by more than ``NORM_TOL``; pass
+    ``normalize=True`` to rescale explicitly.  Silent renormalization is
+    deliberately not done, so mistyped inputs fail loudly.
     """
 
     structure: PartyStructure
@@ -116,6 +117,8 @@ class StateVector:
                 f"amplitude array has length {amps.size}, expected "
                 f"{self.structure.total_dim} for dims {self.structure.dims}"
             )
+        if not np.isfinite(amps).all():
+            raise NormalizationError("amplitudes must be finite (got NaN or inf)")
         norm_sq = float(np.vdot(amps, amps).real)
         if normalize:
             if norm_sq <= 0.0:

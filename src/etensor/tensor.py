@@ -21,12 +21,28 @@ With the default constant 4 the single component of a two-qubit state is
 the familiar concurrence, and a maximally entangled pair scores exactly 1.
 For three or more parties the values depend on the local basis; see
 :mod:`etensor.supremum` for the basis search.
+
+Evaluation runs in numpy, with no Python loop over pair choices.  The
+amplitudes are transposed so that the selected parties lead, in nesting
+order, and the unselected parties are flattened into S sectors.
+:func:`full_tensor` stacks the subsets of one size that share their
+selected dims into one ``(B, *selected_dims, S)`` array; an evaluator from
+:func:`component_evaluator` uses a stack of one.  Each selected axis of
+dimension d > 2 is gathered with ``np.take`` and its ``(C(d, 2), 2)`` array
+of pairs, which turns it into a pair-choice axis and a k/l axis; a qubit
+axis already is its own k/l axis.  The nested reduction above then runs
+once, with the subset and pair-choice axes leading, and the weighted sums
+are added up per subset.  One pass holds at most ``GATHER_BUDGET_BYTES``
+of stacked, gathered and multiplied amplitudes: :func:`full_tensor` puts
+as many subsets into a pass as fit, and a subset that does not fit alone
+is split into windows of pair choices.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -36,6 +52,8 @@ from .states import PartyStructure, StateVector
 
 DEFAULT_NORM_CONSTANT = 4.0
 ZERO_COMPONENT_THRESHOLD = 1e-10
+# Bytes one pass of the evaluation kernel may hold (see the module notes).
+GATHER_BUDGET_BYTES = 1 << 20
 
 BASIS_NOTE = (
     "component values for subsets of 3 or more parties depend on the local "
@@ -159,12 +177,85 @@ def component_evaluator(
     """Precompiled component evaluator for repeated calls on one subset.
 
     The returned callable maps an amplitude tensor shaped like
-    ``structure.dims`` to the component value.  Sector bookkeeping and pair
-    enumeration are set up once, which matters inside optimization loops.
+    ``structure.dims`` to the component value.  The axis order that puts
+    the subset's parties first, the pair index arrays of its non-qubit
+    parties and their split into windows are set up once, which matters
+    inside optimization loops.  Each call is one transpose and one pass of
+    the batched kernel on a stack of one subset, the same kernel that
+    :func:`full_tensor` runs, so the two agree to rounding.  A subset too
+    large for ``GATHER_BUDGET_BYTES`` is evaluated over several windows of
+    pair choices in that call.
     """
     subset.validate_for(structure)
     return _make_evaluator(structure.dims, subset.parties,
                            scheme.constant(subset.size))
+
+
+def _axis_order(num_parties: int, selected: tuple[int, ...]) -> tuple[int, ...]:
+    """The selected parties in nesting order, then the others ascending."""
+    return selected + tuple(i for i in range(num_parties) if i not in selected)
+
+
+def _sector_shape(
+    dims: tuple[int, ...], selected_dims: tuple[int, ...]
+) -> tuple[int, ...]:
+    """``(*selected_dims, S)``: the other parties flattened into S sectors."""
+    return selected_dims + (math.prod(dims) // math.prod(selected_dims),)
+
+
+def _pair_index(selected_dims: Iterable[int]) -> tuple[np.ndarray | None, ...]:
+    """Per selected axis, its ``(C(d, 2), 2)`` basis pairs (k < l).
+
+    A qubit axis has the one pair (0, 1), which is the axis itself, so it
+    gets None and is never gathered.
+    """
+    return tuple(
+        None if d == 2 else np.transpose(np.triu_indices(d, 1))
+        for d in selected_dims
+    )
+
+
+def _pass_bytes(shape: tuple[int, ...], choices: int) -> int:
+    """Bytes one kernel pass holds per subset for some of its pair choices.
+
+    That is the subset's stacked sectors (``shape`` is ``(*selected_dims,
+    S)``) with one temporary of their size for the sector probabilities,
+    and per pair choice its gathered swap lattice of ``2^D x S`` values
+    plus the products formed from it, which with the smaller reductions
+    after them take at most as much again.
+    """
+    lattice = 2 ** (len(shape) - 1) * shape[-1]
+    return 16 * 2 * (math.prod(shape) + choices * lattice)
+
+
+def _pair_windows(
+    pairs: tuple[np.ndarray | None, ...], shape: tuple[int, ...], batch: int
+) -> tuple[tuple[int, ...], list]:
+    """Split the pair choices into windows whose pass fits the budget.
+
+    Returns ``(choices, windows)``.  ``choices`` has one length per gathered
+    party; each window is ``(index, chunk)``, where ``index`` selects the
+    window's entries of a ``(B, *choices)`` array and ``chunk`` holds its
+    pairs per selected axis.  Windows take whole axes from the innermost
+    party outwards, so a single window is the usual case.
+    """
+    gathered = [p for p in pairs if p is not None]
+    room = GATHER_BUDGET_BYTES // batch - _pass_bytes(shape, 0)
+    per_choice = _pass_bytes(shape, 1) - _pass_bytes(shape, 0)
+    steps = []
+    for p in reversed(gathered):
+        steps.append(max(1, min(len(p), room // per_choice)))
+        per_choice *= steps[-1]
+    steps.reverse()
+    windows = []
+    for starts in itertools.product(
+        *(range(0, len(p), step) for p, step in zip(gathered, steps))
+    ):
+        window = tuple(slice(a, a + step) for a, step in zip(starts, steps))
+        taken = iter(window)
+        chunk = tuple(p if p is None else p[next(taken)] for p in pairs)
+        windows.append(((slice(None),) + window, chunk))
+    return tuple(len(p) for p in gathered), windows
 
 
 def _make_evaluator(
@@ -172,41 +263,85 @@ def _make_evaluator(
     selected: tuple[int, ...],
     constant: float,
 ) -> Callable[[np.ndarray], float]:
-    unselected = tuple(i for i in range(len(dims)) if i not in selected)
-    depth = len(selected)
-    perm = selected + unselected
-    sel_shape = tuple(dims[i] for i in selected)
-    num_sectors = math.prod(dims[i] for i in unselected) if unselected else 1
-    sector_range = np.arange(num_sectors)
-    pair_lists = [
-        list(itertools.combinations(range(dims[i]), 2)) for i in selected
-    ]
-    pair_indexers = [
-        np.ix_(*[np.asarray(pair) for pair in choice], sector_range)
-        for choice in itertools.product(*pair_lists)
-    ]
-    flip_all = (slice(None, None, -1),) * (depth - 1) + (slice(None),)
-    sum_axes = tuple(range(depth))
+    perm = _axis_order(len(dims), selected)
+    shape = _sector_shape(dims, tuple(dims[i] for i in selected))
+    windows = _pair_windows(_pair_index(shape[:-1]), shape, 1)
+    shape = (1,) + shape
 
     def evaluate(tensor: np.ndarray) -> float:
-        sectors = tensor.transpose(perm).reshape(sel_shape + (num_sectors,))
-        prob = np.sum(sectors.real**2 + sectors.imag**2, axis=sum_axes)
-        weight = np.divide(
-            1.0, prob, out=np.zeros_like(prob), where=prob > 0.0
-        )
-        acc = np.zeros(num_sectors)
-        for indexer in pair_indexers:
-            block = sectors[indexer]
-            # products a(k-side) * a(l-side) over the swap lattice of the
-            # non-anchor parties; the anchor is consumed by block[0]/block[1]
-            products = block[0] * block[1][flip_all]
-            reduced = np.abs(products[..., 0, :] - products[..., 1, :]) ** 2
-            while reduced.ndim > 1:
-                reduced = np.abs(reduced[..., 0, :] - reduced[..., 1, :])
-            acc += reduced
-        return math.sqrt(constant * float(np.dot(weight, acc)))
+        sectors = tensor.transpose(perm).reshape(shape)
+        return float(_evaluate_batch(sectors, windows, constant)[0])
 
     return evaluate
+
+
+def _evaluate_batch(
+    sectors: np.ndarray,
+    windows: tuple[tuple[int, ...], list],
+    constant: float,
+) -> np.ndarray:
+    """Components of a stack of subsets that share one selected shape.
+
+    ``sectors`` is shaped ``(B, *selected_dims, S)``: per subset, the
+    amplitudes with the selected parties in nesting order (anchor first)
+    and the unselected parties flattened into S sectors.  ``windows`` comes
+    from :func:`_pair_windows` for at least this batch size.  Every window
+    writes its per-choice sums into one array that is summed once, so the
+    split into windows does not change the result.
+    """
+    batch, num_sectors = sectors.shape[0], sectors.shape[-1]
+    flat = sectors.reshape(batch, -1, num_sectors)
+    squares = flat.conj()
+    squares *= flat
+    prob = np.add.reduce(squares.real, axis=1)
+    del squares
+    # a zero-probability sector has only zero amplitudes, so all of its
+    # reduced values are exactly 0 and any finite weight resolves 0/0 to 0
+    weight = 1.0 / np.maximum(prob, sys.float_info.min)
+    choices, parts = windows
+    sums = np.empty((batch,) + choices)
+    for index, chunk in parts:
+        sums[index] = _pair_sums(sectors, chunk, weight)
+    return np.sqrt(constant * np.add.reduce(sums.reshape(batch, -1), axis=1))
+
+
+def _pair_sums(
+    sectors: np.ndarray,
+    pairs: tuple[np.ndarray | None, ...],
+    weight: np.ndarray,
+) -> np.ndarray:
+    """Sector-weighted nested reduction, one value per subset and pair choice.
+
+    Returns ``(B, *choices)`` with one axis per gathered (non-qubit) party.
+    """
+    depth = len(pairs)
+    block = sectors
+    # gather the last axis first, so the earlier axis numbers stay valid;
+    # each gathered axis d becomes (pair choice, k/l)
+    for axis in reversed(range(depth)):
+        if pairs[axis] is not None:
+            block = np.take(block, pairs[axis], axis=axis + 1)
+    if block is not sectors:
+        choice_axes, lattice_axes, pos = [], [], 1
+        for p in pairs:
+            if p is not None:
+                choice_axes.append(pos)
+                pos += 1
+            lattice_axes.append(pos)
+            pos += 1
+        block = block.transpose([0, *choice_axes, *lattice_axes, pos])
+    # leading (subset, pair choice...) axes, then the 2^depth swap lattice
+    # and the sectors; the anchor is consumed by its k and l sides, and the
+    # non-anchor parties of the l side are flipped to their swapped values
+    head = (slice(None),) * (block.ndim - depth - 1)
+    flip = (slice(None, None, -1),) * (depth - 1)
+    products = block[head + (0,)] * block[head + (1,) + flip]
+    del block
+    reduced = np.abs(products[..., 0, :] - products[..., 1, :]) ** 2
+    for _ in range(depth - 2):
+        reduced = np.abs(reduced[..., 0, :] - reduced[..., 1, :])
+    weight = weight.reshape((len(weight),) + (1,) * (len(head) - 1) + (-1,))
+    return np.add.reduce(reduced * weight, axis=-1)
 
 
 def component(
@@ -246,7 +381,13 @@ def full_tensor(
     scheme: NormalizationScheme = DEFAULT_SCHEME,
     sizes: Iterable[int] | None = None,
 ) -> TensorReport:
-    """Every component of every requested size (default: all sizes 2..M)."""
+    """Every component of every requested size (default: all sizes 2..M).
+
+    The subsets of one size are grouped by their selected dims; each group
+    is stacked and evaluated by the batched kernel, as many subsets per
+    pass as ``GATHER_BUDGET_BYTES`` allows.  Components come out by size,
+    then in lexicographic order within a size.
+    """
     structure = state.structure
     if sizes is None:
         size_list = list(range(2, structure.num_parties + 1))
@@ -257,14 +398,32 @@ def full_tensor(
                 raise ValueError(
                     f"size {s} out of range 2..{structure.num_parties}"
                 )
+    dims = structure.dims
+    amplitudes = state.tensor
     components: dict[SubsetSelector, float] = {}
-    tensor_data = state.tensor
     for size in size_list:
-        for subset in subsets_of_size(structure, size):
-            evaluator = _make_evaluator(
-                structure.dims, subset.parties, scheme.constant(size)
-            )
-            components[subset] = evaluator(tensor_data)
+        subsets = subsets_of_size(structure, size)
+        groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        for subset in subsets:
+            key = tuple(dims[i] for i in subset.parties)
+            groups.setdefault(key, []).append(subset.parties)
+        values: dict[tuple[int, ...], float] = {}
+        for selected_dims, members in groups.items():
+            pairs = _pair_index(selected_dims)
+            shape = _sector_shape(dims, selected_dims)
+            choices = math.prod(math.comb(d, 2) for d in selected_dims)
+            batch = max(1, GATHER_BUDGET_BYTES // _pass_bytes(shape, choices))
+            windows = _pair_windows(pairs, shape, batch)
+            for start in range(0, len(members), batch):
+                chunk = members[start:start + batch]
+                sectors = np.empty((len(chunk),) + shape, dtype=np.complex128)
+                for row, parties in zip(sectors, chunk):
+                    moved = amplitudes.transpose(_axis_order(len(dims), parties))
+                    row.reshape(moved.shape)[...] = moved
+                found = _evaluate_batch(sectors, windows, scheme.constant(size))
+                values.update(zip(chunk, found.tolist()))
+        for subset in subsets:
+            components[subset] = values[subset.parties]
     return TensorReport(structure=structure, scheme=scheme, components=components)
 
 

@@ -120,6 +120,18 @@ class TestErrorChannels:
         assert code == 2
         assert err.startswith("parse error at 1:")
 
+    def test_nan_amplitude_is_exit_two(self, capsys, tmp_path):
+        path = tmp_path / "nan.ket.json"
+        path.write_text(
+            '{"dims": [2, 2], "amplitudes": ['
+            '{"index": [0, 0], "re": NaN, "im": 0.0},'
+            '{"index": [1, 1], "re": 0.7071067811865476, "im": 0.0}]}'
+        )
+        code, out, err = run_cli(capsys, "compute", "--state", str(path))
+        assert code == 2
+        assert "NaN" not in out
+        assert err.startswith("state error")
+
     def test_computation_error_is_exit_one(self, capsys):
         code, _, err = run_cli(capsys, "compute", "--expr", EPR_EXPR,
                                "--subset", "1,2,3")

@@ -105,6 +105,16 @@ class TestStateVector:
         with pytest.raises(NormalizationError):
             StateVector(s, np.zeros(4), normalize=True)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_non_finite_rejected(self, bad, normalize):
+        # abs(nan - 1) > tol is False, so the norm test alone lets NaN through
+        s = PartyStructure((2, 2))
+        amps = np.array([1 / math.sqrt(2), 0.0, 0.0, 1 / math.sqrt(2)], dtype=complex)
+        amps[1] = bad
+        with pytest.raises(NormalizationError, match="finite"):
+            StateVector(s, amps, normalize=normalize)
+
     def test_length_mismatch(self):
         s = PartyStructure((2, 2))
         with pytest.raises(ValueError, match="length"):

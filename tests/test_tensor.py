@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,10 +19,12 @@ from etensor.states import (
     random_state,
     w_state,
 )
+from etensor import tensor as tensor_module
 from etensor.tensor import (
     NormalizationScheme,
     SubsetSelector,
     component,
+    component_evaluator,
     component_with_nesting_order,
     full_tensor,
     permutation_difference,
@@ -333,3 +336,130 @@ class TestNestingOrder:
                 for order in itertools.permutations((0, 1, 2))
             }
             assert len(values) == 1
+
+
+def _make_evaluator(
+    dims: tuple[int, ...],
+    selected: tuple[int, ...],
+    constant: float,
+):
+    """Reference: the per-pair-choice loop the batched kernel replaced."""
+    unselected = tuple(i for i in range(len(dims)) if i not in selected)
+    depth = len(selected)
+    perm = selected + unselected
+    sel_shape = tuple(dims[i] for i in selected)
+    num_sectors = math.prod(dims[i] for i in unselected) if unselected else 1
+    sector_range = np.arange(num_sectors)
+    pair_lists = [
+        list(itertools.combinations(range(dims[i]), 2)) for i in selected
+    ]
+    pair_indexers = [
+        np.ix_(*[np.asarray(pair) for pair in choice], sector_range)
+        for choice in itertools.product(*pair_lists)
+    ]
+    flip_all = (slice(None, None, -1),) * (depth - 1) + (slice(None),)
+    sum_axes = tuple(range(depth))
+
+    def evaluate(tensor: np.ndarray) -> float:
+        sectors = tensor.transpose(perm).reshape(sel_shape + (num_sectors,))
+        prob = np.sum(sectors.real**2 + sectors.imag**2, axis=sum_axes)
+        weight = np.divide(
+            1.0, prob, out=np.zeros_like(prob), where=prob > 0.0
+        )
+        acc = np.zeros(num_sectors)
+        for indexer in pair_indexers:
+            block = sectors[indexer]
+            # products a(k-side) * a(l-side) over the swap lattice of the
+            # non-anchor parties; the anchor is consumed by block[0]/block[1]
+            products = block[0] * block[1][flip_all]
+            reduced = np.abs(products[..., 0, :] - products[..., 1, :]) ** 2
+            while reduced.ndim > 1:
+                reduced = np.abs(reduced[..., 0, :] - reduced[..., 1, :])
+            acc += reduced
+        return math.sqrt(constant * float(np.dot(weight, acc)))
+
+    return evaluate
+
+
+class TestBatchedKernel:
+    """The batched kernel against the loop evaluator it replaced."""
+
+    @pytest.mark.parametrize(
+        "dims", [(2, 3, 2, 2), (3, 3, 3), (4, 4, 3), (3, 2, 3, 2, 2), (2,) * 6]
+    )
+    def test_matches_loop_reference(self, dims):
+        structure = PartyStructure(dims)
+        state = random_state(structure, np.random.default_rng(sum(dims)))
+        scheme = NormalizationScheme({3: 9.0})
+        report = full_tensor(state, scheme)
+        assert len(report.components) == 2 ** len(dims) - len(dims) - 1
+        for subset, value in report.components.items():
+            constant = scheme.constant(subset.size)
+            expected = _make_evaluator(dims, subset.parties, constant)(state.tensor)
+            evaluated = component_evaluator(structure, subset, scheme)(state.tensor)
+            assert value == pytest.approx(expected, rel=1e-12, abs=1e-12)
+            assert evaluated == pytest.approx(expected, rel=1e-12, abs=1e-12)
+        for order in itertools.permutations((0, 1, 2)):
+            expected = _make_evaluator(dims, order, 4.0)(state.tensor)
+            got = component_with_nesting_order(state, order)
+            assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+    def test_zero_probability_sectors_match_reference(self):
+        # party 3 never takes value 2, so those sectors have probability 0
+        state = parse_ket("(|0,1,0> + |1,0,1> + |2,2,0>)/sqrt(3)",
+                          PartyStructure((3, 3, 3)))
+        for subset, value in full_tensor(state).components.items():
+            expected = _make_evaluator((3, 3, 3), subset.parties, 4.0)(state.tensor)
+            assert value == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+    def test_chunking_does_not_change_values(self, monkeypatch):
+        dims = (3, 3, 3, 2)
+        state = random_state(PartyStructure(dims), np.random.default_rng(5))
+        whole = full_tensor(state).components
+        single = component_evaluator(state.structure, SubsetSelector((0, 1, 2)))
+        whole_single = single(state.tensor)
+        # with this budget the (0, 1, 2) subset alone does not fit, so its
+        # 27 pair choices are split into windows, and no two subsets of the
+        # (3, 3) pair group share a pass
+        budget = 4000
+        assert budget < tensor_module._pass_bytes((3, 3, 3, 2), 27)
+        assert budget < 2 * tensor_module._pass_bytes((3, 3, 6), 9)
+        monkeypatch.setattr(tensor_module, "GATHER_BUDGET_BYTES", budget)
+        windows = tensor_module._pair_windows(
+            tensor_module._pair_index((3, 3, 3)), (3, 3, 3, 2), 1
+        )[1]
+        assert len(windows) > 1
+        split = full_tensor(state).components
+        assert list(split) == list(whole)
+        assert split == whole
+        chunked = component_evaluator(state.structure, SubsetSelector((0, 1, 2)))
+        assert chunked(state.tensor) == whole_single
+
+    def test_peak_memory_grows_by_at_most_the_budget(self, monkeypatch):
+        state = random_state(PartyStructure((2,) * 10), np.random.default_rng(8))
+        full_tensor(state, sizes=[2])  # first call allocates lazy numpy state
+        peaks = {}
+        # a budget of one byte makes every pass a single subset and window;
+        # its peak is the report itself plus one small pass
+        for budget in (1, 512 << 10):
+            monkeypatch.setattr(tensor_module, "GATHER_BUDGET_BYTES", budget)
+            tracemalloc.start()
+            try:
+                full_tensor(state)
+                peaks[budget] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[512 << 10] <= peaks[1] + (512 << 10)
+
+    def test_components_keep_size_then_lexicographic_order(self):
+        structure = PartyStructure((2, 3, 2, 3))
+        state = random_state(structure, np.random.default_rng(2))
+        expected = [
+            subset
+            for size in range(2, 5)
+            for subset in subsets_of_size(structure, size)
+        ]
+        assert list(full_tensor(state).components) == expected
+        assert [s.parties for s in expected[:6]] == [
+            (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)
+        ]
