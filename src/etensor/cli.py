@@ -4,8 +4,8 @@ Subcommands: compute, optimize, measure, apply, regroup, oracle,
 paper-suite.  Party labels and subsets are 1-based on this surface and
 converted once at the boundary; everything below is 0-based.  Output is
 JSON on stdout (or an aligned table for ``compute --table``); diagnostics
-go to stderr.  Exit codes: 0 success, 2 usage/parse/file problems,
-1 computation errors.
+go to stderr.  Exit codes: 0 success, 2 usage/parse/file problems and
+running out of memory, 1 computation errors.
 """
 
 from __future__ import annotations
@@ -606,6 +606,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print("error: out of memory; the input is too large for this machine",
+              file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

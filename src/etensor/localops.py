@@ -73,9 +73,13 @@ def apply_local(state: StateVector, unitary: LocalUnitary) -> StateVector:
             f"unitary of dimension {unitary.dim} does not match party {party} "
             f"of dimension {state.structure.dims[party]}"
         )
-    moved = np.tensordot(unitary.matrix, state.tensor, axes=(1, party))
-    out = np.moveaxis(moved, 0, party)
+    out = _apply_matrix(unitary.matrix, state.tensor, party)
     return StateVector(state.structure, out.reshape(-1))
+
+
+def _apply_matrix(matrix: np.ndarray, tensor: np.ndarray, axis: int) -> np.ndarray:
+    """``matrix`` applied to one axis of an amplitude tensor."""
+    return np.moveaxis(np.tensordot(matrix, tensor, axes=(1, axis)), 0, axis)
 
 
 def measure_party(

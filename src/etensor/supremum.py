@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .localops import LocalUnitary, apply_local
+from .localops import LocalUnitary, _apply_matrix, apply_local
 from .states import StateVector
 from .tensor import (
     DEFAULT_SCHEME,
@@ -125,10 +125,6 @@ def _unitary_exp(antiherm: np.ndarray) -> np.ndarray:
     return (eigvecs * np.exp(1j * eigvals)) @ eigvecs.conj().T
 
 
-def _apply_axis(matrix: np.ndarray, tensor: np.ndarray, axis: int) -> np.ndarray:
-    return np.moveaxis(np.tensordot(matrix, tensor, axes=(1, axis)), 0, axis)
-
-
 def _ascend(
     psi: np.ndarray,
     dims: tuple[int, ...],
@@ -153,7 +149,7 @@ def _ascend(
     def value_of(th: np.ndarray) -> float:
         out = psi
         for axis, mat in enumerate(unitaries_of(th)):
-            out = _apply_axis(mat, out, axis)
+            out = _apply_matrix(mat, out, axis)
         return objective(out)
 
     current = value_of(theta)
@@ -166,18 +162,18 @@ def _ascend(
             rest = psi
             for axis, mat in enumerate(mats):
                 if axis != j:
-                    rest = _apply_axis(mat, rest, axis)
+                    rest = _apply_matrix(mat, rest, axis)
             a, b = slices[j]
             base = theta[a:b]
             for p in range(b - a):
                 plus = base.copy()
                 plus[p] += GRADIENT_STEP
                 up = starts[j] @ _unitary_exp(_antihermitian(plus, n))
-                f_plus = objective(_apply_axis(up, rest, j))
+                f_plus = objective(_apply_matrix(up, rest, j))
                 minus = base.copy()
                 minus[p] -= GRADIENT_STEP
                 um = starts[j] @ _unitary_exp(_antihermitian(minus, n))
-                f_minus = objective(_apply_axis(um, rest, j))
+                f_minus = objective(_apply_matrix(um, rest, j))
                 grad[a + p] = (f_plus - f_minus) / (2.0 * GRADIENT_STEP)
         grad_norm = float(np.linalg.norm(grad))
         if grad_norm < 1e-12:

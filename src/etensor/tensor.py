@@ -33,13 +33,27 @@ of pairs, which turns it into a pair-choice axis and a k/l axis; a qubit
 axis already is its own k/l axis.  The nested reduction above then runs
 once, with the subset and pair-choice axes leading, and the weighted sums
 are added up per subset.  One pass holds at most ``GATHER_BUDGET_BYTES``
-of stacked, gathered and multiplied amplitudes: :func:`full_tensor` puts
-as many subsets into a pass as fit, and a subset that does not fit alone
-is split into windows of pair choices.
+of stacked, gathered and multiplied amplitudes, and the index that
+gathers them: :func:`full_tensor` puts as many subsets into a pass as fit,
+and a subset that does not fit alone is split into windows of pair choices.
+
+What :func:`full_tensor` does for one subset size depends only on the
+dims, so it is built once as a plan and kept in an LRU cache of
+``PLAN_CACHE_SIZE`` entries keyed on ``(dims, size, GATHER_BUDGET_BYTES)``,
+with the budget read at call time.  A plan holds the size's selectors in
+lexicographic order and groups them by transposed shape (selected dims,
+then the others in ascending party order); each pass gathers its stack
+with one ``take`` off the flat amplitudes.  Plans hold no amplitudes and
+no per-subset index tables: per subset one place, one selector and one
+stride per party, and per transposed shape two digit tables of about
+``M * sqrt(total_dim)`` entries.  The index of a pass is rebuilt from
+them on each call, so a warm call makes a few numpy calls per pass and
+no Python loop over subsets.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import sys
@@ -68,10 +82,10 @@ class SubsetSelector:
     parties: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        parties = tuple(int(p) for p in self.parties)
+        parties = tuple(map(int, self.parties))
         if len(parties) < 2:
             raise ValueError("a subset needs at least two parties")
-        if any(b <= a for a, b in zip(parties, parties[1:])):
+        if list(parties) != sorted(set(parties)):
             raise ValueError(
                 f"subset parties must be strictly increasing, got {parties}"
             )
@@ -210,7 +224,7 @@ def _pair_index(selected_dims: Iterable[int]) -> tuple[np.ndarray | None, ...]:
     gets None and is never gathered.
     """
     return tuple(
-        None if d == 2 else np.transpose(np.triu_indices(d, 1))
+        None if d == 2 else np.array(list(itertools.combinations(range(d), 2)))
         for d in selected_dims
     )
 
@@ -219,17 +233,22 @@ def _pass_bytes(shape: tuple[int, ...], choices: int) -> int:
     """Bytes one kernel pass holds per subset for some of its pair choices.
 
     That is the subset's stacked sectors (``shape`` is ``(*selected_dims,
-    S)``) with one temporary of their size for the sector probabilities,
-    and per pair choice its gathered swap lattice of ``2^D x S`` values
-    plus the products formed from it, which with the smaller reductions
-    after them take at most as much again.
+    S)``), the int64 index that gathers them off the amplitudes (8 bytes
+    per stacked amplitude; its two factors are smaller), one temporary of
+    the sectors' size for the sector probabilities, and per pair choice its
+    gathered swap lattice of ``2^D x S`` values plus the products formed
+    from it, which with the smaller reductions after them take at most as
+    much again.
     """
     lattice = 2 ** (len(shape) - 1) * shape[-1]
-    return 16 * 2 * (math.prod(shape) + choices * lattice)
+    return (16 * 2 + 8) * math.prod(shape) + 16 * 2 * choices * lattice
 
 
 def _pair_windows(
-    pairs: tuple[np.ndarray | None, ...], shape: tuple[int, ...], batch: int
+    pairs: tuple[np.ndarray | None, ...],
+    shape: tuple[int, ...],
+    batch: int,
+    budget: int,
 ) -> tuple[tuple[int, ...], list]:
     """Split the pair choices into windows whose pass fits the budget.
 
@@ -240,7 +259,7 @@ def _pair_windows(
     party outwards, so a single window is the usual case.
     """
     gathered = [p for p in pairs if p is not None]
-    room = GATHER_BUDGET_BYTES // batch - _pass_bytes(shape, 0)
+    room = budget // batch - _pass_bytes(shape, 0)
     per_choice = _pass_bytes(shape, 1) - _pass_bytes(shape, 0)
     steps = []
     for p in reversed(gathered):
@@ -265,7 +284,8 @@ def _make_evaluator(
 ) -> Callable[[np.ndarray], float]:
     perm = _axis_order(len(dims), selected)
     shape = _sector_shape(dims, tuple(dims[i] for i in selected))
-    windows = _pair_windows(_pair_index(shape[:-1]), shape, 1)
+    windows = _pair_windows(_pair_index(shape[:-1]), shape, 1,
+                            GATHER_BUDGET_BYTES)
     shape = (1,) + shape
 
     def evaluate(tensor: np.ndarray) -> float:
@@ -344,6 +364,88 @@ def _pair_sums(
     return np.add.reduce(reduced * weight, axis=-1)
 
 
+# Plans kept by _plan; the CLI alone can touch dozens of (dims, size) keys.
+PLAN_CACHE_SIZE = 128
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _digits(shape: tuple[int, ...]) -> np.ndarray:
+    """Every position of ``shape`` in row-major order, one row per axis."""
+    table = np.indices(shape).reshape(len(shape), -1)
+    table.flags.writeable = False
+    return table
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _stacking(
+    dims: tuple[int, ...], selected_dims: tuple[int, ...], budget: int
+) -> tuple[tuple[int, ...], int, tuple[tuple[int, ...], list]]:
+    """Sector shape, subsets per pass and pair windows of one selected shape."""
+    shape = _sector_shape(dims, selected_dims)
+    choices = math.prod(math.comb(d, 2) for d in selected_dims)
+    batch = max(1, budget // _pass_bytes(shape, choices))
+    return shape, batch, _pair_windows(_pair_index(selected_dims), shape,
+                                       batch, budget)
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _plan(dims: tuple[int, ...], size: int, budget: int) -> tuple:
+    """How :func:`full_tensor` evaluates every subset of one size.
+
+    Returns the size's selectors in lexicographic order and a tuple of
+    groups, one per transposed shape ``T``: the selected dims, then the
+    other parties' dims in ascending party order.  A group is ``(positions,
+    outer, inner, outer_digits, inner_digits, shape, batch, windows)``.
+    ``positions`` are its subsets' places in lexicographic order.  ``T`` is
+    cut into leading and trailing axes, so the flat amplitude index of
+    every stacked entry is ``outer @ outer_digits`` (one row per subset,
+    one column per leading position) plus ``inner @ inner_digits``
+    broadcast over the trailing positions.  ``outer`` and ``inner`` hold
+    the parties' flat strides in transposed order; the digit tables list
+    every position of their half of ``T``.  Each pass stacks ``batch`` of
+    the subsets as ``(B, *shape)`` and evaluates them over ``windows``.
+
+    Built once per key, with no Python loop per subset beyond creating the
+    selectors.  A plan holds no amplitudes: per subset it keeps its place,
+    its selector and one stride per party, and per transposed shape two
+    digit tables of about ``M * sqrt(total_dim)`` entries.  The gather
+    index itself is rebuilt in each pass and counted by :func:`_pass_bytes`.
+    """
+    num = len(dims)
+    combos = list(itertools.combinations(range(num), size))
+    selected = np.array(combos, dtype=np.intp)
+    unselected = np.ones((len(combos), num), dtype=bool)
+    unselected[np.arange(len(combos))[:, None], selected] = False
+    rest = np.nonzero(unselected)[1].reshape(len(combos), num - size)
+    order = np.concatenate([selected, rest], axis=1)
+    strides = np.array([math.prod(dims[p + 1:]) for p in range(num)])
+    shapes = np.array(dims)[order]
+    # stable sort by transposed shape, so each group keeps subset order
+    by_shape = np.lexsort(shapes.T[::-1])
+    shapes = shapes[by_shape]
+    stacked = strides[order[by_shape]]
+    by_shape.flags.writeable = stacked.flags.writeable = False
+    ends = np.flatnonzero((shapes[1:] != shapes[:-1]).any(axis=1)) + 1
+    groups = []
+    for first, end in zip([0, *ends.tolist()], [*ends.tolist(), len(combos)]):
+        transposed = tuple(shapes[first].tolist())
+        # cut T where the two digit tables are smallest together
+        cut = min(
+            range(1, num),
+            key=lambda c: c * math.prod(transposed[:c])
+            + (num - c) * math.prod(transposed[c:]),
+        )
+        groups.append((
+            by_shape[first:end],
+            stacked[first:end, :cut],
+            stacked[first:end, cut:],
+            _digits(transposed[:cut]),
+            _digits(transposed[cut:]),
+            *_stacking(dims, transposed[:size], budget),
+        ))
+    return tuple(map(SubsetSelector, combos)), tuple(groups)
+
+
 def component(
     state: StateVector,
     subset: SubsetSelector,
@@ -383,10 +485,17 @@ def full_tensor(
 ) -> TensorReport:
     """Every component of every requested size (default: all sizes 2..M).
 
-    The subsets of one size are grouped by their selected dims; each group
-    is stacked and evaluated by the batched kernel, as many subsets per
-    pass as ``GATHER_BUDGET_BYTES`` allows.  Components come out by size,
-    then in lexicographic order within a size.
+    Each size runs the passes of its plan, cached under ``(dims, size,
+    GATHER_BUDGET_BYTES)`` with the budget read at call time; the last
+    ``PLAN_CACHE_SIZE`` plans are kept.  A pass gathers a stack of subsets
+    that share their transposed shape straight off ``state.amplitudes``
+    and evaluates it with the batched kernel, so a call on dims seen
+    before does no Python work per subset.  The first call on new dims
+    builds the plan, with numpy work per group of subsets rather than per
+    subset.  A plan holds no amplitudes: per subset, its selector and
+    ``M + 1`` integers, and per transposed shape two small digit tables.
+    Components come out by size, then in lexicographic order within a
+    size.
     """
     structure = state.structure
     if sizes is None:
@@ -398,32 +507,24 @@ def full_tensor(
                 raise ValueError(
                     f"size {s} out of range 2..{structure.num_parties}"
                 )
-    dims = structure.dims
-    amplitudes = state.tensor
     components: dict[SubsetSelector, float] = {}
     for size in size_list:
-        subsets = subsets_of_size(structure, size)
-        groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-        for subset in subsets:
-            key = tuple(dims[i] for i in subset.parties)
-            groups.setdefault(key, []).append(subset.parties)
-        values: dict[tuple[int, ...], float] = {}
-        for selected_dims, members in groups.items():
-            pairs = _pair_index(selected_dims)
-            shape = _sector_shape(dims, selected_dims)
-            choices = math.prod(math.comb(d, 2) for d in selected_dims)
-            batch = max(1, GATHER_BUDGET_BYTES // _pass_bytes(shape, choices))
-            windows = _pair_windows(pairs, shape, batch)
-            for start in range(0, len(members), batch):
-                chunk = members[start:start + batch]
-                sectors = np.empty((len(chunk),) + shape, dtype=np.complex128)
-                for row, parties in zip(sectors, chunk):
-                    moved = amplitudes.transpose(_axis_order(len(dims), parties))
-                    row.reshape(moved.shape)[...] = moved
-                found = _evaluate_batch(sectors, windows, scheme.constant(size))
-                values.update(zip(chunk, found.tolist()))
-        for subset in subsets:
-            components[subset] = values[subset.parties]
+        subsets, groups = _plan(structure.dims, size, GATHER_BUDGET_BYTES)
+        values = np.empty(len(subsets))
+        constant = scheme.constant(size)
+        for (positions, outer, inner, outer_digits, inner_digits,
+             shape, batch, windows) in groups:
+            for start in range(0, len(positions), batch):
+                rows = slice(start, start + batch)
+                index = np.add(
+                    (outer[rows] @ outer_digits)[:, :, None],
+                    (inner[rows] @ inner_digits)[:, None, :],
+                )
+                sectors = state.amplitudes.take(index).reshape((-1,) + shape)
+                values[positions[rows]] = _evaluate_batch(
+                    sectors, windows, constant
+                )
+        components.update(zip(subsets, values.tolist()))
     return TensorReport(structure=structure, scheme=scheme, components=components)
 
 

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from etensor import cli as cli_module
 from etensor.cli import main
 from etensor.ketparse import save_ket_json, state_from_dict
 from etensor.states import ghz_state
@@ -131,6 +132,17 @@ class TestErrorChannels:
         assert code == 2
         assert "NaN" not in out
         assert err.startswith("state error")
+
+    def test_out_of_memory_is_exit_two(self, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli_module, "full_tensor", exhausted)
+        code, out, err = run_cli(capsys, "compute", "--expr", W3_EXPR)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: out of memory")
+        assert "Traceback" not in err
 
     def test_computation_error_is_exit_one(self, capsys):
         code, _, err = run_cli(capsys, "compute", "--expr", EPR_EXPR,

@@ -381,6 +381,22 @@ def _make_evaluator(
     return evaluate
 
 
+def _count_calls(monkeypatch, name):
+    """Record the batch size of each call of a kernel function of ``tensor``.
+
+    Only sizes are kept, so the record holds no arrays alive.
+    """
+    calls = []
+    original = getattr(tensor_module, name)
+
+    def counted(sectors, *args):
+        calls.append(len(sectors))
+        return original(sectors, *args)
+
+    monkeypatch.setattr(tensor_module, name, counted)
+    return calls
+
+
 class TestBatchedKernel:
     """The batched kernel against the loop evaluator it replaced."""
 
@@ -415,6 +431,8 @@ class TestBatchedKernel:
     def test_chunking_does_not_change_values(self, monkeypatch):
         dims = (3, 3, 3, 2)
         state = random_state(PartyStructure(dims), np.random.default_rng(5))
+        passes = _count_calls(monkeypatch, "_evaluate_batch")
+        windows = _count_calls(monkeypatch, "_pair_sums")
         whole = full_tensor(state).components
         single = component_evaluator(state.structure, SubsetSelector((0, 1, 2)))
         whole_single = single(state.tensor)
@@ -425,11 +443,16 @@ class TestBatchedKernel:
         assert budget < tensor_module._pass_bytes((3, 3, 3, 2), 27)
         assert budget < 2 * tensor_module._pass_bytes((3, 3, 6), 9)
         monkeypatch.setattr(tensor_module, "GATHER_BUDGET_BYTES", budget)
-        windows = tensor_module._pair_windows(
-            tensor_module._pair_index((3, 3, 3)), (3, 3, 3, 2), 1
-        )[1]
-        assert len(windows) > 1
+        assert len(tensor_module._pair_windows(
+            tensor_module._pair_index((3, 3, 3)), (3, 3, 3, 2), 1, budget
+        )[1]) > 1
+        passes.clear()
+        windows.clear()
         split = full_tensor(state).components
+        # the plan cached under the default budget must not be reused: the
+        # split run makes one pass per subset, and some pass several windows
+        assert len(passes) == len(whole)
+        assert len(windows) > len(passes)
         assert list(split) == list(whole)
         assert split == whole
         chunked = component_evaluator(state.structure, SubsetSelector((0, 1, 2)))
@@ -437,18 +460,24 @@ class TestBatchedKernel:
 
     def test_peak_memory_grows_by_at_most_the_budget(self, monkeypatch):
         state = random_state(PartyStructure((2,) * 10), np.random.default_rng(8))
-        full_tensor(state, sizes=[2])  # first call allocates lazy numpy state
-        peaks = {}
+        passes = _count_calls(monkeypatch, "_evaluate_batch")
+        peaks, counts = {}, {}
         # a budget of one byte makes every pass a single subset and window;
-        # its peak is the report itself plus one small pass
+        # its peak is the report itself plus one small pass.  The first call
+        # under each budget builds its plans, so only the second is traced.
         for budget in (1, 512 << 10):
             monkeypatch.setattr(tensor_module, "GATHER_BUDGET_BYTES", budget)
+            full_tensor(state)
+            passes.clear()
             tracemalloc.start()
             try:
                 full_tensor(state)
                 peaks[budget] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
+            counts[budget] = list(passes)
+        assert counts[1] == [1] * (2**10 - 10 - 1)
+        assert len(counts[512 << 10]) < len(counts[1])
         assert peaks[512 << 10] <= peaks[1] + (512 << 10)
 
     def test_components_keep_size_then_lexicographic_order(self):
@@ -463,3 +492,61 @@ class TestBatchedKernel:
         assert [s.parties for s in expected[:6]] == [
             (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)
         ]
+
+
+def _assert_matches_reference(state, components):
+    for subset, value in components.items():
+        expected = _make_evaluator(state.structure.dims, subset.parties, 4.0)(
+            state.tensor
+        )
+        assert value == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+
+class TestPlanCache:
+    """Cached per-dims plans give the same values as freshly built ones."""
+
+    def test_interleaved_dims_match_fresh_plans(self):
+        states = [
+            random_state(PartyStructure(dims), np.random.default_rng(seed))
+            for seed, dims in enumerate([(2,) * 8, (3, 3, 2, 2, 2, 2), (2, 3, 2, 3)])
+        ]
+        tensor_module._plan.cache_clear()
+        cached = []
+        for _ in range(2):
+            for state in states:
+                cached.append(full_tensor(state, sizes=[3]).components)
+                cached.append(full_tensor(state).components)
+        fresh = []
+        for _ in range(2):
+            for state in states:
+                tensor_module._plan.cache_clear()
+                fresh.append(full_tensor(state, sizes=[3]).components)
+                tensor_module._plan.cache_clear()
+                fresh.append(full_tensor(state).components)
+        for got, want in zip(cached, fresh):
+            assert list(got) == list(want)
+            assert got == want
+        for state, components in zip(states, cached[1::2]):
+            _assert_matches_reference(state, components)
+
+    def test_plans_hold_no_amplitudes(self):
+        structure = PartyStructure((2, 3, 2, 3))
+        first = random_state(structure, np.random.default_rng(21))
+        second = random_state(structure, np.random.default_rng(22))
+        reports = [full_tensor(state).components for state in (first, second)]
+        assert reports[0] != reports[1]
+        for state, components in zip((first, second), reports):
+            _assert_matches_reference(state, components)
+        assert full_tensor(first).components == reports[0]
+
+    def test_cache_size_stays_bounded(self, monkeypatch):
+        capacity = tensor_module.PLAN_CACHE_SIZE
+        assert capacity >= 128
+        assert tensor_module._plan.cache_info().maxsize == capacity
+        state = w_state(3)
+        # every budget is a distinct key
+        for budget in range(1, capacity + 20):
+            monkeypatch.setattr(tensor_module, "GATHER_BUDGET_BYTES", budget)
+            full_tensor(state, sizes=[2])
+            assert tensor_module._plan.cache_info().currsize <= capacity
+        assert tensor_module._plan.cache_info().currsize == capacity
