@@ -5,12 +5,14 @@ paper-suite.  Party labels and subsets are 1-based on this surface and
 converted once at the boundary; everything below is 0-based.  Output is
 JSON on stdout (or an aligned table for ``compute --table``); diagnostics
 go to stderr.  Exit codes: 0 success, 2 usage/parse/file problems and
-running out of memory, 1 computation errors.
+running out of memory, 1 computation errors.  ``main`` builds its argument
+parser once per process, on first use, and reuses it for every call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -581,8 +583,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser behind ``main``.
+
+    Parsing leaves a parser unchanged: each call fills a fresh namespace,
+    and usage errors go to the ``sys.stderr`` current at that call.
+    """
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _shared_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

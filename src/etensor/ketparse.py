@@ -32,6 +32,7 @@ from typing import Any
 
 import numpy as np
 
+from . import states
 from .states import NormalizationError, PartyStructure, StateVector, flat_index
 
 
@@ -47,6 +48,17 @@ class KetSyntaxError(ValueError):
 
 class KetFormatError(ValueError):
     """Coefficient JSON document is malformed or inconsistent."""
+
+
+def _zero_amplitudes(structure: PartyStructure) -> np.ndarray:
+    """Dense zero vector for ``structure``, refused above ``MAX_TOTAL_DIM``."""
+    total = structure.total_dim
+    if total > states.MAX_TOTAL_DIM:
+        raise KetFormatError(
+            f"total dimension {total} exceeds the limit of "
+            f"{states.MAX_TOTAL_DIM} amplitudes"
+        )
+    return np.zeros(total, dtype=np.complex128)
 
 
 @dataclass(frozen=True)
@@ -305,7 +317,7 @@ def parse_amplitudes(
             max(2, 1 + max(ket[j] for _, ket in terms)) for j in range(arity)
         )
         structure = PartyStructure(dims)
-    amps = np.zeros(structure.total_dim, dtype=np.complex128)
+    amps = _zero_amplitudes(structure)
     for coeff, ket in terms:
         amps[flat_index(structure, ket)] += coeff
     return structure, amps
@@ -334,50 +346,94 @@ def parse_ket(
 
 
 def state_to_dict(state: StateVector) -> dict[str, Any]:
-    """Sparse JSON-ready document; exact zeros are omitted."""
-    entries = []
-    dims = state.structure.dims
+    """Sparse JSON-ready document; exact zeros are omitted.
+
+    Vectorized: one mask picks the nonzero amplitudes in row-major order,
+    and the entries are built from plain Python lists, so the document
+    (signed zeros included) is what a per-amplitude loop would give.
+    """
     tensor = state.tensor
-    for index in np.argwhere(tensor != 0):
-        value = tensor[tuple(index)]
-        entries.append(
-            {"index": [int(k) for k in index], "re": float(value.real),
-             "im": float(value.imag)}
+    nonzero = tensor != 0
+    values = tensor[nonzero]
+    entries = [
+        {"index": index, "re": re, "im": im}
+        for index, re, im in zip(
+            np.argwhere(nonzero).tolist(),
+            values.real.tolist(),
+            values.imag.tolist(),
         )
-    return {"dims": list(dims), "amplitudes": entries}
+    ]
+    return {"dims": list(state.structure.dims), "amplitudes": entries}
 
 
 def state_from_dict(data: Any, normalize: bool = False) -> StateVector:
+    """Inverse of :func:`state_to_dict`; raises :class:`KetFormatError`.
+
+    Vectorized: one light loop parses the entries, then whole arrays do the
+    arity, range and duplicate checks and the scatter.  The errors are
+    those of a per-entry check: the first offending entry in document order
+    is reported, with the same message.  A number too large to convert is
+    an invalid entry or dims field.
+    """
     if not isinstance(data, dict):
         raise KetFormatError("coefficient document must be a JSON object")
     try:
         dims = tuple(int(n) for n in data["dims"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise KetFormatError("missing or invalid 'dims' field") from exc
     try:
         structure = PartyStructure(dims)
     except ValueError as exc:
         raise KetFormatError(str(exc)) from exc
-    amps = np.zeros(structure.total_dim, dtype=np.complex128)
-    seen: set[int] = set()
+    amps = _zero_amplitudes(structure)
+    indices: list[tuple[int, ...]] = []
+    values: list[complex] = []
+    unparsed: KetFormatError | None = None
     for entry in data.get("amplitudes", []):
         try:
-            index = tuple(int(k) for k in entry["index"])
-            re = float(entry.get("re", 0.0))
-            im = float(entry.get("im", 0.0))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise KetFormatError(f"invalid amplitude entry {entry!r}") from exc
-        try:
-            flat = flat_index(structure, index)
+            index = tuple(map(int, entry["index"]))
+            value = complex(float(entry.get("re", 0.0)),
+                            float(entry.get("im", 0.0)))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            unparsed = KetFormatError(f"invalid amplitude entry {entry!r}")
+            unparsed.__cause__ = exc
+            break
+        indices.append(index)
+        values.append(value)
+
+    # Each check below looks only at the entries before the first one an
+    # earlier check refused, so the error raised is the first in the document.
+    valid = len(indices)
+    arity = np.fromiter(map(len, indices), dtype=np.intp, count=valid)
+    valid = _first(arity != len(dims), valid)
+    # components past int64 make this a float or object array; they are
+    # out of range either way
+    index = np.array(indices[:valid]).reshape(valid, len(dims))
+    valid = _first(((index < 0) | (index >= dims)).any(axis=1), valid)
+    flat = np.ravel_multi_index(index[:valid].T.astype(np.intp), dims)
+    _, first_seen = np.unique(flat, return_index=True)
+    if first_seen.size < valid:
+        repeated = np.ones(valid, dtype=bool)
+        repeated[first_seen] = False
+        duplicate = indices[int(np.argmax(repeated))]
+        raise KetFormatError(f"duplicate amplitude index {list(duplicate)}")
+    if valid < len(indices):
+        try:  # the per-entry check on the refused entry, for its message
+            flat_index(structure, indices[valid])
         except ValueError as exc:
             raise KetFormatError(str(exc)) from exc
-        if flat in seen:
-            raise KetFormatError(f"duplicate amplitude index {list(index)}")
-        seen.add(flat)
-        amps[flat] = complex(re, im)
+    if unparsed is not None:
+        raise unparsed
+    amps[flat] = values
     if not np.any(amps):
         raise KetFormatError("document holds the zero vector")
     return StateVector(structure, amps, normalize=normalize)
+
+
+def _first(flags: np.ndarray, default: int) -> int:
+    """Position of the first true flag, or ``default`` if none is set."""
+    hits = np.flatnonzero(flags)
+    return int(hits[0]) if hits.size else default
 
 
 def save_ket_json(state: StateVector, path: str) -> None:

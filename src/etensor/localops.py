@@ -34,6 +34,8 @@ class LocalUnitary:
         mat = np.array(self.matrix, dtype=np.complex128)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"unitary must be a square matrix, got {mat.shape}")
+        if not np.isfinite(mat).all():
+            raise ValueError("unitary matrix must be finite (got NaN or inf)")
         defect = np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0])))
         if defect > UNITARY_TOL:
             raise ValueError(

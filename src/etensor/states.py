@@ -17,6 +17,7 @@ import numpy as np
 
 NORM_TOL = 1e-9        # allowed deviation of the squared norm at construction
 PROB_TOL = 1e-12       # bookkeeping tolerance for probability sums
+MAX_TOTAL_DIM = 1 << 24  # most amplitudes a parsed input may ask to allocate
 
 
 class NormalizationError(ValueError):

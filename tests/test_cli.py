@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import subprocess
@@ -7,6 +9,7 @@ import numpy as np
 import pytest
 
 from etensor import cli as cli_module
+from etensor import states as states_module
 from etensor.cli import main
 from etensor.ketparse import save_ket_json, state_from_dict
 from etensor.states import ghz_state
@@ -156,6 +159,63 @@ class TestErrorChannels:
         assert "--state" in err
 
 
+class TestParserReuse:
+    """``main`` shares one parser across calls; no call may see another's."""
+
+    def test_main_builds_the_parser_once(self, capsys, monkeypatch):
+        real_build = cli_module.build_parser
+        built = []
+
+        def counted_build():
+            built.append(1)
+            return real_build()
+
+        monkeypatch.setattr(cli_module, "build_parser", counted_build)
+        cli_module._shared_parser.cache_clear()
+        for _ in range(3):
+            run_json(capsys, "oracle", "--kind", "dur", "--m", "4")
+        assert len(built) == 1
+        assert cli_module._shared_parser() is cli_module._shared_parser()
+        assert real_build() is not real_build()
+
+    def test_append_subsets_do_not_carry_over(self, capsys):
+        doc = run_json(capsys, "compute", "--expr", W3_EXPR,
+                       "--subset", "1,2", "--subset", "1,3")
+        assert len(doc["components"]) == 2
+        doc = run_json(capsys, "compute", "--expr", W3_EXPR, "--subset", "2,3")
+        assert [c["subset"] for c in doc["components"]] == [[2, 3]]
+
+    def test_norm_consts_do_not_carry_over(self, capsys):
+        doc = run_json(capsys, "compute", "--expr", GHZ_EXPR,
+                       "--subset", "1,2,3", "--norm-const", "3=16")
+        assert doc["components"][0]["value"] == pytest.approx(2.0, abs=1e-12)
+        doc = run_json(capsys, "compute", "--expr", GHZ_EXPR,
+                       "--subset", "1,2,3", "--norm-const", "2=9")
+        assert doc["components"][0]["value"] == pytest.approx(1.0, abs=1e-12)
+        assert doc["norm_constants"]["3"] != 16.0
+
+    def test_usage_error_goes_to_current_stderr(self, capsys):
+        run_json(capsys, "oracle", "--kind", "dur", "--m", "4")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["measure", "--expr", EPR_EXPR, "--party", "1"])
+        assert code == 2
+        assert err.getvalue().startswith("usage: etensor measure")
+        assert "required: --outcome" in err.getvalue()
+        assert capsys.readouterr().err == ""
+
+
+class TestInputBudget:
+    def test_expression_over_budget_is_exit_two(self, capsys, monkeypatch):
+        monkeypatch.setattr(states_module, "MAX_TOTAL_DIM", 4)
+        code, out, err = run_cli(capsys, "compute", "--expr", GHZ_EXPR)
+        assert code == 2
+        assert out == ""
+        assert err == ("parse error: total dimension 8 exceeds the limit "
+                       "of 4 amplitudes\n")
+        assert run_cli(capsys, "compute", "--expr", EPR_EXPR)[0] == 0
+
+
 class TestOptimize:
     def test_ghz_rear_pair(self, capsys):
         doc = run_json(capsys, "optimize", "--expr", GHZ_EXPR,
@@ -237,6 +297,17 @@ class TestApply:
                        "--party", "1", "--gate", f"U({path})")
         state = state_from_dict(doc)
         assert state.amplitude((1, 0)) == 1.0
+
+    def test_non_finite_unitary_file(self, capsys, tmp_path):
+        path = tmp_path / "nan.json"
+        path.write_text(
+            '{"re": [[NaN, 0.0], [0.0, 1.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}'
+        )
+        code, out, err = run_cli(capsys, "apply", "--expr", "|0,0>",
+                                 "--party", "1", "--gate", f"U({path})")
+        assert code == 1
+        assert "NaN" not in out
+        assert err.startswith("error: unitary matrix must be finite")
 
     def test_bad_gate(self, capsys):
         code, _, err = run_cli(capsys, "apply", "--expr", EPR_EXPR,

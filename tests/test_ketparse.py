@@ -1,10 +1,13 @@
+import json
 import math
+from typing import Any
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from etensor import states as states_module
 from etensor.ketparse import (
     KetFormatError,
     KetSyntaxError,
@@ -15,7 +18,13 @@ from etensor.ketparse import (
     state_from_dict,
     state_to_dict,
 )
-from etensor.states import NormalizationError, PartyStructure
+from etensor.states import (
+    NormalizationError,
+    PartyStructure,
+    StateVector,
+    flat_index,
+    random_state,
+)
 
 
 class TestGrammar:
@@ -208,3 +217,229 @@ class TestJsonFormat:
             state_from_dict(doc)
         state = state_from_dict(doc, normalize=True)
         assert state.amplitude((0, 0)) == 1.0
+
+
+# ---------------------------------------------------------------------------
+# the per-entry JSON conversion, kept verbatim as the reference
+
+
+def reference_state_to_dict(state: StateVector) -> dict[str, Any]:
+    """Sparse JSON-ready document; exact zeros are omitted."""
+    entries = []
+    dims = state.structure.dims
+    tensor = state.tensor
+    for index in np.argwhere(tensor != 0):
+        value = tensor[tuple(index)]
+        entries.append(
+            {"index": [int(k) for k in index], "re": float(value.real),
+             "im": float(value.imag)}
+        )
+    return {"dims": list(dims), "amplitudes": entries}
+
+
+def reference_state_from_dict(data: Any, normalize: bool = False) -> StateVector:
+    if not isinstance(data, dict):
+        raise KetFormatError("coefficient document must be a JSON object")
+    try:
+        dims = tuple(int(n) for n in data["dims"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise KetFormatError("missing or invalid 'dims' field") from exc
+    try:
+        structure = PartyStructure(dims)
+    except ValueError as exc:
+        raise KetFormatError(str(exc)) from exc
+    amps = np.zeros(structure.total_dim, dtype=np.complex128)
+    seen: set[int] = set()
+    for entry in data.get("amplitudes", []):
+        try:
+            index = tuple(int(k) for k in entry["index"])
+            re = float(entry.get("re", 0.0))
+            im = float(entry.get("im", 0.0))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise KetFormatError(f"invalid amplitude entry {entry!r}") from exc
+        try:
+            flat = flat_index(structure, index)
+        except ValueError as exc:
+            raise KetFormatError(str(exc)) from exc
+        if flat in seen:
+            raise KetFormatError(f"duplicate amplitude index {list(index)}")
+        seen.add(flat)
+        amps[flat] = complex(re, im)
+    if not np.any(amps):
+        raise KetFormatError("document holds the zero vector")
+    return StateVector(structure, amps, normalize=normalize)
+
+
+def _outcome(convert, doc, normalize):
+    try:
+        return convert(doc, normalize=normalize)
+    except Exception as exc:  # the exception itself is the outcome compared
+        return exc
+
+
+def assert_same_as_reference(doc, normalize=True):
+    got = _outcome(state_from_dict, doc, normalize)
+    want = _outcome(reference_state_from_dict, doc, normalize)
+    if isinstance(want, OverflowError):
+        # the per-entry code let this escape; it is now a format error
+        assert isinstance(got, KetFormatError), got
+        assert str(got).startswith(("invalid amplitude entry",
+                                    "missing or invalid 'dims'"))
+    elif isinstance(want, Exception):
+        assert type(got) is type(want), got
+        assert str(got) == str(want)
+    else:
+        assert isinstance(got, StateVector), got
+        assert got.structure == want.structure
+        assert np.array_equal(got.amplitudes, want.amplitudes)
+
+
+_numbers = st.sampled_from([0.6, -0.8, 1.0, -0.5, 0.25, 3.0, 1e-300, 0.0, -0.0])
+_junk = st.sampled_from([None, "x", [1.0], {"a": 1}, True, "2", 1.5,
+                         float("nan"), float("inf"), 10**400])
+
+
+@st.composite
+def coefficient_documents(draw):
+    """Valid and invalid documents, mostly over small dims."""
+    dims = draw(st.lists(st.integers(2, 4), min_size=1, max_size=3))
+    valid_index = st.tuples(*(st.integers(0, n - 1) for n in dims)).map(list)
+    bad_index = st.one_of(
+        st.lists(st.integers(0, 1), max_size=len(dims) + 2).filter(
+            lambda ix: len(ix) != len(dims)),
+        valid_index.flatmap(lambda ix: st.integers(0, len(ix) - 1).flatmap(
+            lambda party: st.sampled_from([-1, dims[party], 9, 2**63, -(10**30)])
+            .map(lambda k: ix[:party] + [k] + ix[party + 1:]))),
+        _junk,
+    )
+    entries: list = [
+        {"index": index, "re": draw(_numbers), "im": draw(_numbers)}
+        for index in draw(st.lists(valid_index, min_size=1, max_size=8,
+                                   unique_by=tuple))
+    ]
+    for _ in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from(
+            ["bad index"] * 2
+            + ["duplicate", "missing", "junk value", "not an entry"]))
+        if kind == "duplicate" and entries:
+            previous = draw(st.sampled_from(entries))
+            index = previous.get("index") if isinstance(previous, dict) else 0
+            entry = {"index": index, "re": draw(_numbers)}
+        elif kind == "bad index":
+            entry = {"index": draw(bad_index), "re": draw(_numbers)}
+        elif kind == "missing":
+            entry = {"index": draw(valid_index), "re": 1.0, "im": 0.0}
+            del entry[draw(st.sampled_from(["index", "re", "im"]))]
+        elif kind == "junk value":
+            entry = {"index": draw(valid_index),
+                     draw(st.sampled_from(["re", "im"])): draw(_junk)}
+        else:
+            entry = draw(st.one_of(_junk, st.lists(st.integers(0, 1))))
+        entries.insert(draw(st.integers(0, len(entries))), entry)
+    doc: dict = {"dims": dims, "amplitudes": entries}
+    shape = draw(st.sampled_from(["plain"] * 8 + [
+        "no amplitudes", "empty", "bad dims", "junk amplitudes"]))
+    if shape == "no amplitudes":
+        del doc["amplitudes"]
+    elif shape == "empty":
+        doc["amplitudes"] = []
+    elif shape == "bad dims":
+        doc["dims"] = draw(st.one_of(_junk, st.just([2, 1])))
+    elif shape == "junk amplitudes":
+        doc["amplitudes"] = draw(st.one_of(st.just({"index": [0]}),
+                                           st.just("ab"), st.just([[0]])))
+    return doc
+
+
+class TestJsonAgainstReference:
+    """The array checks of ``state_from_dict`` and the mask of
+    ``state_to_dict`` against the per-entry code above."""
+
+    @given(coefficient_documents(), st.sampled_from([True, True, False]))
+    @settings(max_examples=400, deadline=None)
+    def test_documents_match_reference(self, doc, normalize):
+        assert_same_as_reference(doc, normalize)
+
+    @pytest.mark.parametrize("entries", [
+        # a duplicate after an out-of-range entry: the range error comes first
+        [[0, 0], [0, 5], [0, 0]],
+        # a duplicate before an out-of-range entry: the duplicate comes first
+        [[0, 0], [0, 0], [0, 5]],
+        # wrong arity after a duplicate, and before one
+        [[1, 1], [1, 1], [0]],
+        [[1, 1], [0], [1, 1]],
+        # an unparsable entry after an error the array checks find
+        [[0, 0], [0, 2**63], "junk"],
+        [[0, 0], [0, 1], "junk", [0, 0]],
+        # components past int64 on both sides
+        [[0, 0], [-(10**30), 0]],
+        [[0, 0], [1, 10**30]],
+        [],
+    ])
+    def test_first_offending_entry_is_reported(self, entries):
+        doc = {"dims": [2, 2], "amplitudes": [
+            {"index": ix, "re": 0.6} if isinstance(ix, list) else ix
+            for ix in entries
+        ]}
+        assert_same_as_reference(doc)
+
+    def test_overflow_is_a_format_error(self):
+        doc = {"dims": [2], "amplitudes": [{"index": [float("inf")]}]}
+        with pytest.raises(KetFormatError, match="invalid amplitude entry"):
+            state_from_dict(doc)
+        doc = {"dims": [2], "amplitudes": [{"index": [0], "re": 10**400}]}
+        with pytest.raises(KetFormatError, match="invalid amplitude entry"):
+            state_from_dict(doc)
+        with pytest.raises(KetFormatError, match="invalid 'dims'"):
+            state_from_dict({"dims": [float("inf")], "amplitudes": []})
+
+    @given(st.lists(st.integers(2, 4), min_size=1, max_size=4),
+           st.integers(0, 2**32 - 1), st.sampled_from(["haar", "sparse"]),
+           st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_dict_text_matches_reference(self, dims, seed, kind, signed_zeros):
+        rng = np.random.default_rng(seed)
+        amps = random_state(PartyStructure(tuple(dims)), rng).amplitudes.copy()
+        if kind == "sparse":
+            amps[rng.random(amps.size) < 0.7] = 0.0
+            amps[rng.integers(amps.size)] = 1.0
+        if signed_zeros:
+            amps.real[rng.random(amps.size) < 0.3] = -0.0
+            amps.imag[rng.random(amps.size) < 0.3] = -0.0
+            amps[0] = complex(0.5, -0.0)
+        state = StateVector(PartyStructure(tuple(dims)), amps, normalize=True)
+        got = json.dumps(state_to_dict(state), indent=1)
+        assert got == json.dumps(reference_state_to_dict(state), indent=1)
+        if signed_zeros:
+            assert "-0.0" in got
+        again = state_from_dict(json.loads(got))
+        assert np.array_equal(again.amplitudes, state.amplitudes)
+
+
+class TestInputBudget:
+    """``MAX_TOTAL_DIM`` is checked before the dense vector is allocated."""
+
+    @pytest.fixture
+    def no_allocation(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocated past the budget")
+
+        monkeypatch.setattr(states_module, "MAX_TOTAL_DIM", 4)
+        monkeypatch.setattr(np, "zeros", refuse)
+
+    def test_json_document(self, no_allocation):
+        doc = {"dims": [2, 3], "amplitudes": [{"index": [0, 0], "re": 1.0}]}
+        with pytest.raises(KetFormatError,
+                           match="total dimension 6 exceeds the limit of 4"):
+            state_from_dict(doc)
+
+    def test_expression(self, no_allocation):
+        with pytest.raises(KetFormatError,
+                           match="total dimension 8 exceeds the limit of 4"):
+            parse_amplitudes("|0,0,1>")
+
+    def test_at_the_limit(self, monkeypatch):
+        monkeypatch.setattr(states_module, "MAX_TOTAL_DIM", 4)
+        assert parse_ket("(|0,0> + |1,1>)/sqrt(2)").structure.total_dim == 4
+        doc = {"dims": [4], "amplitudes": [{"index": [3], "re": 1.0}]}
+        assert state_from_dict(doc).amplitude((3,)) == 1.0

@@ -47,6 +47,11 @@ class TestLocalUnitary:
         with pytest.raises(ValueError, match="square"):
             LocalUnitary(0, np.ones((2, 3)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="must be finite"):
+            LocalUnitary(0, [[bad, 0.0], [0.0, 1.0]])
+
     def test_dagger_inverts(self):
         rng = np.random.default_rng(5)
         u = LocalUnitary(0, haar_unitary(3, rng))
