@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import re
 import sys
@@ -22,6 +21,7 @@ from typing import Any, Sequence, TextIO
 
 import numpy as np
 
+from . import golden
 from .ketparse import (
     KetFormatError,
     KetSyntaxError,
@@ -45,14 +45,14 @@ from .oracles import (
     concurrence_purity,
     dur_average,
 )
-from .states import NormalizationError, StateVector, ghz_state, w_state
+from .states import NormalizationError, StateVector
 from .supremum import OptimizerConfig, maximize_component, maximize_simultaneous
 from .tensor import (
     NormalizationScheme,
     SubsetSelector,
     TensorReport,
     component,
-    component_evaluator,
+    component_evaluator,  # noqa: F401 - a name perfbench's traced runs wrap
     full_tensor,
     report_to_dict,
     separability_scan,
@@ -341,146 +341,24 @@ def _cmd_oracle(args: argparse.Namespace, out: TextIO) -> int:
 # built-in golden suite
 
 
-def _suite_checks() -> list[tuple[str, float, float, float]]:
-    """(name, got, want, tolerance) for every closed-form fixture."""
-    checks: list[tuple[str, float, float, float]] = []
-    tol = 1e-12
-
-    def pair(*parties: int) -> SubsetSelector:
-        return SubsetSelector(tuple(parties))
-
-    epr = ghz_state(2)
-    checks.append(("epr pair component", component(epr, pair(0, 1)), 1.0, tol))
-    checks.append(("epr spin-flip concurrence",
-                   concurrence_pure_2qubit(epr), 1.0, tol))
-
-    skew = StateVector(
-        epr.structure,
-        np.array([math.sqrt(0.9), 0.0, 0.0, math.sqrt(0.1)], dtype=complex),
-    )
-    checks.append(("skewed pair component = 2|a00 a11|",
-                   component(skew, pair(0, 1)), 0.6, tol))
-
-    w3 = w_state(3)
-    for a, b in ((0, 1), (0, 2), (1, 2)):
-        checks.append((f"w3 pair {a + 1}{b + 1}",
-                       component(w3, pair(a, b)), math.sqrt(2.0 / 3.0), tol))
-    checks.append(("w3 triple", component(w3, pair(0, 1, 2)), 0.0, tol))
-
-    ghz = ghz_state(3)
-    checks.append(("ghz triple", component(ghz, pair(0, 1, 2)), 1.0, tol))
-    for a, b in ((0, 1), (0, 2), (1, 2)):
-        checks.append((f"ghz pair {a + 1}{b + 1}",
-                       component(ghz, pair(a, b)), 0.0, tol))
-
-    hghz = apply_local(ghz, hadamard(0))
-    checks.append(("hadamard-ghz pair 23", component(hghz, pair(1, 2)), 1.0, tol))
-    checks.append(("hadamard-ghz pair 12", component(hghz, pair(0, 1)), 0.0, tol))
-    checks.append(("hadamard-ghz pair 13", component(hghz, pair(0, 2)), 0.0, tol))
-    checks.append(("hadamard-ghz triple",
-                   component(hghz, pair(0, 1, 2)), 0.0, tol))
-    for outcome in (0, 1):
-        prob, branch = measure_party(hghz, 0, outcome)
-        checks.append((f"hadamard-ghz outcome {outcome} probability",
-                       prob, 0.5, tol))
-        checks.append((f"hadamard-ghz branch {outcome} concurrence",
-                       concurrence_pure_2qubit(branch), 1.0, tol))
-
-    wbar = hghz
-    for party in (1, 2):
-        wbar = apply_local(wbar, hadamard(party))
-    for a, b in ((0, 1), (0, 2), (1, 2)):
-        checks.append((f"all-hadamard-ghz pair {a + 1}{b + 1}",
-                       component(wbar, pair(a, b)), 1.0, tol))
-    checks.append(("all-hadamard-ghz triple",
-                   component(wbar, pair(0, 1, 2)), 0.0, tol))
-
-    prod_ghz = parse_ket("(|0,1,1,0> + |1,0,0,1> + |0,1,1,1> + |1,0,0,0>)/2")
-    checks.append(("ghz-x-plus c123", component(prod_ghz, pair(0, 1, 2)), 1.0, tol))
-    for triple in ((0, 1, 3), (0, 2, 3), (1, 2, 3)):
-        name = "".join(str(p + 1) for p in triple)
-        checks.append((f"ghz-x-plus c{name}",
-                       component(prod_ghz, SubsetSelector(triple)), 0.0, tol))
-    pair_max = max(
-        component(prod_ghz, SubsetSelector(s))
-        for s in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-    )
-    checks.append(("ghz-x-plus max pair", pair_max, 0.0, tol))
-    checks.append(("ghz-x-plus quadruple",
-                   component(prod_ghz, pair(0, 1, 2, 3)), 0.0, tol))
-    detached = separability_scan(prod_ghz)
-    checks.append(("ghz-x-plus party 4 detached",
-                   1.0 if detached == [False, False, False, True] else 0.0,
-                   1.0, 0.5))
-
-    nested = parse_ket(
-        "(|0,0,0,1> + |0,0,1,0> + |1,1,0,1> + |1,1,1,0>"
-        " + |0,1,0,0> + |0,1,1,1> + |1,0,0,0> + |1,0,1,1>)/sqrt(8)"
-    )
-    for s in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)):
-        name = "".join(str(p + 1) for p in s)
-        checks.append((f"nested pair {name}",
-                       component(nested, SubsetSelector(s)), 1.0, tol))
-    triple_max = max(
-        component(nested, SubsetSelector(s))
-        for s in ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
-    )
-    checks.append(("nested max triple", triple_max, 0.0, tol))
-    checks.append(("nested quadruple",
-                   component(nested, pair(0, 1, 2, 3)), 0.0, tol))
-    merged = regroup(nested, PartyGrouping(((0, 1), (2, 3))))
-    checks.append(("nested regrouped 12|34 component",
-                   component(merged, pair(0, 1)), 1.0, tol))
-
-    w4 = w_state(4)
-    for s in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)):
-        name = "".join(str(p + 1) for p in s)
-        checks.append((f"w4 pair {name}",
-                       component(w4, SubsetSelector(s)), math.sqrt(0.5), tol))
-    w4_high = max(
-        component(w4, SubsetSelector(s))
-        for s in ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3), (0, 1, 2, 3))
-    )
-    checks.append(("w4 max higher component", w4_high, 0.0, tol))
-
-    for m in range(3, 9):
-        wm = w_state(m)
-        evaluator = component_evaluator(wm.structure, pair(0, 1))
-        checks.append((f"w{m} pair 12", evaluator(wm.tensor),
-                       math.sqrt(2.0 / m), tol))
-        checks.append((f"w{m} mean traced concurrence^2",
-                       dur_average(m), 4.0 / m**2, 1e-9))
-        traced = concurrence_mixed_2qubit(trace_to_pair(wm, (0, 1)))
-        checks.append((f"w{m} component^2 / traced^2",
-                       evaluator(wm.tensor) ** 2 / traced**2, m / 2.0, 1e-9))
-    return checks
-
-
 def _cmd_paper_suite(args: argparse.Namespace, out: TextIO) -> int:
-    checks = _suite_checks()
     failures = 0
-    for name, got, want, tol in checks:
-        ok = abs(got - want) <= tol
-        status = "PASS" if ok else "FAIL"
+    for check, got in golden.results(golden.CHECKS):
+        ok = abs(got - check.want) <= check.tol
         failures += 0 if ok else 1
-        print(f"{status}  {name}: got {got:.15g}, want {want:.15g}", file=out)
+        print(f"{'PASS' if ok else 'FAIL'}  {check.name}: got {got:.15g}, "
+              f"want {check.want:.15g}", file=out)
 
     # informative only: a state carrying both pair and triple entanglement,
     # for which no closed-form component values exist
-    mixed = parse_ket("(|1,1,0> + |1,0,1> + |0,1,1> + |1,0,0>)/2")
-    report = full_tensor(mixed)
-    values = ", ".join(
-        f"c{''.join(str(p + 1) for p in s.parties)}={v:.6f}"
-        for s, v in report.components.items()
-    )
+    report = full_tensor(parse_ket("(|1,1,0> + |1,0,1> + |0,1,1> + |1,0,0>)/2"))
+    values = ", ".join(f"c{''.join(str(p + 1) for p in s.parties)}={v:.6f}"
+                       for s, v in report.components.items())
     print(f"INFO  pair+triple example state: {values}", file=out)
-    print(
-        "INFO  w-state contrast: pair components square to 2/M when the "
-        "other parties measure and communicate; discarded (traced-out) "
-        "pairs average 4/M^2",
-        file=out,
-    )
-    total = len(checks)
+    print("INFO  w-state contrast: pair components square to 2/M when the "
+          "other parties measure and communicate; discarded (traced-out) "
+          "pairs average 4/M^2", file=out)
+    total = len(golden.CHECKS)
     print(f"{total - failures}/{total} checks passed", file=out)
     return 0 if failures == 0 else 1
 

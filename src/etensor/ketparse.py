@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -389,6 +389,8 @@ def state_from_dict(data: Any, normalize: bool = False) -> StateVector:
     indices: list[tuple[int, ...]] = []
     values: list[complex] = []
     unparsed: KetFormatError | None = None
+    if not isinstance(data.get("amplitudes", []), Iterable):
+        raise KetFormatError("missing or invalid 'amplitudes' field")
     for entry in data.get("amplitudes", []):
         try:
             index = tuple(map(int, entry["index"]))

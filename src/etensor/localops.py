@@ -191,11 +191,8 @@ class DensityMatrix:
     """Two-qubit density operator, validated on entry."""
 
     entries: np.ndarray
-    dims: tuple[int, int] = (2, 2)
 
     def __post_init__(self) -> None:
-        if tuple(self.dims) != (2, 2):
-            raise ValueError("only two-qubit density matrices are supported")
         mat = np.array(self.entries, dtype=np.complex128)
         if mat.shape != (4, 4):
             raise ValueError(f"expected a 4x4 matrix, got shape {mat.shape}")
@@ -209,7 +206,6 @@ class DensityMatrix:
             raise ValueError("density matrix has a significantly negative eigenvalue")
         mat.flags.writeable = False
         object.__setattr__(self, "entries", mat)
-        object.__setattr__(self, "dims", (2, 2))
 
 
 def trace_to_pair(state: StateVector, keep: Sequence[int]) -> DensityMatrix:

@@ -257,11 +257,5 @@ def random_product_state(
     structure: PartyStructure, rng: np.random.Generator
 ) -> StateVector:
     """Tensor product of independent Haar-random local pure states."""
-    locals_ = []
-    for n in structure.dims:
-        z = rng.normal(size=n) + 1j * rng.normal(size=n)
-        locals_.append(z / np.linalg.norm(z))
-    amps = locals_[0]
-    for v in locals_[1:]:
-        amps = np.kron(amps, v)
-    return StateVector(structure, amps)
+    draws = [rng.normal(size=n) + 1j * rng.normal(size=n) for n in structure.dims]
+    return StateVector(structure, product_state(draws).amplitudes)

@@ -1,35 +1,31 @@
-"""Acceptance suite: one test per criterion, one printed PASS/FAIL line each.
+"""Acceptance suite: one printed PASS/FAIL line per criterion or golden entry.
 
-Run with ``pytest -s tests/test_acceptance.py`` to see the per-criterion
-lines.  Direct evaluations are checked at 1e-9 or tighter (1e-12 where the
-target is a closed form in the computation basis); optimizer results at
-1e-4.  Every expected number is either a closed form or recomputed here by
-an independent route (explicit spin flip, reduced-density purity, chained
-measurements, eigenvalue formula).
+Run with ``pytest -s tests/test_acceptance.py`` to see the lines.  The
+closed-form fixtures of criteria 3-7, their expected values and tolerances
+come from ``etensor.golden``, the table that ``paper-suite`` prints.  Direct
+evaluations are checked at 1e-9 or tighter (1e-12 where the target is a
+closed form in the computation basis); optimizer results at 1e-4.  Every
+other expected number is recomputed here by an independent route (explicit
+spin flip, reduced-density purity, chained measurements, eigenvalue formula).
 """
 
 import itertools
 import math
 
 import numpy as np
+import pytest
 
-from etensor.ketparse import parse_ket
+from etensor import golden
 from etensor.localops import (
     PartyGrouping,
     apply_local,
-    hadamard,
     measure_party,
     phase_gate,
     reduced_density,
     regroup,
-    trace_to_pair,
     ungroup,
 )
-from etensor.oracles import (
-    concurrence_mixed_2qubit,
-    concurrence_pure_2qubit,
-    dur_average,
-)
+from etensor.oracles import concurrence_pure_2qubit
 from etensor.states import (
     PartyStructure,
     StateVector,
@@ -44,12 +40,10 @@ from etensor.tensor import (
     SubsetSelector,
     component,
     full_tensor,
-    separability_scan,
     subsets_of_size,
 )
 
 PAIR_12 = SubsetSelector((0, 1))
-TRIPLE_123 = SubsetSelector((0, 1, 2))
 
 
 def _report(ok: bool, label: str) -> None:
@@ -87,101 +81,34 @@ def test_criterion_2_purity_identity():
     _report(ok, f"criterion 2: component^2 = 2(1 - Tr rho^2) (worst {worst:.2e})")
 
 
-def test_criterion_3_w3():
-    w3 = w_state(3)
-    target = math.sqrt(2 / 3)
-    gaps = [
-        abs(component(w3, subset) - target)
-        for subset in subsets_of_size(w3.structure, 2)
-    ]
-    gaps.append(abs(component(w3, TRIPLE_123)))
-    ok = max(gaps) < 1e-12
-    _report(ok, f"criterion 3: w3 pairs sqrt(2/3), triple 0 "
-                f"(worst {max(gaps):.2e})")
+@pytest.mark.parametrize("check", golden.CHECKS, ids=lambda check: check.name)
+def test_golden_table(check):
+    """Criteria 3-7: each closed-form fixture of the paper, one entry each."""
+    ((_, got),) = golden.results([check])
+    _report(abs(got - check.want) <= check.tol,
+            f"{check.name}: got {got:.15g}, want {check.want:.15g}")
 
 
-def test_criterion_4_ghz_bases():
-    ghz = ghz_state(3)
-    gaps = [abs(component(ghz, TRIPLE_123) - 1.0)]
-    gaps += [component(ghz, s) for s in subsets_of_size(ghz.structure, 2)]
-
-    front = apply_local(ghz, hadamard(0))
-    gaps.append(abs(component(front, SubsetSelector((1, 2))) - 1.0))
-    gaps.append(component(front, SubsetSelector((0, 1))))
-    gaps.append(component(front, SubsetSelector((0, 2))))
-    gaps.append(component(front, TRIPLE_123))
-
-    flipped = front
-    for party in (1, 2):
-        flipped = apply_local(flipped, hadamard(party))
-    gaps += [
-        abs(component(flipped, s) - 1.0)
-        for s in subsets_of_size(ghz.structure, 2)
-    ]
-    gaps.append(component(flipped, TRIPLE_123))
-    ok = max(gaps) < 1e-12
-    _report(ok, f"criterion 4: ghz under hadamard bases (worst {max(gaps):.2e})")
-
-
-def test_criterion_5_measurement_narrative():
-    state = apply_local(ghz_state(3), hadamard(0))
-    gaps = []
-    for outcome in (0, 1):
-        prob, branch = measure_party(state, 0, outcome)
-        gaps.append(abs(prob - 0.5))
-        gaps.append(abs(concurrence_pure_2qubit(branch) - 1.0))
-    ok = max(gaps) < 1e-12
-    _report(ok, "criterion 5: measuring hadamard-ghz gives two p=1/2 "
-                f"unit-concurrence branches (worst {max(gaps):.2e})")
+def _worst_closed_form_gap(names, sizes=None):
+    """Largest gap between full_tensor and the fixtures' closed forms."""
+    get = golden.fixtures()
+    return max(
+        abs(value - golden.FIXTURES[name][1](subset.parties))
+        for name in names
+        for subset, value in full_tensor(get(name), sizes=sizes).components.items()
+    )
 
 
 def test_criterion_6_four_partite_examples():
-    gaps = []
-    prod = parse_ket("(|0,1,1,0> + |1,0,0,1> + |0,1,1,1> + |1,0,0,0>)/2")
-    report = full_tensor(prod)
-    for subset, value in report.components.items():
-        target = 1.0 if subset.parties == (0, 1, 2) else 0.0
-        gaps.append(abs(value - target))
-    detached_ok = separability_scan(prod) == [False, False, False, True]
-
-    nested = parse_ket(
-        "(|0,0,0,1> + |0,0,1,0> + |1,1,0,1> + |1,1,1,0>"
-        " + |0,1,0,0> + |0,1,1,1> + |1,0,0,0> + |1,0,1,1>)/sqrt(8)"
-    )
-    report = full_tensor(nested)
-    for subset, value in report.components.items():
-        target = 1.0 if subset.size == 2 else 0.0
-        gaps.append(abs(value - target))
-    merged = regroup(nested, PartyGrouping(((0, 1), (2, 3))))
-    gaps.append(abs(component(merged, PAIR_12) - 1.0))
-
-    w4 = w_state(4)
-    report = full_tensor(w4)
-    for subset, value in report.components.items():
-        target = math.sqrt(0.5) if subset.size == 2 else 0.0
-        gaps.append(abs(value - target))
-    ok = max(gaps) < 1e-12 and detached_ok
-    _report(ok, "criterion 6: four-partite fixtures (worst "
-                f"{max(gaps):.2e}, detached={detached_ok})")
+    worst = _worst_closed_form_gap(["ghz-x-plus", "nested", "w4"])
+    _report(worst < golden.TOL, "criterion 6: every component of the four-partite "
+                                f"fixtures (worst {worst:.2e})")
 
 
 def test_criterion_7_w_family():
-    pair_worst = 0.0
-    avg_worst = 0.0
-    ratio_worst = 0.0
-    for m in range(3, 9):
-        wm = w_state(m)
-        target = math.sqrt(2 / m)
-        for subset in subsets_of_size(wm.structure, 2):
-            pair_worst = max(pair_worst, abs(component(wm, subset) - target))
-        avg_worst = max(avg_worst, abs(dur_average(m) - 4 / m**2))
-        traced = concurrence_mixed_2qubit(trace_to_pair(wm, (0, 1)))
-        ratio = component(wm, PAIR_12) ** 2 / traced**2
-        ratio_worst = max(ratio_worst, abs(ratio - m / 2))
-    ok = pair_worst < 1e-12 and avg_worst < 1e-9 and ratio_worst < 1e-9
-    _report(ok, "criterion 7: w-family pairs sqrt(2/M), traced average "
-                f"4/M^2, ratio M/2 (worst {pair_worst:.2e}, "
-                f"{avg_worst:.2e}, {ratio_worst:.2e})")
+    worst = _worst_closed_form_gap([f"w{m}" for m in golden.W_PARTIES], sizes=[2])
+    _report(worst < golden.TOL, "criterion 7: every w-family pair component is "
+                                f"sqrt(2/M) (worst {worst:.2e})")
 
 
 def _conditioned_concurrence_average(state: StateVector, pair: tuple[int, int]):

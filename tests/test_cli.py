@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from etensor import cli as cli_module
+from etensor import golden
 from etensor import states as states_module
 from etensor.cli import main
 from etensor.ketparse import save_ket_json, state_from_dict
@@ -18,10 +19,7 @@ EPR_EXPR = "(|0,0> + |1,1>)/sqrt(2)"
 W3_EXPR = "(|1,0,0> + |0,1,0> + |0,0,1>)/sqrt(3)"
 GHZ_EXPR = "(|0,0,0> + |1,1,1>)/sqrt(2)"
 HGHZ_EXPR = "(|0,0,0> + |1,0,0> + |0,1,1> - |1,1,1>)/2"
-NESTED_EXPR = (
-    "(|0,0,0,1> + |0,0,1,0> + |1,1,0,1> + |1,1,1,0>"
-    " + |0,1,0,0> + |0,1,1,1> + |1,0,0,0> + |1,0,1,1>)/sqrt(8)"
-)
+NESTED_EXPR = golden.NESTED_KET
 
 
 def run_cli(capsys, *argv):
@@ -135,6 +133,14 @@ class TestErrorChannels:
         assert code == 2
         assert "NaN" not in out
         assert err.startswith("state error")
+
+    def test_non_list_amplitudes_is_exit_two(self, capsys, tmp_path):
+        path = tmp_path / "null.ket.json"
+        path.write_text('{"dims": [2, 2], "amplitudes": null}')
+        code, _, err = run_cli(capsys, "compute", "--state", str(path))
+        assert code == 2
+        assert "Traceback" not in err
+        assert err.startswith("parse error: missing or invalid 'amplitudes'")
 
     def test_out_of_memory_is_exit_two(self, capsys, monkeypatch):
         def exhausted(*args, **kwargs):
@@ -352,6 +358,28 @@ class TestPaperSuite:
         assert "FAIL" not in out
         assert out.count("PASS") >= 50
         assert "INFO" in out
+
+    def test_prints_the_golden_table_in_order(self, capsys):
+        code, out, _ = run_cli(capsys, "paper-suite")
+        lines = out.splitlines()
+        n = len(golden.CHECKS)
+        assert code == 0
+        assert [line.split(": got ")[0] for line in lines[:n]] == [
+            f"PASS  {check.name}" for check in golden.CHECKS
+        ]
+        assert lines[-1] == f"{n}/{n} checks passed"
+
+    def test_wrong_expected_value_fails(self, capsys, monkeypatch):
+        checks = list(golden.CHECKS)
+        checks[3] = checks[3]._replace(want=checks[3].want + 0.1)
+        monkeypatch.setattr(golden, "CHECKS", tuple(checks))
+        code, out, _ = run_cli(capsys, "paper-suite")
+        lines = out.splitlines()
+        n = len(checks)
+        assert code == 1
+        assert lines[3].startswith(f"FAIL  {checks[3].name}: got ")
+        assert sum(line.startswith("FAIL") for line in lines) == 1
+        assert lines[-1] == f"{n - 1}/{n} checks passed"
 
 
 class TestModuleEntryPoint:

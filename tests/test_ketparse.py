@@ -204,6 +204,12 @@ class TestJsonFormat:
         with pytest.raises(KetFormatError):
             state_from_dict({"amplitudes": []})
 
+    @pytest.mark.parametrize("amplitudes", [None, 3, True])
+    def test_non_list_amplitudes_rejected(self, amplitudes):
+        doc = {"dims": [2, 2], "amplitudes": amplitudes}
+        with pytest.raises(KetFormatError, match="invalid 'amplitudes' field"):
+            state_from_dict(doc)
+
     def test_out_of_range_index_rejected(self):
         doc = {"dims": [2, 2],
                "amplitudes": [{"index": [0, 2], "re": 1.0, "im": 0.0}]}
