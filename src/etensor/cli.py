@@ -4,14 +4,16 @@ Subcommands: compute, optimize, measure, apply, regroup, oracle,
 paper-suite.  Party labels and subsets are 1-based on this surface and
 converted once at the boundary; everything below is 0-based.  Output is
 JSON on stdout (or an aligned table for ``compute --table``); diagnostics
-go to stderr.  Exit codes: 0 success, 2 usage/parse/file problems and
-running out of memory, 1 computation errors.  ``main`` builds its argument
-parser once per process, on first use, and reuses it for every call.
+go to stderr.  Exit codes: 0 success, 2 usage/parse/file problems,
+running out of memory and work over ``tensor.MAX_KERNEL_WORK``, 1
+computation errors.  ``main`` builds its argument parser once per
+process, on first use, and reuses it for every call.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -51,6 +53,7 @@ from .tensor import (
     NormalizationScheme,
     SubsetSelector,
     TensorReport,
+    WorkLimitError,
     component,
     component_evaluator,  # noqa: F401 - a name perfbench's traced runs wrap
     full_tensor,
@@ -258,6 +261,8 @@ def _cmd_optimize(args: argparse.Namespace, out: TextIO) -> int:
         "restart_values": list(result.restart_values),
         "unitaries": [_unitary_to_dict(u) for u in result.best_unitaries],
     }
+    if args.diagnostics:
+        doc["diagnostics"] = [dataclasses.asdict(r) for r in result.restarts]
     _emit_json(_round_floats(doc), out)
     return 0
 
@@ -416,6 +421,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("--seed", type=int, default=None,
                        help=f"default: ${SEED_ENV_VAR} or 0")
     p_opt.add_argument("--norm-const", action="append", metavar="D=VALUE")
+    p_opt.add_argument("--diagnostics", action="store_true",
+                       help="add each restart's stop reason, iteration and "
+                            "evaluation counts and wall time")
     p_opt.set_defaults(func=_cmd_optimize)
 
     p_measure = sub.add_parser(
@@ -492,6 +500,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
+        return 2
+    except WorkLimitError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,23 +13,45 @@ search is a multi-start ascent:
   climbed by central finite-difference gradient ascent with a backtracking
   (and greedy-doubling) line search.
 
+Each gradient is built party by party.  The 2 * dim^2 probes of one party
+differ from the current point only in that party's unitary, so they are
+made as one stack of unitaries, applied with one matmul to the state with
+every other unitary in place, and each subset scores the whole
+``(P, *dims)`` stack with one call of the batched component kernel.  A
+stack is split into chunks so that one pass stays within
+``etensor.tensor.GATHER_BUDGET_BYTES``.  Line-search points are evaluated
+one at a time through :func:`etensor.tensor.component_evaluator`.
+
+Directions that cannot change the value are not probed.  A pair component
+is sqrt(2 sum_s p_s (1 - Tr rho_s^2)) over the sectors s of the other
+parties, and unitaries on the pair's own two parties leave every p_s and
+Tr rho_s^2 as they are (Rungta et al., PRA 64, 042315 (2001)).  So a party
+whose subsets are all pairs containing it keeps its start unitary, which
+is applied to the state once per restart; a single-pair search moves only
+the other M - 2 parties.  In a joint search, a probe on party j reuses the
+current value of every pair that contains j instead of scoring it again.
+
 The objective has absolute-value kinks, so a restart simply stops when the
-line search stalls below the step tolerance.  Identical configurations and
-seeds reproduce identical trajectories and results; restarts draw from
-independently spawned seed streams, so a parallel execution order would not
-change the outcome.
+line search stalls below the step tolerance.  Each restart reports why it
+stopped, how many iterations and objective evaluations it took, and its
+wall time.  Identical configurations and seeds reproduce identical
+trajectories and results; restarts draw from independently spawned seed
+streams, so a parallel execution order would not change the outcome.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import time
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .localops import LocalUnitary, _apply_matrix, apply_local
-from .states import StateVector
+from . import tensor
+from .localops import LocalUnitary, apply_local
+from .states import PartyStructure, StateVector
 from .tensor import (
     DEFAULT_SCHEME,
     NormalizationScheme,
@@ -64,13 +86,34 @@ class OptimizerConfig:
 
 
 @dataclass(frozen=True)
+class RestartRecord:
+    """How one restart ended and what it cost.
+
+    ``stop_reason`` is ``grad_zero`` (the gradient vanished),
+    ``line_search_stall`` (no step down to ``step_tol`` improved the value),
+    ``value_tol`` (the last accepted step gained less than ``value_tol``) or
+    ``max_iters``.  ``evaluations`` counts every point at which the
+    objective was evaluated, gradient probes included.
+    """
+
+    stop_reason: str
+    iterations: int
+    evaluations: int
+    seconds: float
+
+
+@dataclass(frozen=True)
 class SupremumResult:
-    """Best value found, the unitaries that achieve it, per-restart bests."""
+    """Best value found, the unitaries that achieve it, per-restart bests.
+
+    ``restarts`` holds one :class:`RestartRecord` per restart, in order.
+    """
 
     best_value: float
     best_unitaries: tuple[LocalUnitary, ...]
     restart_values: tuple[float, ...]
     best_restart: int
+    restarts: tuple[RestartRecord, ...]
 
     def apply_to(self, state: StateVector) -> StateVector:
         """Re-apply the winning unitaries; certifies the reported value."""
@@ -88,128 +131,255 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def _antihermitian(theta: np.ndarray, dim: int) -> np.ndarray:
-    mat = np.zeros((dim, dim), dtype=np.complex128)
-    mat[np.arange(dim), np.arange(dim)] = 1j * theta[:dim]
+@functools.lru_cache(maxsize=None)
+def _generators(dim: int) -> np.ndarray:
+    """Row k is the flattened anti-Hermitian generator of parameter k.
+
+    The first ``dim`` parameters are the diagonal phases; then each pair
+    p < q in row-major order takes two, the real and imaginary parts of the
+    entry (p, q).
+    """
+    gens = np.zeros((dim * dim, dim, dim), dtype=np.complex128)
+    gens[np.arange(dim), np.arange(dim), np.arange(dim)] = 1j
     k = dim
     for p in range(dim):
         for q in range(p + 1, dim):
-            re, im = theta[k], theta[k + 1]
+            gens[k, p, q], gens[k, q, p] = 1.0, -1.0
+            gens[k + 1, p, q] = gens[k + 1, q, p] = 1j
             k += 2
-            mat[p, q] = re + 1j * im
-            mat[q, p] = -re + 1j * im
-    return mat
+    gens = gens.reshape(dim * dim, dim * dim)
+    gens.flags.writeable = False
+    return gens
+
+
+def _antihermitian(theta: np.ndarray, dim: int) -> np.ndarray:
+    """Anti-Hermitian ``(..., dim, dim)`` matrices from ``(..., dim^2)`` parameters.
+
+    Each entry has at most one generator with a nonzero coefficient of
+    modulus 1, so the product is exact.
+    """
+    return (theta @ _generators(dim)).reshape(theta.shape[:-1] + (dim, dim))
 
 
 def _unitary_exp(antiherm: np.ndarray) -> np.ndarray:
-    """exp(A) for anti-Hermitian A, exactly unitary up to round-off."""
-    dim = antiherm.shape[0]
-    if dim == 2:
-        # closed form via the Pauli decomposition of H = -iA
-        h00 = antiherm[0, 0].imag
-        h11 = antiherm[1, 1].imag
-        od = -1j * antiherm[0, 1]
-        mean = 0.5 * (h00 + h11)
-        dz = 0.5 * (h00 - h11)
-        angle = math.sqrt(dz * dz + od.real * od.real + od.imag * od.imag)
-        phase = complex(math.cos(mean), math.sin(mean))
-        if angle < 1e-300:
-            return np.array([[phase, 0.0], [0.0, phase]])
-        c = math.cos(angle)
-        s = math.sin(angle) / angle
-        return phase * np.array(
-            [[c + 1j * s * dz, 1j * s * od],
-             [1j * s * od.conjugate(), c - 1j * s * dz]]
-        )
+    """exp(A) for a stack of anti-Hermitian A, exactly unitary up to round-off."""
     eigvals, eigvecs = np.linalg.eigh(-1j * antiherm)
-    return (eigvecs * np.exp(1j * eigvals)) @ eigvecs.conj().T
+    return (eigvecs * np.exp(1j * eigvals)[..., None, :]) @ np.swapaxes(
+        eigvecs.conj(), -1, -2
+    )
+
+
+class _Objective:
+    """Components of some subsets, combined by ``min`` or ``mean``.
+
+    A single point is scored through the evaluators that
+    :func:`component_evaluator` builds; a stack of gradient probes on one
+    party through the batched kernel.  ``frozen`` lists the parties never
+    probed: those whose subsets are all pairs containing them.  ``moving``
+    lists the others with the slice of the parameter vector each one owns.
+    """
+
+    def __init__(
+        self,
+        structure: PartyStructure,
+        subsets: Sequence[SubsetSelector],
+        scheme: NormalizationScheme,
+        combine: str,
+    ) -> None:
+        dims = structure.dims
+        self.dims = dims
+        self.evaluators = [
+            component_evaluator(structure, subset, scheme) for subset in subsets
+        ]
+        self.combine = combine
+        self.terms = []
+        # probes per pass: the fewest that any subset's kernel fits in budget
+        self.chunk = math.inf
+        for subset in subsets:
+            shape, batch, windows = tensor._stacking(
+                dims, tuple(dims[p] for p in subset.parties),
+                tensor.GATHER_BUDGET_BYTES,
+            )
+            perm = (0,) + tuple(
+                1 + axis for axis in tensor._axis_order(len(dims), subset.parties)
+            )
+            self.terms.append((subset.parties, perm, shape, windows,
+                               scheme.constant(subset.size)))
+            self.chunk = min(self.chunk, batch)
+        self.frozen = tuple(
+            j for j in range(len(dims))
+            if all(s.size == 2 and j in s.parties for s in subsets)
+        )
+        self.moving = []
+        offset = 0
+        for j, n in enumerate(dims):
+            if j not in self.frozen:
+                self.moving.append((j, offset, offset + n * n))
+                offset += n * n
+        self.num_params = offset
+        # moving parties of one dimension get their unitaries in one call
+        self.blocks = []
+        for n in sorted({dims[j] for j, _, _ in self.moving}):
+            same = [(j, a, b) for j, a, b in self.moving if dims[j] == n]
+            self.blocks.append((n, [j for j, _, _ in same],
+                                np.array([np.arange(a, b) for _, a, b in same])))
+
+    def values(self, amplitudes: np.ndarray) -> list[float]:
+        """Every subset's component at one amplitude tensor."""
+        return [evaluate(amplitudes) for evaluate in self.evaluators]
+
+    def value(self, values: list[float]) -> float:
+        """The combined objective of the subsets' components at one point."""
+        if self.combine == "min":
+            return min(values)
+        return sum(values) / len(values)
+
+    def unitaries(
+        self, starts: list[np.ndarray], theta: np.ndarray
+    ) -> list[np.ndarray]:
+        """Every party's unitary at ``theta``; a frozen party keeps its start."""
+        mats = list(starts)
+        for n, parties, index in self.blocks:
+            exps = _unitary_exp(_antihermitian(theta[index], n))
+            for j, exp in zip(parties, exps):
+                mats[j] = starts[j] @ exp
+        return mats
+
+    def apply(self, mats: np.ndarray, amplitudes: np.ndarray, party: int) -> np.ndarray:
+        """``(..., n, n)`` unitaries on one party of a tensor: ``(..., *dims)``."""
+        dims = self.dims
+        out = np.matmul(
+            mats[..., None, :, :],
+            amplitudes.reshape(math.prod(dims[:party]), dims[party], -1),
+        )
+        return out.reshape(mats.shape[:-2] + dims)
+
+    def gradient(
+        self,
+        base: np.ndarray,
+        starts: list[np.ndarray],
+        theta: np.ndarray,
+        values: list[float],
+    ) -> np.ndarray:
+        """Central-difference gradient over the moving parties' parameters.
+
+        ``base`` is the input tensor with the frozen parties' starts applied
+        and ``values`` are the subsets' components at ``theta``.
+        """
+        dims = self.dims
+        mats = self.unitaries(starts, theta)
+        grad = np.empty(self.num_params)
+        for j, a, b in self.moving:
+            rest = base
+            for i, _, _ in self.moving:
+                if i != j:
+                    rest = self.apply(mats[i], rest, i)
+            # parameters + h, then parameters - h, one probe per row
+            shifts = np.concatenate([np.eye(b - a), -np.eye(b - a)])
+            probes = starts[j] @ _unitary_exp(
+                _antihermitian(theta[a:b] + GRADIENT_STEP * shifts, dims[j])
+            )
+            chunks = np.split(probes, range(self.chunk, len(probes), self.chunk))
+            scores = np.concatenate([
+                self._score(self.apply(chunk, rest, j), j, values)
+                for chunk in chunks
+            ])
+            grad[a:b] = (scores[:b - a] - scores[b - a:]) / (2.0 * GRADIENT_STEP)
+        return grad
+
+    def _score(self, stack: np.ndarray, party: int, values: list[float]) -> np.ndarray:
+        """Combined value of each tensor of a ``(P, *dims)`` stack of probes.
+
+        The probes differ from the current point only on ``party``, so a
+        pair containing it keeps its current value from ``values``.
+        """
+        scores = np.empty((len(self.terms), len(stack)))
+        for row, (parties, perm, shape, windows, constant) in enumerate(self.terms):
+            if len(parties) == 2 and party in parties:
+                scores[row] = values[row]
+            else:
+                sectors = stack.transpose(perm).reshape((-1,) + shape)
+                scores[row] = tensor._evaluate_batch(sectors, windows, constant)
+        if self.combine == "min":
+            return scores.min(axis=0)
+        return scores.sum(axis=0) / len(self.terms)
 
 
 def _ascend(
     psi: np.ndarray,
-    dims: tuple[int, ...],
     starts: list[np.ndarray],
-    objective: Callable[[np.ndarray], float],
+    objective: _Objective,
     config: OptimizerConfig,
-) -> tuple[float, list[np.ndarray], list[float]]:
-    """Single restart; returns (value, unitaries, accepted-value trace)."""
-    slices: list[tuple[int, int]] = []
-    offset = 0
-    for n in dims:
-        slices.append((offset, offset + n * n))
-        offset += n * n
-    theta = np.zeros(offset)
+) -> tuple[float, list[np.ndarray], list[float], RestartRecord]:
+    """Single restart; returns (value, unitaries, accepted-value trace, record)."""
+    began = time.perf_counter()
+    base = psi
+    for j in objective.frozen:
+        base = objective.apply(starts[j], base, j)
+    evaluations = 0
 
-    def unitaries_of(th: np.ndarray) -> list[np.ndarray]:
-        return [
-            start @ _unitary_exp(_antihermitian(th[a:b], n))
-            for start, (a, b), n in zip(starts, slices, dims)
-        ]
+    def values_of(th: np.ndarray) -> list[float]:
+        nonlocal evaluations
+        evaluations += 1
+        mats = objective.unitaries(starts, th)
+        out = base
+        for j, _, _ in objective.moving:
+            out = objective.apply(mats[j], out, j)
+        return objective.values(out)
 
-    def value_of(th: np.ndarray) -> float:
-        out = psi
-        for axis, mat in enumerate(unitaries_of(th)):
-            out = _apply_matrix(mat, out, axis)
-        return objective(out)
-
-    current = value_of(theta)
+    theta = np.zeros(objective.num_params)
+    values = values_of(theta)
+    current = objective.value(values)
     trace = [current]
     step = INITIAL_STEP
-    for _ in range(config.max_iters):
-        grad = np.zeros_like(theta)
-        mats = unitaries_of(theta)
-        for j, n in enumerate(dims):
-            rest = psi
-            for axis, mat in enumerate(mats):
-                if axis != j:
-                    rest = _apply_matrix(mat, rest, axis)
-            a, b = slices[j]
-            base = theta[a:b]
-            for p in range(b - a):
-                plus = base.copy()
-                plus[p] += GRADIENT_STEP
-                up = starts[j] @ _unitary_exp(_antihermitian(plus, n))
-                f_plus = objective(_apply_matrix(up, rest, j))
-                minus = base.copy()
-                minus[p] -= GRADIENT_STEP
-                um = starts[j] @ _unitary_exp(_antihermitian(minus, n))
-                f_minus = objective(_apply_matrix(um, rest, j))
-                grad[a + p] = (f_plus - f_minus) / (2.0 * GRADIENT_STEP)
+    stop_reason = "max_iters"
+    iterations = 0
+    while iterations < config.max_iters:
+        iterations += 1
+        grad = objective.gradient(base, starts, theta, values)
+        evaluations += 2 * len(grad)
         grad_norm = float(np.linalg.norm(grad))
         if grad_norm < 1e-12:
+            stop_reason = "grad_zero"
             break
         direction = grad / grad_norm
         trial_step = step
         accepted = False
         while trial_step >= config.step_tol:
-            candidate = value_of(theta + trial_step * direction)
+            candidate_values = values_of(theta + trial_step * direction)
+            candidate = objective.value(candidate_values)
             if candidate > current:
                 # ride the ray while it keeps paying
                 while trial_step * 2.0 <= MAX_STEP:
-                    extended = value_of(theta + 2.0 * trial_step * direction)
+                    extended_values = values_of(theta + 2.0 * trial_step * direction)
+                    extended = objective.value(extended_values)
                     if extended > candidate:
                         trial_step *= 2.0
-                        candidate = extended
+                        candidate, candidate_values = extended, extended_values
                     else:
                         break
                 theta = theta + trial_step * direction
                 improvement = candidate - current
-                current = candidate
+                current, values = candidate, candidate_values
                 trace.append(current)
                 step = trial_step
                 accepted = True
                 break
             trial_step /= 2.0
         if not accepted:
+            stop_reason = "line_search_stall"
             break
         if improvement < config.value_tol:
+            stop_reason = "value_tol"
             break
-    return current, unitaries_of(theta), trace
+    record = RestartRecord(stop_reason, iterations, evaluations,
+                           time.perf_counter() - began)
+    return current, objective.unitaries(starts, theta), trace, record
 
 
 def _maximize(
     state: StateVector,
-    objective: Callable[[np.ndarray], float],
+    objective: _Objective,
     config: OptimizerConfig,
 ) -> SupremumResult:
     dims = state.structure.dims
@@ -219,14 +389,16 @@ def _maximize(
     best_mats: list[np.ndarray] = []
     best_index = 0
     restart_values: list[float] = []
+    records: list[RestartRecord] = []
     for r in range(config.restarts):
         if r == 0:
             starts = [np.eye(n, dtype=np.complex128) for n in dims]
         else:
             rng = np.random.default_rng(streams[r])
             starts = [haar_unitary(n, rng) for n in dims]
-        value, mats, _ = _ascend(psi, dims, starts, objective, config)
+        value, mats, _, record = _ascend(psi, starts, objective, config)
         restart_values.append(value)
+        records.append(record)
         if value > best_value:
             best_value = value
             best_mats = mats
@@ -239,6 +411,7 @@ def _maximize(
         best_unitaries=unitaries,
         restart_values=tuple(restart_values),
         best_restart=best_index,
+        restarts=tuple(records),
     )
 
 
@@ -249,8 +422,8 @@ def maximize_component(
     config: OptimizerConfig = OptimizerConfig(),
 ) -> SupremumResult:
     """Largest component value found for one subset over local bases."""
-    evaluator = component_evaluator(state.structure, subset, scheme)
-    return _maximize(state, evaluator, config)
+    return _maximize(state, _Objective(state.structure, [subset], scheme, "min"),
+                     config)
 
 
 def maximize_simultaneous(
@@ -270,15 +443,5 @@ def maximize_simultaneous(
         raise ValueError("at least one subset is required")
     if objective not in ("min", "mean"):
         raise ValueError(f"objective must be 'min' or 'mean', got {objective!r}")
-    evaluators = [
-        component_evaluator(state.structure, subset, scheme) for subset in subsets
-    ]
-    if len(evaluators) == 1:
-        combined = evaluators[0]
-    elif objective == "min":
-        def combined(tensor: np.ndarray) -> float:
-            return min(ev(tensor) for ev in evaluators)
-    else:
-        def combined(tensor: np.ndarray) -> float:
-            return sum(ev(tensor) for ev in evaluators) / len(evaluators)
-    return _maximize(state, combined, config)
+    return _maximize(state, _Objective(state.structure, subsets, scheme, objective),
+                     config)

@@ -68,11 +68,18 @@ DEFAULT_NORM_CONSTANT = 4.0
 ZERO_COMPONENT_THRESHOLD = 1e-10
 # Bytes one pass of the evaluation kernel may hold (see the module notes).
 GATHER_BUDGET_BYTES = 1 << 20
+# Kernel work one call may ask for, counted as in _kernel_work.  All sizes
+# of 15 qubits stay under it; a warm 12-qubit full_tensor is 1/64 of it.
+MAX_KERNEL_WORK = 1 << 30
 
 BASIS_NOTE = (
     "component values for subsets of 3 or more parties depend on the local "
     "basis; this report uses the basis of the input amplitudes"
 )
+
+
+class WorkLimitError(ValueError):
+    """The requested components need more than ``MAX_KERNEL_WORK``."""
 
 
 @dataclass(frozen=True)
@@ -277,6 +284,16 @@ def _pair_windows(
     return tuple(len(p) for p in gathered), windows
 
 
+def _check_work(work: int, what: str, *args: object) -> None:
+    """Refuse ``work`` over the limit; ``what.format(*args)`` names the request."""
+    if work > MAX_KERNEL_WORK:
+        raise WorkLimitError(
+            f"{what.format(*args)} needs {work:,} units of kernel work (pair "
+            f"choices x 2^D x sectors, summed over subsets), over the limit "
+            f"of {MAX_KERNEL_WORK:,}"
+        )
+
+
 def _make_evaluator(
     dims: tuple[int, ...],
     selected: tuple[int, ...],
@@ -284,6 +301,11 @@ def _make_evaluator(
 ) -> Callable[[np.ndarray], float]:
     perm = _axis_order(len(dims), selected)
     shape = _sector_shape(dims, tuple(dims[i] for i in selected))
+    _check_work(
+        math.prod(math.comb(d, 2) for d in shape[:-1])
+        * 2 ** len(selected) * shape[-1],
+        "subset {} of dims {}", selected, dims,
+    )
     windows = _pair_windows(_pair_index(shape[:-1]), shape, 1,
                             GATHER_BUDGET_BYTES)
     shape = (1,) + shape
@@ -366,6 +388,24 @@ def _pair_sums(
 
 # Plans kept by _plan; the CLI alone can touch dozens of (dims, size) keys.
 PLAN_CACHE_SIZE = 128
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _kernel_work(dims: tuple[int, ...], size: int) -> int:
+    """Kernel work of every subset of one size, before any plan is built.
+
+    One subset's work is its pair choices times its swap lattice times its
+    sectors, prod C(d, 2) * 2^D * S, which is what its passes gather and
+    multiply.  Summed over the subsets of size D it is the coefficient of
+    x^D in prod_i (d_i + 2 C(d_i, 2) x), so no subset is enumerated.
+    """
+    poly = [1]
+    for d in dims:
+        lifted = [c * d for c in poly] + [0]
+        for k, c in enumerate(poly):
+            lifted[k + 1] += c * 2 * math.comb(d, 2)
+        poly = lifted
+    return poly[size]
 
 
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
@@ -507,6 +547,10 @@ def full_tensor(
                 raise ValueError(
                     f"size {s} out of range 2..{structure.num_parties}"
                 )
+    _check_work(
+        sum(_kernel_work(structure.dims, size) for size in size_list),
+        "subset sizes {} of dims {}", size_list, structure.dims,
+    )
     components: dict[SubsetSelector, float] = {}
     for size in size_list:
         subsets, groups = _plan(structure.dims, size, GATHER_BUDGET_BYTES)

@@ -222,6 +222,17 @@ class TestInputBudget:
         assert run_cli(capsys, "compute", "--expr", EPR_EXPR)[0] == 0
 
 
+class TestKernelWorkLimit:
+    def test_oversized_request_is_exit_two(self, capsys):
+        expr = "|" + ",".join(["0"] * 20) + ">"
+        code, out, err = run_cli(capsys, "compute", "--expr", expr)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: subset sizes [2, 3,")
+        assert "over the limit of 1,073,741,824" in err
+        assert "Traceback" not in err
+
+
 class TestOptimize:
     def test_ghz_rear_pair(self, capsys):
         doc = run_json(capsys, "optimize", "--expr", GHZ_EXPR,
@@ -259,6 +270,25 @@ class TestOptimize:
         assert doc["best_value"] >= 1 - 1e-3
         assert doc["objective"] == "min"
         assert doc["subsets"] == [[1, 2], [1, 3], [2, 3]]
+
+    def test_diagnostics(self, capsys):
+        args = ("optimize", "--expr", W3_EXPR, "--subset", "1,2",
+                "--restarts", "3", "--seed", "4", "--iters", "1")
+        plain = run_json(capsys, *args)
+        assert list(plain) == ["subsets", "objective", "seed", "restarts",
+                               "best_value", "best_restart", "restart_values",
+                               "unitaries"]
+        doc = run_json(capsys, *args, "--diagnostics")
+        records = doc.pop("diagnostics")
+        assert doc["restart_values"] == plain["restart_values"]
+        assert list(doc) == list(plain)
+        assert len(records) == 3
+        for record in records:
+            assert list(record) == ["stop_reason", "iterations", "evaluations",
+                                    "seconds"]
+        # restart 0 starts at the W3 plateau; the Haar restarts hit the cap
+        assert records[0]["stop_reason"] != "max_iters"
+        assert [r["stop_reason"] for r in records[1:]] == ["max_iters"] * 2
 
 
 class TestMeasure:

@@ -2,16 +2,37 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from etensor.states import PartyStructure, ghz_state, random_product_state, w_state
+from etensor import tensor as tensor_module
+from etensor.localops import LocalUnitary, apply_local
+from etensor.states import (
+    PartyStructure,
+    StateVector,
+    ghz_state,
+    random_product_state,
+    random_state,
+    w_state,
+)
 from etensor.supremum import (
+    GRADIENT_STEP,
     OptimizerConfig,
     haar_unitary,
     maximize_component,
     maximize_simultaneous,
+    _antihermitian,
     _ascend,
+    _Objective,
+    _unitary_exp,
 )
-from etensor.tensor import SubsetSelector, component, component_evaluator, subsets_of_size
+from etensor.tensor import (
+    DEFAULT_SCHEME,
+    SubsetSelector,
+    component,
+    full_tensor,
+    subsets_of_size,
+)
 
 FAST = OptimizerConfig(restarts=6, max_iters=200, seed=20240601)
 
@@ -103,11 +124,12 @@ class TestMaximizeComponent:
 class TestMonotoneTrajectory:
     def test_accepted_values_never_decrease(self):
         state = w_state(3)
-        evaluator = component_evaluator(state.structure, SubsetSelector((0, 1)))
         rng = np.random.default_rng(17)
         starts = [haar_unitary(2, rng) for _ in range(3)]
-        _, _, trace = _ascend(
-            state.tensor, state.structure.dims, starts, evaluator,
+        objective = _Objective(state.structure, [SubsetSelector((0, 1))],
+                               DEFAULT_SCHEME, "min")
+        _, _, trace, _ = _ascend(
+            state.tensor, starts, objective,
             OptimizerConfig(restarts=1, max_iters=200, seed=0),
         )
         assert len(trace) > 1
@@ -178,3 +200,168 @@ class TestClaimedSupremaNotExceeded:
             config=OptimizerConfig(restarts=6, max_iters=150, seed=2),
         )
         assert max(result.restart_values) <= 1 + 1e-6
+
+
+class TestRestartRecords:
+    def test_iteration_cap_is_reported(self):
+        result = maximize_component(
+            w_state(3), SubsetSelector((0, 1)),
+            config=OptimizerConfig(restarts=3, max_iters=1, seed=4),
+        )
+        assert len(result.restarts) == 3
+        # restarts 1 and 2 start from Haar bases, far from the plateau
+        for record in result.restarts[1:]:
+            assert record.stop_reason == "max_iters"
+            assert record.iterations == 1
+            # the start, 2 probes per parameter of the one moving qubit,
+            # and at least one line-search point
+            assert record.evaluations >= 1 + 2 * 4 + 1
+            assert record.seconds > 0.0
+
+    def test_converged_run_is_not_capped(self):
+        result = maximize_component(
+            w_state(3), SubsetSelector((0, 1)),
+            config=OptimizerConfig(restarts=8, max_iters=200, seed=3),
+        )
+        reasons = {record.stop_reason for record in result.restarts}
+        assert "max_iters" not in reasons
+        assert reasons <= {"grad_zero", "line_search_stall", "value_tol"}
+        for record in result.restarts:
+            assert 1 <= record.iterations < 200
+            assert record.evaluations > record.iterations
+
+
+def _loop_gradient(psi, dims, starts, thetas, objective, apply):
+    """The per-probe loop the batched gradient replaced, over every party.
+
+    ``thetas`` holds each party's dim^2 parameters; every probe moves one
+    of them and is applied and scored on its own.  ``apply`` puts a unitary
+    on one party; with the search's own matmul passed in, the two sides
+    differ only in batching, pruning and the order of the other parties.
+    """
+    mats = [start @ _unitary_exp(_antihermitian(theta, n))
+            for start, theta, n in zip(starts, thetas, dims)]
+    grads = []
+    for j, n in enumerate(dims):
+        rest = psi
+        for axis, mat in enumerate(mats):
+            if axis != j:
+                rest = apply(mat, rest, axis)
+        grad = np.zeros(n * n)
+        for p in range(n * n):
+            plus = thetas[j].copy()
+            plus[p] += GRADIENT_STEP
+            up = starts[j] @ _unitary_exp(_antihermitian(plus, n))
+            minus = thetas[j].copy()
+            minus[p] -= GRADIENT_STEP
+            um = starts[j] @ _unitary_exp(_antihermitian(minus, n))
+            grad[p] = (objective(apply(up, rest, j))
+                       - objective(apply(um, rest, j))) / (2 * GRADIENT_STEP)
+        grads.append(grad)
+    return grads
+
+
+def _gradient_case(dims, parties_list, combine, seed):
+    """Batched and loop gradients at a random point of a random state."""
+    structure = PartyStructure(dims)
+    rng = np.random.default_rng(seed)
+    psi = random_state(structure, rng).tensor
+    subsets = [SubsetSelector(p) for p in parties_list]
+    objective = _Objective(structure, subsets, DEFAULT_SCHEME, combine)
+    starts = [haar_unitary(n, rng) for n in dims]
+    thetas = [np.zeros(n * n) if j in objective.frozen
+              else 0.3 * rng.normal(size=n * n) for j, n in enumerate(dims)]
+    theta = np.concatenate([thetas[j] for j, _, _ in objective.moving])
+    base = psi
+    for j in objective.frozen:
+        base = objective.apply(starts[j], base, j)
+    point = base
+    mats = objective.unitaries(starts, theta)
+    for j, _, _ in objective.moving:
+        point = objective.apply(mats[j], point, j)
+    batched = objective.gradient(base, starts, theta, objective.values(point))
+
+    def single(tensor):
+        return objective.value(objective.values(tensor))
+
+    loop = _loop_gradient(psi, dims, starts, thetas, single, objective.apply)
+    return objective, batched, loop
+
+
+# Round-off floor of a central difference: values near 1 that differ by a
+# few ulps between two evaluation orders, over the probe distance 2h.  The
+# loop applies the other parties in another order, and re-scores the pairs
+# that the batched gradient reuses; both move its probe values by ulps.
+FD_ROUND_OFF = 4 * np.finfo(float).eps / (2 * GRADIENT_STEP)
+
+
+class TestBatchedGradient:
+    @pytest.mark.parametrize("dims, parties_list, combine", [
+        ((2, 2, 2), [(0, 1)], "min"),
+        ((2, 2, 2, 2), [(1, 3)], "min"),
+        ((3, 2, 3), [(0, 2)], "min"),
+        ((3, 3, 2), [(0, 1, 2)], "min"),
+        ((2, 2, 2), [(0, 1, 2)], "min"),
+        ((2, 2, 2, 2), [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)], "min"),
+        ((2, 3, 2), [(0, 1), (1, 2), (0, 1, 2)], "min"),
+        ((2, 3, 2), [(0, 1), (0, 2)], "mean"),
+    ])
+    def test_matches_loop_reference(self, dims, parties_list, combine):
+        objective, batched, loop = _gradient_case(dims, parties_list, combine,
+                                                  seed=len(parties_list) + sum(dims))
+        for j, a, b in objective.moving:
+            assert np.max(np.abs(batched[a:b] - loop[j])) < FD_ROUND_OFF
+        for j in objective.frozen:
+            assert np.max(np.abs(loop[j])) < 1e-8
+        # pruned: the parties that every subset holds as one of a pair
+        assert objective.frozen == tuple(
+            j for j in range(len(dims))
+            if all(len(p) == 2 and j in p for p in parties_list)
+        )
+
+    def test_chunked_probe_stack_is_exact(self, monkeypatch):
+        dims, parties_list = (3, 2, 3), [(0, 1), (0, 1, 2)]
+        _, whole, _ = _gradient_case(dims, parties_list, "min", seed=5)
+        monkeypatch.setattr(tensor_module, "GATHER_BUDGET_BYTES", 4000)
+        objective, chunked, _ = _gradient_case(dims, parties_list, "min", seed=5)
+        # 18 probes per qutrit, a few per pass
+        assert 1 <= objective.chunk < 18
+        assert np.array_equal(chunked, whole)
+
+
+@st.composite
+def _states_and_pairs(draw):
+    dims = tuple(draw(st.lists(st.integers(2, 4), min_size=3, max_size=5)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    psi = random_state(PartyStructure(dims), rng).amplitudes
+    if draw(st.booleans()):
+        # sparse: keep a few amplitudes, so some sectors are empty
+        kept = rng.choice(len(psi), size=min(len(psi), draw(st.integers(1, 6))),
+                          replace=False)
+        sparse = np.zeros_like(psi)
+        sparse[kept] = psi[kept]
+        psi = sparse / np.linalg.norm(sparse)
+    pair = tuple(sorted(rng.choice(len(dims), 2, replace=False).tolist()))
+    return StateVector(PartyStructure(dims), psi), pair, rng
+
+
+class TestPairInvariance:
+    """A pair component ignores unitaries on its own two parties.
+
+    The optimizer relies on this to leave those directions unprobed.
+    """
+
+    @given(_states_and_pairs())
+    @settings(max_examples=60, deadline=None)
+    def test_pair_unchanged_by_its_own_unitaries(self, case):
+        state, pair, rng = case
+        rotated = state
+        for party in pair:
+            unitary = haar_unitary(state.structure.dims[party], rng)
+            rotated = apply_local(rotated, LocalUnitary(party, unitary))
+        before = full_tensor(state, sizes=[2]).components
+        after = full_tensor(rotated, sizes=[2]).components
+        for subset, value in before.items():
+            if set(subset.parties) == set(pair):
+                assert abs(after[subset] - value) < 1e-12

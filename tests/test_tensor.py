@@ -12,6 +12,7 @@ from etensor.localops import PartyGrouping, apply_local, phase_gate
 from etensor.oracles import concurrence_purity
 from etensor.states import (
     PartyStructure,
+    basis_state,
     epr_state,
     ghz_state,
     product_state,
@@ -23,6 +24,7 @@ from etensor import tensor as tensor_module
 from etensor.tensor import (
     NormalizationScheme,
     SubsetSelector,
+    WorkLimitError,
     component,
     component_evaluator,
     component_with_nesting_order,
@@ -500,6 +502,35 @@ def _assert_matches_reference(state, components):
             state.tensor
         )
         assert value == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+
+class TestKernelWorkLimit:
+    def test_work_matches_enumeration(self):
+        for dims in [(2, 3, 2, 2), (4, 2, 3), (3,) * 5]:
+            for size in range(2, len(dims) + 1):
+                enumerated = sum(
+                    math.prod(math.comb(dims[i], 2) for i in subset)
+                    * 2**size
+                    * math.prod(d for i, d in enumerate(dims) if i not in subset)
+                    for subset in itertools.combinations(range(len(dims)), size)
+                )
+                assert tensor_module._kernel_work(dims, size) == enumerated
+
+    def test_twenty_qubits_refused_before_any_plan(self, monkeypatch):
+        def no_plan(*args):
+            raise AssertionError("a plan was built")
+
+        monkeypatch.setattr(tensor_module, "_plan", no_plan)
+        state = basis_state(PartyStructure((2,) * 20), (0,) * 20)
+        with pytest.raises(WorkLimitError, match="1,099,489,607,680 units"):
+            full_tensor(state)
+        with pytest.raises(WorkLimitError):
+            separability_scan(state)
+
+    def test_oversized_subset_refused(self):
+        structure = PartyStructure((16,) * 6)
+        with pytest.raises(WorkLimitError, match=r"subset \(0, 1, 2, 3, 4, 5\)"):
+            component_evaluator(structure, SubsetSelector(tuple(range(6))))
 
 
 class TestPlanCache:
