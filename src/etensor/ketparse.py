@@ -8,7 +8,9 @@ The expression grammar (whitespace is insignificant):
     scalar  := decimal | integer | "sqrt(" integer ")" | integer "/" integer
              | "i" | scalar "*" scalar
 
-Comma-separated kets are canonical, one integer per party: ``|1,0,2>``.
+Digits are ASCII ``0-9``; other Unicode digits such as ``²`` are refused
+with a position.  Comma-separated kets are canonical, one integer per
+party: ``|1,0,2>``.
 A comma-free multi-digit ket such as ``|0110>`` is the compact qubit form -
 one digit per party - and is accepted only when every party is a qubit.
 Terms naming the same ket are summed before any normalization check, and the
@@ -27,8 +29,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from typing import Any, Iterable
+import re
+from typing import Any, Iterable, NamedTuple, TextIO
 
 import numpy as np
 
@@ -61,75 +63,51 @@ def _zero_amplitudes(structure: PartyStructure) -> np.ndarray:
     return np.zeros(total, dtype=np.complex128)
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     text: str
     line: int
     col: int
 
 
-_PUNCT = {"+": "PLUS", "-": "MINUS", "*": "STAR", "/": "SLASH",
-          "(": "LPAREN", ")": "RPAREN"}
+# One match per token: the whitespace before it (group 1), then one named
+# group per token kind.  ``ERROR`` takes any other character, and no kind
+# matches only at the end of the text.  Digits are ASCII 0-9 only.
+_SCAN = re.compile(
+    r"(\s*)(?:(?P<PLUS>\+)|(?P<MINUS>-)|(?P<STAR>\*)|(?P<SLASH>/)"
+    r"|(?P<LPAREN>\()|(?P<RPAREN>\))|\|(?P<KET>[^>]*)>"
+    r"|(?P<DECIMAL>[0-9]+\.[0-9]*|\.[0-9]+)|(?P<INT>[0-9]+)"
+    r"|(?P<SQRT>sqrt)|(?P<IMAG>[iI])|(?P<ERROR>.))?",
+    re.DOTALL,
+)
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    i = 0
-    line, col = 1, 1
-    n = len(text)
-
-    def advance(k: int) -> None:
-        nonlocal i, line, col
-        for _ in range(k):
-            if i < n and text[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            advance(1)
-            continue
-        start_line, start_col = line, col
-        if ch in _PUNCT:
-            tokens.append(_Token(_PUNCT[ch], ch, start_line, start_col))
-            advance(1)
-            continue
-        if ch == "|":
-            j = text.find(">", i + 1)
-            if j < 0:
-                raise KetSyntaxError("unterminated ket", start_line, start_col)
-            inner = text[i + 1 : j]
-            tokens.append(_Token("KET", inner, start_line, start_col))
-            advance(j + 1 - i)
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-            j = i
-            seen_dot = False
-            while j < n and (text[j].isdigit() or (text[j] == "." and not seen_dot)):
-                if text[j] == ".":
-                    seen_dot = True
-                j += 1
-            tokens.append(
-                _Token("DECIMAL" if seen_dot else "INT", text[i:j], start_line, start_col)
-            )
-            advance(j - i)
-            continue
-        if text.startswith("sqrt", i):
-            tokens.append(_Token("SQRT", "sqrt", start_line, start_col))
-            advance(4)
-            continue
-        if ch == "i" or ch == "I":
-            tokens.append(_Token("IMAG", ch, start_line, start_col))
-            advance(1)
-            continue
-        raise KetSyntaxError(f"unexpected character {ch!r}", start_line, start_col)
-    tokens.append(_Token("EOF", "", line, col))
-    return tokens
+    scan = _SCAN.match
+    multiline = "\n" in text
+    line, line_start, counted, pos = 1, 0, 0, 0
+    while True:
+        match = scan(text, pos)
+        start = match.end(1)
+        if multiline:
+            newlines = text.count("\n", counted, start)
+            if newlines:
+                line += newlines
+                line_start = text.rfind("\n", counted, start) + 1
+            counted = start
+        col = start - line_start + 1
+        kind = match.lastgroup
+        if kind is None:
+            tokens.append(_Token("EOF", "", line, col))
+            return tokens
+        token = match.group(kind)
+        if kind == "ERROR":
+            if token == "|":
+                raise KetSyntaxError("unterminated ket", line, col)
+            raise KetSyntaxError(f"unexpected character {token!r}", line, col)
+        tokens.append(_Token(kind, token, line, col))
+        pos = match.end()
 
 
 class _Parser:
@@ -213,25 +191,30 @@ class _Parser:
         tok = self.take()
         if tok.kind == "DECIMAL":
             return complex(float(tok.text))
-        if tok.kind == "INT":
-            # "a/b" directly after an integer is a fraction, not state division
-            if (
-                self.peek().kind == "SLASH"
-                and self.tokens[self.pos + 1].kind == "INT"
-            ):
-                self.take()
-                denom = int(self.take("INT").text)
-                if denom == 0:
-                    raise KetSyntaxError("division by zero", tok.line, tok.col)
-                return complex(int(tok.text) / denom)
-            return complex(int(tok.text))
-        if tok.kind == "SQRT":
-            self.take("LPAREN")
-            arg = self.take("INT")
-            self.take("RPAREN")
-            return complex(math.sqrt(int(arg.text)))
         if tok.kind == "IMAG":
             return 1j
+        try:
+            if tok.kind == "INT":
+                # "a/b" directly after an integer is a fraction, not state division
+                if (
+                    self.peek().kind == "SLASH"
+                    and self.tokens[self.pos + 1].kind == "INT"
+                ):
+                    self.take()
+                    denom = int(self.take("INT").text)
+                    if denom == 0:
+                        raise KetSyntaxError("division by zero", tok.line, tok.col)
+                    return complex(int(tok.text) / denom)
+                return complex(int(tok.text))
+            if tok.kind == "SQRT":
+                self.take("LPAREN")
+                arg = self.take("INT")
+                self.take("RPAREN")
+                return complex(math.sqrt(int(arg.text)))
+        except OverflowError:
+            raise KetSyntaxError(
+                "number too large for a float", tok.line, tok.col
+            ) from None
         raise KetSyntaxError(
             f"expected a scalar, found {tok.text or 'end of input'!r}",
             tok.line, tok.col,
@@ -243,13 +226,13 @@ class _Parser:
             raise KetSyntaxError("empty ket", tok.line, tok.col)
         if "," in inner:
             parts = inner.split(",")
-            if any(not p.isdigit() for p in parts):
+            if not inner.isascii() or not all(map(str.isdigit, parts)):
                 raise KetSyntaxError(
                     f"ket components must be integers, got |{tok.text}>",
                     tok.line, tok.col,
                 )
             return tuple(int(p) for p in parts)
-        if not inner.isdigit():
+        if not (inner.isascii() and inner.isdigit()):
             raise KetSyntaxError(
                 f"ket components must be integers, got |{tok.text}>",
                 tok.line, tok.col,
@@ -351,6 +334,9 @@ def state_to_dict(state: StateVector) -> dict[str, Any]:
     Vectorized: one mask picks the nonzero amplitudes in row-major order,
     and the entries are built from plain Python lists, so the document
     (signed zeros included) is what a per-amplitude loop would give.
+    To write the document as text, pass :func:`state_document` to
+    :func:`write_json`: it writes the same text without building a dict
+    per amplitude.
     """
     tensor = state.tensor
     nonzero = tensor != 0
@@ -364,6 +350,117 @@ def state_to_dict(state: StateVector) -> dict[str, Any]:
         )
     ]
     return {"dims": list(state.structure.dims), "amplitudes": entries}
+
+
+def state_document(state: StateVector) -> dict[str, Any]:
+    """The document of :func:`state_to_dict`, for :func:`write_json` only.
+
+    Its ``"amplitudes"`` value holds the amplitude array, which
+    :func:`write_json` writes as the list of entries :func:`state_to_dict`
+    would build.
+    """
+    return {"dims": list(state.structure.dims),
+            "amplitudes": _SparseAmplitudes(state.tensor)}
+
+
+class _SparseAmplitudes:
+    """The nonzero amplitudes of a tensor, written as a state's entry list."""
+
+    __slots__ = ("tensor",)
+
+    def __init__(self, tensor: np.ndarray):
+        self.tensor = tensor
+
+    def text(self, newline: str) -> str:
+        """The entry list as ``json.dump(..., indent=1)`` writes it.
+
+        ``newline`` is the line break and indent of the line holding the
+        list.  Each entry comes from one ``%`` template: ``%d`` writes a
+        Python int as ``int.__repr__`` does and ``%r`` a finite Python
+        float as ``float.__repr__`` does, which are the encoder's leaves.
+        """
+        index = np.nonzero(self.tensor)
+        values = self.tensor[index]
+        entry = newline + " "
+        field = entry + " "
+        component = ",".join([field + " %d"] * len(index))
+        template = (f'{entry}{{{field}"index": [{component}{field}],'
+                    f'{field}"re": %r,{field}"im": %r{entry}}}')
+        rows = zip(*[i.tolist() for i in index],
+                   values.real.tolist(), values.imag.tolist())
+        return "[" + ",".join(map(template.__mod__, rows)) + newline + "]"
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+_float_repr = float.__repr__
+_int_repr = int.__repr__
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def write_json(doc: Any, out: TextIO, round_floats: bool = False) -> None:
+    """Write ``doc`` and a newline as ``json.dump(doc, out, indent=1)`` does.
+
+    One ``write`` call, with the indentation added by hand and every leaf
+    from C or a builtin: strings from ``encode_basestring_ascii``, ints
+    from ``int.__repr__``, floats from ``float.__repr__`` (numpy floats
+    included), and ``true``, ``false`` and ``null``.  Lists, tuples and
+    dicts with str keys nest; any other value raises ``TypeError``, as
+    ``json.dump`` does, except the amplitude list of a
+    :func:`state_document`.  With ``round_floats``, each float is first
+    rounded to 15 significant digits, as the CLI displays them.
+    """
+    chunks: list[str] = []
+    _encode(doc, "\n", chunks, round_floats)
+    chunks.append("\n")
+    out.write("".join(chunks))
+
+
+def _encode(obj: Any, newline: str, chunks: list[str], round_floats: bool) -> None:
+    if isinstance(obj, str):
+        chunks.append(_encode_str(obj))
+    elif obj is None:
+        chunks.append("null")
+    elif obj is True:
+        chunks.append("true")
+    elif obj is False:
+        chunks.append("false")
+    elif isinstance(obj, int):
+        chunks.append(_int_repr(obj))
+    elif isinstance(obj, float):
+        if round_floats:
+            obj = float(f"{obj:.15g}")
+        text = _float_repr(obj)
+        chunks.append(_NON_FINITE.get(text, text))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            chunks.append("[]")
+            return
+        inner = newline + " "
+        separator = "[" + inner
+        for item in obj:
+            chunks.append(separator)
+            _encode(item, inner, chunks, round_floats)
+            separator = "," + inner
+        chunks.append(newline + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            chunks.append("{}")
+            return
+        inner = newline + " "
+        separator = "{" + inner
+        for key, value in obj.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            chunks.append(separator + _encode_str(key) + ": ")
+            _encode(value, inner, chunks, round_floats)
+            separator = "," + inner
+        chunks.append(newline + "}")
+    elif isinstance(obj, _SparseAmplitudes):
+        chunks.append(obj.text(newline))
+    else:
+        raise TypeError(
+            f"Object of type {type(obj).__name__} is not JSON serializable"
+        )
 
 
 def state_from_dict(data: Any, normalize: bool = False) -> StateVector:
@@ -440,8 +537,7 @@ def _first(flags: np.ndarray, default: int) -> int:
 
 def save_ket_json(state: StateVector, path: str) -> None:
     with open(path, "w") as fh:
-        json.dump(state_to_dict(state), fh, indent=1)
-        fh.write("\n")
+        write_json(state_document(state), fh)
 
 
 def load_ket_json(path: str, normalize: bool = False) -> StateVector:

@@ -7,6 +7,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from etensor import cli as cli_module
 from etensor import golden
@@ -163,6 +165,75 @@ class TestErrorChannels:
         code, _, err = run_cli(capsys, "compute")
         assert code == 1
         assert "--state" in err
+
+    @pytest.mark.parametrize("expr, message", [
+        ("²|0,0>+|1,1>", "parse error at 1:1: unexpected character '²'"),
+        ("|0>/²", "parse error at 1:5: unexpected character '²'"),
+        ("|²>", "parse error at 1:1: ket components must be integers, got |²>"),
+        ("٣|0>", "parse error at 1:1: unexpected character '٣'"),
+        ("sqrt(1" + "0" * 400 + ")|0>",
+         "parse error at 1:1: number too large for a float"),
+    ], ids=["leading", "divisor", "ket", "arabic-indic", "overflow"])
+    def test_bad_number_is_a_parse_error(self, capsys, expr, message):
+        code, out, err = run_cli(capsys, "compute", "--expr", expr, "--normalize")
+        assert (code, out, err) == (2, "", message + "\n")
+
+
+def _ket(parties):
+    return "|" + ",".join(map(str, parties)) + ">"
+
+
+# texts near the grammar: small kets (at most 4 parties of dimension 4),
+# scalars including integers past the float range, and stray characters
+_fuzz_atoms = st.one_of(
+    st.lists(st.integers(0, 3), min_size=1, max_size=4).map(_ket),
+    st.sampled_from(["+", "-", "*", "/", "(", ")", "sqrt(", "i", " ", "\n",
+                     "0.5", ".", "|", ">", ",", "0", "2", "²", "|0110>", "x"]),
+    st.integers(0, 10**400).map(str),
+)
+
+
+@st.composite
+def _ket_sums(draw):
+    arity = draw(st.integers(1, 4))
+    kets = st.lists(st.integers(0, 3), min_size=arity, max_size=arity).map(_ket)
+    coefficients = st.sampled_from(["", "-", "2", "0.5*", "i", "sqrt(3)", "1/3",
+                                    "1" + "0" * 320, "0"])
+    terms = draw(st.lists(st.tuples(coefficients, kets), min_size=1, max_size=4))
+    return " + ".join(c + k for c, k in terms)
+
+
+fuzz_texts = st.lists(_fuzz_atoms, max_size=8).map("".join) | _ket_sums()
+
+
+class TestFuzzedBoundary:
+    """Any expression ends in exit 0, 1 or 2, never a traceback or NaN."""
+
+    @staticmethod
+    def check(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        assert "NaN" not in out and "Infinity" not in out
+        if code == 0:
+            json.loads(out)
+        else:
+            assert out == ""
+
+    @given(fuzz_texts, st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_compute(self, text, normalize):
+        self.check(["compute", "--expr", text, "--all"]
+                   + ["--normalize"] * normalize)
+
+    @given(fuzz_texts, st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_apply(self, text, normalize):
+        self.check(["apply", "--expr", text, "--party", "1", "--gate", "H"]
+                   + ["--normalize"] * normalize)
 
 
 class TestParserReuse:

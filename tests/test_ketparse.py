@@ -1,5 +1,7 @@
+import io
 import json
 import math
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from etensor import ketparse
 from etensor import states as states_module
 from etensor.ketparse import (
     KetFormatError,
@@ -15,8 +18,10 @@ from etensor.ketparse import (
     parse_amplitudes,
     parse_ket,
     save_ket_json,
+    state_document,
     state_from_dict,
     state_to_dict,
+    write_json,
 )
 from etensor.states import (
     NormalizationError,
@@ -147,6 +152,138 @@ class TestErrors:
     def test_division_by_zero(self):
         with pytest.raises(KetSyntaxError, match="zero"):
             parse_ket("|0,0>/0")
+
+    # str.isdigit accepts these, but int() fails on "²" and reads "٣" as 3
+    @pytest.mark.parametrize("text, reason, col", [
+        ("²|0,0>+|1,1>", "unexpected character '²'", 1),
+        ("|0>/²", "unexpected character '²'", 5),
+        ("1²|0>", "unexpected character '²'", 2),
+        ("٣|0>", "unexpected character '٣'", 1),
+        ("0.٣|0>", "unexpected character '٣'", 3),
+        ("|²>", "ket components must be integers, got |²>", 1),
+        ("|0,٣>", "ket components must be integers, got |0,٣>", 1),
+    ])
+    def test_digits_are_ascii(self, text, reason, col):
+        with pytest.raises(KetSyntaxError) as err:
+            parse_ket(text, normalize=True)
+        assert (err.value.reason, err.value.line, err.value.col) == (reason, 1, col)
+
+    @pytest.mark.parametrize("text, col", [
+        ("sqrt(1" + "0" * 400 + ")|0>", 1),
+        ("|1> + 1" + "0" * 400 + "|0>", 7),
+        ("1" + "0" * 400 + "/3|0>", 1),
+    ], ids=["sqrt", "coefficient", "fraction"])
+    def test_integer_past_the_float_range(self, text, col):
+        with pytest.raises(KetSyntaxError) as err:
+            parse_ket(text, normalize=True)
+        assert (err.value.reason, err.value.col) == ("number too large for a float", col)
+
+
+@dataclass(frozen=True)
+class _ReferenceToken:
+    kind: str
+    text: str
+    line: int
+    col: int
+
+
+_REFERENCE_PUNCT = {"+": "PLUS", "-": "MINUS", "*": "STAR", "/": "SLASH",
+                    "(": "LPAREN", ")": "RPAREN"}
+
+
+def reference_tokenize(text: str) -> list[_ReferenceToken]:
+    """The per-character tokenizer the compiled scanner replaced."""
+    tokens: list[_ReferenceToken] = []
+    i = 0
+    line, col = 1, 1
+    n = len(text)
+
+    def advance(k: int) -> None:
+        nonlocal i, line, col
+        for _ in range(k):
+            if i < n and text[i] == "\n":
+                line += 1
+                col = 1
+            else:
+                col += 1
+            i += 1
+
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            advance(1)
+            continue
+        start_line, start_col = line, col
+        if ch in _REFERENCE_PUNCT:
+            tokens.append(_ReferenceToken(_REFERENCE_PUNCT[ch], ch, start_line, start_col))
+            advance(1)
+            continue
+        if ch == "|":
+            j = text.find(">", i + 1)
+            if j < 0:
+                raise KetSyntaxError("unterminated ket", start_line, start_col)
+            inner = text[i + 1 : j]
+            tokens.append(_ReferenceToken("KET", inner, start_line, start_col))
+            advance(j + 1 - i)
+            continue
+        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
+            j = i
+            seen_dot = False
+            while j < n and (text[j].isdigit() or (text[j] == "." and not seen_dot)):
+                if text[j] == ".":
+                    seen_dot = True
+                j += 1
+            tokens.append(_ReferenceToken("DECIMAL" if seen_dot else "INT",
+                                          text[i:j], start_line, start_col))
+            advance(j - i)
+            continue
+        if text.startswith("sqrt", i):
+            tokens.append(_ReferenceToken("SQRT", "sqrt", start_line, start_col))
+            advance(4)
+            continue
+        if ch == "i" or ch == "I":
+            tokens.append(_ReferenceToken("IMAG", ch, start_line, start_col))
+            advance(1)
+            continue
+        raise KetSyntaxError(f"unexpected character {ch!r}", start_line, start_col)
+    tokens.append(_ReferenceToken("EOF", "", line, col))
+    return tokens
+
+
+def _tokens_or_error(tokenize, text):
+    try:
+        return [(t.kind, t.text, t.line, t.col) for t in tokenize(text)]
+    except KetSyntaxError as exc:
+        return ("error", exc.reason, exc.line, exc.col)
+
+
+# the grammar's characters, whitespace including a newline, two non-ASCII
+# digits (a superscript and an Arabic-Indic digit, which int() reads) and a
+# few characters the grammar refuses
+KET_ALPHABET = list("0123456789|<>,+-*/().sqrtiI x\n\t\r\u00a0²٣")
+
+
+class TestTokenizerAgainstReference:
+    @given(st.text(alphabet=KET_ALPHABET, max_size=40))
+    @settings(max_examples=400, deadline=None)
+    def test_tokens_and_errors_match(self, text):
+        got = _tokens_or_error(ketparse._tokenize, text)
+        if text.isascii() or not any(c.isdigit() for c in text if not c.isascii()):
+            assert got == _tokens_or_error(reference_tokenize, text)
+        elif got[0] != "error":
+            # outside a ket, a non-ASCII digit is never part of a number
+            assert all(kind == "KET" or tok.isascii() for kind, tok, *_ in got)
+
+    def test_token_is_a_named_tuple(self):
+        assert ketparse._tokenize("2|0>")[0] == ("INT", "2", 1, 1)
+
+    @pytest.mark.parametrize("text", [
+        "(|0,0>\n + |1,\n1>)/sqrt(2)\n", "\n\n  |0>  \n", "|0>\n^", "\t|0",
+        "1.5.2|0>", ".|0>", "sqr", "",
+    ])
+    def test_positions_across_lines(self, text):
+        assert (_tokens_or_error(ketparse._tokenize, text)
+                == _tokens_or_error(reference_tokenize, text))
 
 
 class TestLinearity:
@@ -420,6 +557,86 @@ class TestJsonAgainstReference:
             assert "-0.0" in got
         again = state_from_dict(json.loads(got))
         assert np.array_equal(again.amplitudes, state.amplitudes)
+        # the text writer, with the state document at every nesting depth
+        want, doc = state_to_dict(state), state_document(state)
+        for depth in range(4):
+            assert _written(doc) == json.dumps(want, indent=1) + "\n"
+            want, doc = ({"x": 1, "state": want}, {"x": 1, "state": doc}) \
+                if depth % 2 else ([want, 0.5], [doc, 0.5])
+
+
+def reference_round_floats(obj: Any) -> Any:
+    """The CLI's old display rounding: a walk that rebuilds the document."""
+    if isinstance(obj, float):
+        return float(f"{obj:.15g}")
+    if isinstance(obj, dict):
+        return {key: reference_round_floats(value) for key, value in obj.items()}
+    if isinstance(obj, list):
+        return [reference_round_floats(value) for value in obj]
+    return obj
+
+
+def _written(doc: Any, **kwargs) -> str:
+    out = io.StringIO()
+    write_json(doc, out, **kwargs)
+    return out.getvalue()
+
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1.7976931348623157e308,
+               float("inf"), float("-inf"), float("nan"), 0.1, 1 / 3, 123456789012345.67]
+json_leaves = (
+    st.none() | st.booleans() | st.integers() | st.integers(-2**200, 2**200)
+    | st.floats() | st.sampled_from(EDGE_FLOATS) | st.floats().map(np.float64)
+    | st.text() | st.text(alphabet=st.characters(max_codepoint=0x40))
+)
+
+
+def json_documents(tuples: bool):
+    def nest(children):
+        containers = st.lists(children, max_size=4) | st.dictionaries(
+            st.text(max_size=4), children, max_size=4)
+        return containers | st.lists(children, max_size=3).map(tuple) if tuples else containers
+    return st.recursive(json_leaves, nest, max_leaves=30)
+
+
+class TestJsonWriter:
+    """``write_json`` against the standard library's ``indent=1`` encoder."""
+
+    @given(json_documents(tuples=True))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_json_dumps(self, doc):
+        assert _written(doc) == json.dumps(doc, indent=1) + "\n"
+
+    @given(json_documents(tuples=False))
+    @settings(max_examples=150, deadline=None)
+    def test_rounded_matches_reference(self, doc):
+        assert (_written(doc, round_floats=True)
+                == json.dumps(reference_round_floats(doc), indent=1) + "\n")
+
+    @pytest.mark.parametrize("doc", [
+        [object()], {"a": np.int64(3)}, {"a": {1, 2}}, [b"bytes"], 1j,
+    ], ids=["object", "numpy-int", "set", "bytes", "complex"])
+    def test_unsupported_types_raise(self, doc):
+        with pytest.raises(TypeError):
+            json.dumps(doc, indent=1)
+        with pytest.raises(TypeError):
+            write_json(doc, io.StringIO())
+
+    def test_keys_are_str_only(self):
+        # json.dump would write 1 as "1"; no CLI document has such a key
+        with pytest.raises(TypeError, match="keys must be str, not int"):
+            write_json({1: 2}, io.StringIO())
+
+    def test_one_write(self):
+        class Recorder(io.StringIO):
+            calls = 0
+
+            def write(self, text):
+                Recorder.calls += 1
+                return super().write(text)
+
+        write_json({"a": [1, 2.5, None, "x"], "b": {}}, Recorder())
+        assert Recorder.calls == 1
 
 
 class TestInputBudget:
