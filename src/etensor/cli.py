@@ -189,9 +189,8 @@ def _cmd_compute(args: argparse.Namespace, out: TextIO) -> int:
         report = full_tensor(state, scheme)
     doc = report_to_dict(report)
     if args.detached:
-        verdicts = separability_scan(state, scheme)
         doc["detached_parties"] = [
-            i + 1 for i, flag in enumerate(verdicts) if flag
+            i + 1 for i, flag in enumerate(separability_scan(state)) if flag
         ]
     if args.table:
         # {:.15g} of a value and of its 15-digit rounding are the same text
@@ -388,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_compute.add_argument("--table", action="store_true",
                            help="aligned table instead of JSON")
     p_compute.add_argument("--detached", action="store_true",
-                           help="include the per-party separability verdict")
+                           help="list the parties that factor out of the state")
     p_compute.set_defaults(func=_cmd_compute)
 
     p_opt = sub.add_parser(

@@ -110,6 +110,19 @@ def _tokenize(text: str) -> list[_Token]:
         pos = match.end()
 
 
+def _integer(text: str, tok: _Token) -> int:
+    """``int(text)``; past Python's digit limit it is a parse error at ``tok``."""
+    try:
+        return int(text)
+    except ValueError:
+        raise KetSyntaxError(f"integer literal of {len(text):,} digits is too "
+                             "long", tok.line, tok.col) from None
+
+
+# terms accumulate as (coefficient, ket component tuple) pairs
+_Terms = list[tuple[complex, tuple[int, ...]]]
+
+
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
@@ -129,8 +142,7 @@ class _Parser:
         self.pos += 1
         return tok
 
-    # terms accumulate as (coefficient, ket component tuple) pairs
-    def parse(self) -> list[tuple[complex, tuple[int, ...]]]:
+    def parse(self) -> _Terms:
         terms = self.parse_state()
         tok = self.peek()
         if tok.kind != "EOF":
@@ -139,8 +151,8 @@ class _Parser:
             )
         return terms
 
-    def parse_state(self) -> list[tuple[complex, tuple[int, ...]]]:
-        terms: list[tuple[complex, tuple[int, ...]]] = []
+    def parse_state(self) -> _Terms:
+        terms: _Terms = []
         sign = 1.0
         if self.peek().kind in ("PLUS", "MINUS"):
             sign = -1.0 if self.take().kind == "MINUS" else 1.0
@@ -148,28 +160,25 @@ class _Parser:
         while self.peek().kind in ("PLUS", "MINUS"):
             sign = -1.0 if self.take().kind == "MINUS" else 1.0
             terms.extend((sign * c, k) for c, k in self.parse_term())
-        if self.peek().kind == "SLASH":
-            self.take()
-            divisor = self.parse_scalar()
-            if divisor == 0:
-                tok = self.peek()
-                raise KetSyntaxError("division by zero", tok.line, tok.col)
-            terms = [(c / divisor, k) for c, k in terms]
-        return terms
+        return self.divided(terms)
 
-    def parse_term(self) -> list[tuple[complex, tuple[int, ...]]]:
+    def divided(self, terms: _Terms) -> _Terms:
+        """``terms`` over the "/ scalar" that follows them, if one does."""
+        if self.peek().kind != "SLASH":
+            return terms
+        slash = self.take()
+        divisor = self.parse_scalar()
+        if divisor == 0:
+            raise KetSyntaxError("division by zero", slash.line, slash.col)
+        return [(c / divisor, k) for c, k in terms]
+
+    def parse_term(self) -> _Terms:
         tok = self.peek()
         if tok.kind == "LPAREN":
             self.take()
             terms = self.parse_state()
             self.take("RPAREN")
-            if self.peek().kind == "SLASH":
-                self.take()
-                divisor = self.parse_scalar()
-                if divisor == 0:
-                    raise KetSyntaxError("division by zero", tok.line, tok.col)
-                terms = [(c / divisor, k) for c, k in terms]
-            return terms
+            return self.divided(terms)
         coeff = complex(1.0)
         if tok.kind in ("INT", "DECIMAL", "SQRT", "IMAG"):
             coeff = self.parse_scalar()
@@ -201,16 +210,17 @@ class _Parser:
                     and self.tokens[self.pos + 1].kind == "INT"
                 ):
                     self.take()
-                    denom = int(self.take("INT").text)
+                    denom_tok = self.take("INT")
+                    denom = _integer(denom_tok.text, denom_tok)
                     if denom == 0:
                         raise KetSyntaxError("division by zero", tok.line, tok.col)
-                    return complex(int(tok.text) / denom)
-                return complex(int(tok.text))
+                    return complex(_integer(tok.text, tok) / denom)
+                return complex(_integer(tok.text, tok))
             if tok.kind == "SQRT":
                 self.take("LPAREN")
                 arg = self.take("INT")
                 self.take("RPAREN")
-                return complex(math.sqrt(int(arg.text)))
+                return complex(math.sqrt(_integer(arg.text, arg)))
         except OverflowError:
             raise KetSyntaxError(
                 "number too large for a float", tok.line, tok.col
@@ -231,7 +241,7 @@ class _Parser:
                     f"ket components must be integers, got |{tok.text}>",
                     tok.line, tok.col,
                 )
-            return tuple(int(p) for p in parts)
+            return tuple(_integer(p, tok) for p in parts)
         if not (inner.isascii() and inner.isdigit()):
             raise KetSyntaxError(
                 f"ket components must be integers, got |{tok.text}>",

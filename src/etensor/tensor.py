@@ -170,24 +170,13 @@ def permutation_difference(
     reductions make up :func:`component`; on its own (with both tuples
     ranging over a two-party state) it is the concurrence bracket.
     """
-    structure = state.structure
-    party = structure.check_party(party)
-    k = tuple(int(x) for x in k_tuple)
-    l = tuple(int(x) for x in l_tuple)
-    for name, tup in (("k", k), ("l", l)):
-        if len(tup) != structure.num_parties:
-            raise ValueError(f"{name} tuple {tup} has wrong arity")
-        for x, n in zip(tup, structure.dims):
-            if not 0 <= x < n:
-                raise ValueError(f"{name} tuple {tup} out of range for dims "
-                                 f"{structure.dims}")
-    ks = list(k)
-    ls = list(l)
+    party = state.structure.check_party(party)
+    # amplitude() checks the arity and range of both tuples
+    direct = state.amplitude(k_tuple) * state.amplitude(l_tuple)
+    ks = [int(x) for x in k_tuple]
+    ls = [int(x) for x in l_tuple]
     ks[party], ls[party] = ls[party], ks[party]
-    return complex(
-        state.amplitude(k) * state.amplitude(l)
-        - state.amplitude(tuple(ks)) * state.amplitude(tuple(ls))
-    )
+    return complex(direct - state.amplitude(ks) * state.amplitude(ls))
 
 
 def component_evaluator(
@@ -572,27 +561,23 @@ def full_tensor(
     return TensorReport(structure=structure, scheme=scheme, components=components)
 
 
-def separability_scan(
-    state: StateVector,
-    scheme: NormalizationScheme = DEFAULT_SCHEME,
-    threshold: float = ZERO_COMPONENT_THRESHOLD,
-) -> list[bool]:
-    """Per-party verdict: True when every component involving the party vanishes.
+def separability_scan(state: StateVector) -> list[bool]:
+    """Per-party verdict: True when the party factors out of the state.
 
-    This is a one-basis certificate: a party that factors out of the state
-    has all its components identically zero in any basis, but a False here
-    only speaks for the basis at hand.  All subset sizes are scanned.
+    Party i factors out exactly when its unfolding, the amplitudes as a
+    ``d_i x (N / d_i)`` matrix, has rank 1.  With its singular values
+    s_1 >= s_2 >= ..., ``2 sqrt(sum_{k>=2} s_k^2)`` is to first order the
+    concurrence of party i against the rest, and the party is detached when
+    that is at most ``ZERO_COMPONENT_THRESHOLD``.  Local unitaries leave
+    the singular values as they are, so the verdict is basis-free, and
+    every component that holds a detached party vanishes in every basis.
+    One SVD per party; no component is evaluated.
     """
-    report = full_tensor(state, scheme)
     verdicts = []
-    for party in range(state.structure.num_parties):
-        verdicts.append(
-            all(
-                value < threshold
-                for subset, value in report.components.items()
-                if party in subset.parties
-            )
-        )
+    for party, dim in enumerate(state.structure.dims):
+        unfolding = np.moveaxis(state.tensor, party, 0).reshape(dim, -1)
+        rest = np.linalg.norm(np.linalg.svd(unfolding, compute_uv=False)[1:])
+        verdicts.append(bool(2.0 * rest <= ZERO_COMPONENT_THRESHOLD))
     return verdicts
 
 

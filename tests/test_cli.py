@@ -14,7 +14,7 @@ from etensor import cli as cli_module
 from etensor import golden
 from etensor import states as states_module
 from etensor.cli import main
-from etensor.ketparse import save_ket_json, state_from_dict
+from etensor.ketparse import parse_ket, save_ket_json, state_from_dict
 from etensor.states import ghz_state
 
 EPR_EXPR = "(|0,0> + |1,1>)/sqrt(2)"
@@ -97,6 +97,22 @@ class TestCompute:
         )
         assert doc["detached_parties"] == [4]
 
+    @pytest.mark.parametrize("expr, detached", [
+        (HGHZ_EXPR, []),
+        ("(|0,0,0> + |0,1,1>)/sqrt(2)", [1]),
+    ])
+    def test_detached_parties_factor_out(self, capsys, expr, detached):
+        # a party is reported when it factors out, whatever the components
+        # in the input basis and the normalization constants
+        for extra in ([], ["--norm-const", "2=9", "--sizes", "2"]):
+            doc = run_json(capsys, "compute", "--expr", expr, "--detached", *extra)
+            assert doc["detached_parties"] == detached
+
+    def test_hadamard_ghz_expression_is_the_fixture(self):
+        assert np.allclose(
+            parse_ket(HGHZ_EXPR).amplitudes,
+            golden.fixtures()("hadamard-ghz").amplitudes, atol=1e-15)
+
     def test_normalize_flag(self, capsys):
         code, _, err = run_cli(capsys, "compute", "--expr", "|0,0> + |1,1>")
         assert code == 2
@@ -173,7 +189,14 @@ class TestErrorChannels:
         ("٣|0>", "parse error at 1:1: unexpected character '٣'"),
         ("sqrt(1" + "0" * 400 + ")|0>",
          "parse error at 1:1: number too large for a float"),
-    ], ids=["leading", "divisor", "ket", "arabic-indic", "overflow"])
+        ("1" * 5000 + "|0>",
+         "parse error at 1:1: integer literal of 5,000 digits is too long"),
+        ("sqrt(" + "1" * 5000 + ")|0>",
+         "parse error at 1:6: integer literal of 5,000 digits is too long"),
+        ("|0,0> + |1," + "1" * 5000 + ">",
+         "parse error at 1:9: integer literal of 5,000 digits is too long"),
+    ], ids=["leading", "divisor", "ket", "arabic-indic", "overflow",
+            "long-coefficient", "long-sqrt", "long-ket"])
     def test_bad_number_is_a_parse_error(self, capsys, expr, message):
         code, out, err = run_cli(capsys, "compute", "--expr", expr, "--normalize")
         assert (code, out, err) == (2, "", message + "\n")

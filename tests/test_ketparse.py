@@ -153,6 +153,14 @@ class TestErrors:
         with pytest.raises(KetSyntaxError, match="zero"):
             parse_ket("|0,0>/0")
 
+    @pytest.mark.parametrize("text, col", [
+        ("|0,0>/0", 6), ("(|0> + |1>)/0", 12), ("((|0> + |1>)/0)/2", 13),
+    ])
+    def test_division_by_zero_is_placed_at_its_slash(self, text, col):
+        with pytest.raises(KetSyntaxError) as err:
+            parse_ket(text)
+        assert (err.value.reason, err.value.col) == ("division by zero", col)
+
     # str.isdigit accepts these, but int() fails on "²" and reads "٣" as 3
     @pytest.mark.parametrize("text, reason, col", [
         ("²|0,0>+|1,1>", "unexpected character '²'", 1),
@@ -177,6 +185,20 @@ class TestErrors:
         with pytest.raises(KetSyntaxError) as err:
             parse_ket(text, normalize=True)
         assert (err.value.reason, err.value.col) == ("number too large for a float", col)
+
+    # int() refuses decimal strings past sys.get_int_max_str_digits() (4300)
+    @pytest.mark.parametrize("text, col", [
+        ("1" * 5000 + "|0>", 1),
+        ("|1> + sqrt(" + "1" * 5000 + ")|0>", 12),
+        ("(|0> + |1,0," + "1" * 5000 + ">)/2", 8),
+        ("2/" + "1" * 5000 + "|0>", 3),
+        ("(|0> + |1>)/" + "1" * 5000, 13),
+    ], ids=["coefficient", "sqrt", "ket", "denominator", "divisor"])
+    def test_integer_past_the_digit_limit(self, text, col):
+        with pytest.raises(KetSyntaxError) as err:
+            parse_ket(text, normalize=True)
+        assert (err.value.reason, err.value.col) == (
+            "integer literal of 5,000 digits is too long", col)
 
 
 @dataclass(frozen=True)

@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from etensor import golden
 from etensor.ketparse import parse_ket
-from etensor.localops import PartyGrouping, apply_local, phase_gate
+from etensor.localops import LocalUnitary, PartyGrouping, apply_local, phase_gate
 from etensor.oracles import concurrence_purity
 from etensor.states import (
     PartyStructure,
+    StateVector,
     basis_state,
     epr_state,
     ghz_state,
@@ -20,8 +22,10 @@ from etensor.states import (
     random_state,
     w_state,
 )
+from etensor.supremum import haar_unitary
 from etensor import tensor as tensor_module
 from etensor.tensor import (
+    ZERO_COMPONENT_THRESHOLD,
     NormalizationScheme,
     SubsetSelector,
     WorkLimitError,
@@ -254,6 +258,48 @@ class TestInvariance:
         assert component(state, PAIR_12) ** 2 == pytest.approx(total, abs=1e-9)
 
 
+def _component_scan(state):
+    """Reference scan: a party is detached when every component holding it
+    is below the threshold.  It speaks only for the basis at hand."""
+    components = full_tensor(state).components
+    return [
+        all(value < ZERO_COMPONENT_THRESHOLD
+            for subset, value in components.items() if party in subset.parties)
+        for party in range(state.structure.num_parties)
+    ]
+
+
+def _haar_vector(dim, rng):
+    z = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return z / np.linalg.norm(z)
+
+
+def _with_detached(core, detached, rng):
+    """``core``'s parties in order, with a Haar local vector at each of the
+    ``detached`` party places (a dict of place to dim)."""
+    tensor = core.tensor
+    for dim in detached.values():
+        tensor = np.multiply.outer(tensor, _haar_vector(dim, rng))
+    places = [i for i in range(tensor.ndim) if i not in detached] + list(detached)
+    tensor = tensor.transpose(np.argsort(places))
+    return StateVector(PartyStructure(tensor.shape), tensor.reshape(-1))
+
+
+@st.composite
+def _factored_states(draw):
+    """A Haar core of at least two parties with Haar local vectors factored
+    out at random places: 3-5 parties of dims 2-4."""
+    dims = draw(st.lists(st.integers(2, 4), min_size=3, max_size=5))
+    detached = draw(st.sets(st.integers(0, len(dims) - 1), max_size=len(dims) - 2))
+    rng = np.random.default_rng(draw(seed_strategy))
+    core = random_state(
+        PartyStructure(tuple(d for i, d in enumerate(dims) if i not in detached)),
+        rng,
+    )
+    state = _with_detached(core, {i: dims[i] for i in sorted(detached)}, rng)
+    return state, detached, rng
+
+
 class TestSeparabilityScan:
     def test_detached_first_party(self):
         state = parse_ket("(|0,0,0> + |0,1,1>)/sqrt(2)")  # |0> x EPR
@@ -265,6 +311,41 @@ class TestSeparabilityScan:
 
     def test_ghz_has_no_detached_party(self):
         assert separability_scan(ghz_state(3)) == [False, False, False]
+
+    @pytest.mark.parametrize("name", sorted(set(golden.FIXTURES) - {"hadamard-ghz"}))
+    def test_agrees_with_component_scan(self, name):
+        state = golden.fixtures()(name)
+        assert separability_scan(state) == _component_scan(state)
+
+    def test_hadamard_ghz_is_the_named_disagreement(self):
+        # every component holding party 0 is zero in this basis, yet party 0
+        # has concurrence 1 against the rest
+        state = golden.fixtures()("hadamard-ghz")
+        assert _component_scan(state) == [True, False, False]
+        assert separability_scan(state) == [False, False, False]
+        assert concurrence_purity(state, PartyGrouping(((0,), (1, 2)))) == (
+            pytest.approx(1.0, abs=1e-12))
+
+    def test_haar_qubit_factored_out_of_qudit_core(self):
+        # the component scan missed this qubit in all 20 states: the square
+        # root lifts round-off in its components to about 5e-9
+        rng = np.random.default_rng(2004)
+        for _ in range(20):
+            core = random_state(PartyStructure((3, 3, 2, 2, 2)), rng)
+            state = _with_detached(core, {3: 2}, rng)
+            assert state.structure.dims == (3, 3, 2, 2, 2, 2)
+            assert separability_scan(state) == [False, False, False, True, False,
+                                                False]
+
+    @given(_factored_states())
+    @settings(max_examples=60, deadline=None)
+    def test_finds_exactly_the_factored_parties(self, case):
+        state, detached, rng = case
+        want = [i in detached for i in range(state.structure.num_parties)]
+        assert separability_scan(state) == want
+        for party, dim in enumerate(state.structure.dims):
+            state = apply_local(state, LocalUnitary(party, haar_unitary(dim, rng)))
+        assert separability_scan(state) == want
 
 
 class TestAggregateAndReport:
@@ -524,8 +605,10 @@ class TestKernelWorkLimit:
         state = basis_state(PartyStructure((2,) * 20), (0,) * 20)
         with pytest.raises(WorkLimitError, match="1,099,489,607,680 units"):
             full_tensor(state)
-        with pytest.raises(WorkLimitError):
-            separability_scan(state)
+        # the scan evaluates no component, so the limit is not its concern
+        monkeypatch.setattr(tensor_module, "full_tensor", no_plan)
+        state = basis_state(PartyStructure((2,) * 16), (0,) * 16)
+        assert separability_scan(state) == [True] * 16
 
     def test_oversized_subset_refused(self):
         structure = PartyStructure((16,) * 6)
