@@ -554,6 +554,7 @@ def load_ket_json(path: str, normalize: bool = False) -> StateVector:
     with open(path) as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        # JSONDecodeError, and the digit limit of int() on a long integer
+        except ValueError as exc:
             raise KetFormatError(f"invalid JSON: {exc}") from exc
     return state_from_dict(data, normalize=normalize)

@@ -49,7 +49,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import tensor
+from . import kernel, tensor
 from .localops import LocalUnitary, apply_local
 from .states import PartyStructure, StateVector
 from .tensor import (
@@ -174,7 +174,8 @@ class _Objective:
 
     A single point is scored through the evaluators that
     :func:`component_evaluator` builds; a stack of gradient probes on one
-    party through the batched kernel.  ``frozen`` lists the parties never
+    party through the batched kernel, which forms the stack's
+    ``conj(a) * a`` once for all subsets.  ``frozen`` lists the parties never
     probed: those whose subsets are all pairs containing them.  ``moving``
     lists the others with the slice of the parameter vector each one owns.
     """
@@ -192,20 +193,19 @@ class _Objective:
             component_evaluator(structure, subset, scheme) for subset in subsets
         ]
         self.combine = combine
-        self.terms = []
-        # probes per pass: the fewest that any subset's kernel fits in budget
-        self.chunk = math.inf
-        for subset in subsets:
-            shape, batch, windows = tensor._stacking(
-                dims, tuple(dims[p] for p in subset.parties),
-                tensor.GATHER_BUDGET_BYTES,
-            )
-            perm = (0,) + tuple(
-                1 + axis for axis in tensor._axis_order(len(dims), subset.parties)
-            )
-            self.terms.append((subset.parties, perm, shape, windows,
-                               scheme.constant(subset.size)))
-            self.chunk = min(self.chunk, batch)
+        budget = tensor.GATHER_BUDGET_BYTES
+        # probes per pass: the fewest that any subset's kernel fits in budget,
+        # and never more than one party's probes
+        self.chunk = min(2 * max(dims) ** 2, *(
+            kernel._subset_layout(dims, subset.parties, budget).batch
+            for subset in subsets
+        ))
+        self.terms = [
+            (subset.parties,
+             kernel._probe_term(dims, subset.parties, self.chunk, budget),
+             scheme.constant(subset.size))
+            for subset in subsets
+        ]
         self.frozen = tuple(
             j for j in range(len(dims))
             if all(s.size == 2 and j in s.parties for s in subsets)
@@ -293,13 +293,19 @@ class _Objective:
         The probes differ from the current point only on ``party``, so a
         pair containing it keeps its current value from ``values``.
         """
-        scores = np.empty((len(self.terms), len(stack)))
-        for row, (parties, perm, shape, windows, constant) in enumerate(self.terms):
+        probes = len(stack)
+        amplitudes = stack.reshape(-1)
+        squares = kernel._squares(amplitudes)
+        scores = np.empty((len(self.terms), probes))
+        for row, (parties, term, constant) in enumerate(self.terms):
             if len(parties) == 2 and party in parties:
                 scores[row] = values[row]
             else:
-                sectors = stack.transpose(perm).reshape((-1,) + shape)
-                scores[row] = tensor._evaluate_batch(sectors, windows, constant)
+                positions, index, offsets, layout = term
+                scores[row] = kernel._evaluate_pass(
+                    positions[:probes], index[:probes], offsets[:probes],
+                    amplitudes, squares, layout, constant,
+                )
         if self.combine == "min":
             return scores.min(axis=0)
         return scores.sum(axis=0) / len(self.terms)

@@ -22,33 +22,43 @@ the familiar concurrence, and a maximally entangled pair scores exactly 1.
 For three or more parties the values depend on the local basis; see
 :mod:`etensor.supremum` for the basis search.
 
-Evaluation runs in numpy, with no Python loop over pair choices.  The
-amplitudes are transposed so that the selected parties lead, in nesting
-order, and the unselected parties are flattened into S sectors.
-:func:`full_tensor` stacks the subsets of one size that share their
-selected dims into one ``(B, *selected_dims, S)`` array; an evaluator from
-:func:`component_evaluator` uses a stack of one.  Each selected axis of
-dimension d > 2 is gathered with ``np.take`` and its ``(C(d, 2), 2)`` array
-of pairs, which turns it into a pair-choice axis and a k/l axis; a qubit
-axis already is its own k/l axis.  The nested reduction above then runs
-once, with the subset and pair-choice axes leading, and the weighted sums
-are added up per subset.  One pass holds at most ``GATHER_BUDGET_BYTES``
-of stacked, gathered and multiplied amplitudes, and the index that
-gathers them: :func:`full_tensor` puts as many subsets into a pass as fit,
-and a subset that does not fit alone is split into windows of pair choices.
+Evaluation runs in :mod:`etensor.kernel`, in numpy, with no Python loop
+over pair choices or subsets.  :func:`full_tensor` evaluates the subsets
+of one size that share their selected dims in stacked passes, and an
+evaluator from :func:`component_evaluator` runs the same kernel on one
+subset.  Layout: a pass gathers the amplitudes straight into the order the
+nested reduction consumes, ``(2^D * C, B, S)``: the anchor's k/l side,
+then one bit per other selected party (innermost party first), then the C
+pair choices, then the B subsets (or probes), then the S sectors.  The l
+side's other parties already read their swapped values and qudit pair
+choices are folded into the gather, so the products multiply the two
+halves of the leading axis, each reduction is the difference of two
+contiguous halves, and the sector sum runs on the contiguous last axis.
+The sector probabilities come from ``conj(a) * a``, formed once per call
+and gathered in row-major order ``(B, L, S)``.  Workspace: every
+temporary of a pass (both gather indexes, both gathers, the products and
+the reductions) is written into one workspace per thread, which the
+thread keeps between calls and which holds at most
+``GATHER_BUDGET_BYTES``.  :func:`full_tensor` puts as many subsets into a
+pass as fit the budget, and a subset that does not fit alone is split
+into windows of pair choices.  Bits: every product, difference, absolute
+value and square takes the same operands in the same order as the
+stacked kernel before it, and every sum adds the same numbers in the same
+order along an axis of the same memory layout, so the values are those of
+that kernel bit for bit.
 
 What :func:`full_tensor` does for one subset size depends only on the
 dims, so it is built once as a plan and kept in an LRU cache of
 ``PLAN_CACHE_SIZE`` entries keyed on ``(dims, size, GATHER_BUDGET_BYTES)``,
 with the budget read at call time.  A plan holds the size's selectors in
 lexicographic order and groups them by transposed shape (selected dims,
-then the others in ascending party order); each pass gathers its stack
-with one ``take`` off the flat amplitudes.  Plans hold no amplitudes and
+then the others in ascending party order).  Plans hold no amplitudes and
 no per-subset index tables: per subset one place, one selector and one
 stride per party, and per transposed shape two digit tables of about
-``M * sqrt(total_dim)`` entries.  The index of a pass is rebuilt from
-them on each call, so a warm call makes a few numpy calls per pass and
-no Python loop over subsets.
+``M * sqrt(total_dim)`` entries and the kernel's layout, which maps each
+kernel-order entry to the selected position it reads.  The index of a
+pass is rebuilt from them on each call, so a warm call makes a few numpy
+calls per pass and no Python loop over subsets.
 """
 
 from __future__ import annotations
@@ -56,12 +66,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import sys
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from . import kernel
+from .kernel import PLAN_CACHE_SIZE
 from .states import PartyStructure, StateVector
 
 DEFAULT_NORM_CONSTANT = 4.0
@@ -82,9 +93,12 @@ class WorkLimitError(ValueError):
     """The requested components need more than ``MAX_KERNEL_WORK``."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SubsetSelector:
-    """Strictly increasing tuple of party indices, at least two of them."""
+    """Strictly increasing tuple of party indices, at least two of them.
+
+    Hashes as its tuple of parties.
+    """
 
     parties: tuple[int, ...]
 
@@ -99,6 +113,9 @@ class SubsetSelector:
         if parties[0] < 0:
             raise ValueError(f"party indices must be non-negative, got {parties}")
         object.__setattr__(self, "parties", parties)
+
+    def __hash__(self) -> int:
+        return hash(self.parties)
 
     @property
     def size(self) -> int:
@@ -187,90 +204,17 @@ def component_evaluator(
     """Precompiled component evaluator for repeated calls on one subset.
 
     The returned callable maps an amplitude tensor shaped like
-    ``structure.dims`` to the component value.  The axis order that puts
-    the subset's parties first, the pair index arrays of its non-qubit
-    parties and their split into windows are set up once, which matters
-    inside optimization loops.  Each call is one transpose and one pass of
-    the batched kernel on a stack of one subset, the same kernel that
-    :func:`full_tensor` runs, so the two agree to rounding.  A subset too
-    large for ``GATHER_BUDGET_BYTES`` is evaluated over several windows of
-    pair choices in that call.
+    ``structure.dims`` to the component value.  The kernel's layout and,
+    on the first call, the gather index of the subset's amplitudes (its
+    parties first, then the others) are set up once, which matters inside
+    optimization loops.  Each call is one pass of the batched kernel on a
+    batch of one, the kernel that :func:`full_tensor` runs, so the two
+    agree bit for bit.  A subset too large for ``GATHER_BUDGET_BYTES`` is
+    evaluated over several windows of pair choices in that call.
     """
     subset.validate_for(structure)
     return _make_evaluator(structure.dims, subset.parties,
                            scheme.constant(subset.size))
-
-
-def _axis_order(num_parties: int, selected: tuple[int, ...]) -> tuple[int, ...]:
-    """The selected parties in nesting order, then the others ascending."""
-    return selected + tuple(i for i in range(num_parties) if i not in selected)
-
-
-def _sector_shape(
-    dims: tuple[int, ...], selected_dims: tuple[int, ...]
-) -> tuple[int, ...]:
-    """``(*selected_dims, S)``: the other parties flattened into S sectors."""
-    return selected_dims + (math.prod(dims) // math.prod(selected_dims),)
-
-
-def _pair_index(selected_dims: Iterable[int]) -> tuple[np.ndarray | None, ...]:
-    """Per selected axis, its ``(C(d, 2), 2)`` basis pairs (k < l).
-
-    A qubit axis has the one pair (0, 1), which is the axis itself, so it
-    gets None and is never gathered.
-    """
-    return tuple(
-        None if d == 2 else np.array(list(itertools.combinations(range(d), 2)))
-        for d in selected_dims
-    )
-
-
-def _pass_bytes(shape: tuple[int, ...], choices: int) -> int:
-    """Bytes one kernel pass holds per subset for some of its pair choices.
-
-    That is the subset's stacked sectors (``shape`` is ``(*selected_dims,
-    S)``), the int64 index that gathers them off the amplitudes (8 bytes
-    per stacked amplitude; its two factors are smaller), one temporary of
-    the sectors' size for the sector probabilities, and per pair choice its
-    gathered swap lattice of ``2^D x S`` values plus the products formed
-    from it, which with the smaller reductions after them take at most as
-    much again.
-    """
-    lattice = 2 ** (len(shape) - 1) * shape[-1]
-    return (16 * 2 + 8) * math.prod(shape) + 16 * 2 * choices * lattice
-
-
-def _pair_windows(
-    pairs: tuple[np.ndarray | None, ...],
-    shape: tuple[int, ...],
-    batch: int,
-    budget: int,
-) -> tuple[tuple[int, ...], list]:
-    """Split the pair choices into windows whose pass fits the budget.
-
-    Returns ``(choices, windows)``.  ``choices`` has one length per gathered
-    party; each window is ``(index, chunk)``, where ``index`` selects the
-    window's entries of a ``(B, *choices)`` array and ``chunk`` holds its
-    pairs per selected axis.  Windows take whole axes from the innermost
-    party outwards, so a single window is the usual case.
-    """
-    gathered = [p for p in pairs if p is not None]
-    room = budget // batch - _pass_bytes(shape, 0)
-    per_choice = _pass_bytes(shape, 1) - _pass_bytes(shape, 0)
-    steps = []
-    for p in reversed(gathered):
-        steps.append(max(1, min(len(p), room // per_choice)))
-        per_choice *= steps[-1]
-    steps.reverse()
-    windows = []
-    for starts in itertools.product(
-        *(range(0, len(p), step) for p, step in zip(gathered, steps))
-    ):
-        window = tuple(slice(a, a + step) for a, step in zip(starts, steps))
-        taken = iter(window)
-        chunk = tuple(p if p is None else p[next(taken)] for p in pairs)
-        windows.append(((slice(None),) + window, chunk))
-    return tuple(len(p) for p in gathered), windows
 
 
 def _check_work(work: int, what: str, *args: object) -> None:
@@ -281,102 +225,6 @@ def _check_work(work: int, what: str, *args: object) -> None:
             f"choices x 2^D x sectors, summed over subsets), over the limit "
             f"of {MAX_KERNEL_WORK:,}"
         )
-
-
-def _make_evaluator(
-    dims: tuple[int, ...],
-    selected: tuple[int, ...],
-    constant: float,
-) -> Callable[[np.ndarray], float]:
-    perm = _axis_order(len(dims), selected)
-    shape = _sector_shape(dims, tuple(dims[i] for i in selected))
-    _check_work(
-        math.prod(math.comb(d, 2) for d in shape[:-1])
-        * 2 ** len(selected) * shape[-1],
-        "subset {} of dims {}", selected, dims,
-    )
-    windows = _pair_windows(_pair_index(shape[:-1]), shape, 1,
-                            GATHER_BUDGET_BYTES)
-    shape = (1,) + shape
-
-    def evaluate(tensor: np.ndarray) -> float:
-        sectors = tensor.transpose(perm).reshape(shape)
-        return float(_evaluate_batch(sectors, windows, constant)[0])
-
-    return evaluate
-
-
-def _evaluate_batch(
-    sectors: np.ndarray,
-    windows: tuple[tuple[int, ...], list],
-    constant: float,
-) -> np.ndarray:
-    """Components of a stack of subsets that share one selected shape.
-
-    ``sectors`` is shaped ``(B, *selected_dims, S)``: per subset, the
-    amplitudes with the selected parties in nesting order (anchor first)
-    and the unselected parties flattened into S sectors.  ``windows`` comes
-    from :func:`_pair_windows` for at least this batch size.  Every window
-    writes its per-choice sums into one array that is summed once, so the
-    split into windows does not change the result.
-    """
-    batch, num_sectors = sectors.shape[0], sectors.shape[-1]
-    flat = sectors.reshape(batch, -1, num_sectors)
-    squares = flat.conj()
-    squares *= flat
-    prob = np.add.reduce(squares.real, axis=1)
-    del squares
-    # a zero-probability sector has only zero amplitudes, so all of its
-    # reduced values are exactly 0 and any finite weight resolves 0/0 to 0
-    weight = 1.0 / np.maximum(prob, sys.float_info.min)
-    choices, parts = windows
-    sums = np.empty((batch,) + choices)
-    for index, chunk in parts:
-        sums[index] = _pair_sums(sectors, chunk, weight)
-    return np.sqrt(constant * np.add.reduce(sums.reshape(batch, -1), axis=1))
-
-
-def _pair_sums(
-    sectors: np.ndarray,
-    pairs: tuple[np.ndarray | None, ...],
-    weight: np.ndarray,
-) -> np.ndarray:
-    """Sector-weighted nested reduction, one value per subset and pair choice.
-
-    Returns ``(B, *choices)`` with one axis per gathered (non-qubit) party.
-    """
-    depth = len(pairs)
-    block = sectors
-    # gather the last axis first, so the earlier axis numbers stay valid;
-    # each gathered axis d becomes (pair choice, k/l)
-    for axis in reversed(range(depth)):
-        if pairs[axis] is not None:
-            block = np.take(block, pairs[axis], axis=axis + 1)
-    if block is not sectors:
-        choice_axes, lattice_axes, pos = [], [], 1
-        for p in pairs:
-            if p is not None:
-                choice_axes.append(pos)
-                pos += 1
-            lattice_axes.append(pos)
-            pos += 1
-        block = block.transpose([0, *choice_axes, *lattice_axes, pos])
-    # leading (subset, pair choice...) axes, then the 2^depth swap lattice
-    # and the sectors; the anchor is consumed by its k and l sides, and the
-    # non-anchor parties of the l side are flipped to their swapped values
-    head = (slice(None),) * (block.ndim - depth - 1)
-    flip = (slice(None, None, -1),) * (depth - 1)
-    products = block[head + (0,)] * block[head + (1,) + flip]
-    del block
-    reduced = np.abs(products[..., 0, :] - products[..., 1, :]) ** 2
-    for _ in range(depth - 2):
-        reduced = np.abs(reduced[..., 0, :] - reduced[..., 1, :])
-    weight = weight.reshape((len(weight),) + (1,) * (len(head) - 1) + (-1,))
-    return np.add.reduce(reduced * weight, axis=-1)
-
-
-# Plans kept by _plan; the CLI alone can touch dozens of (dims, size) keys.
-PLAN_CACHE_SIZE = 128
 
 
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
@@ -397,24 +245,31 @@ def _kernel_work(dims: tuple[int, ...], size: int) -> int:
     return poly[size]
 
 
-@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _digits(shape: tuple[int, ...]) -> np.ndarray:
-    """Every position of ``shape`` in row-major order, one row per axis."""
-    table = np.indices(shape).reshape(len(shape), -1)
-    table.flags.writeable = False
-    return table
+def _make_evaluator(
+    dims: tuple[int, ...],
+    order: tuple[int, ...],
+    constant: float,
+) -> Callable[[np.ndarray], float]:
+    _check_work(
+        math.prod(math.comb(dims[p], 2) for p in order) * 2 ** len(order)
+        * math.prod(dims) // math.prod(dims[p] for p in order),
+        "subset {} of dims {}", order, dims,
+    )
+    budget = GATHER_BUDGET_BYTES
+    term = None
 
+    def evaluate(tensor: np.ndarray) -> float:
+        nonlocal term
+        if term is None:  # built on first use, so compiling stays cheap
+            term = kernel._probe_term(dims, order, 1, budget)
+        positions, index, offsets, layout = term
+        amplitudes = np.ascontiguousarray(tensor, dtype=np.complex128).reshape(-1)
+        return float(kernel._evaluate_pass(
+            positions, index, offsets, amplitudes, kernel._squares(amplitudes),
+            layout, constant,
+        )[0])
 
-@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _stacking(
-    dims: tuple[int, ...], selected_dims: tuple[int, ...], budget: int
-) -> tuple[tuple[int, ...], int, tuple[tuple[int, ...], list]]:
-    """Sector shape, subsets per pass and pair windows of one selected shape."""
-    shape = _sector_shape(dims, selected_dims)
-    choices = math.prod(math.comb(d, 2) for d in selected_dims)
-    batch = max(1, budget // _pass_bytes(shape, choices))
-    return shape, batch, _pair_windows(_pair_index(selected_dims), shape,
-                                       batch, budget)
+    return evaluate
 
 
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
@@ -423,22 +278,22 @@ def _plan(dims: tuple[int, ...], size: int, budget: int) -> tuple:
 
     Returns the size's selectors in lexicographic order and a tuple of
     groups, one per transposed shape ``T``: the selected dims, then the
-    other parties' dims in ascending party order.  A group is ``(positions,
-    outer, inner, outer_digits, inner_digits, shape, batch, windows)``.
-    ``positions`` are its subsets' places in lexicographic order.  ``T`` is
-    cut into leading and trailing axes, so the flat amplitude index of
-    every stacked entry is ``outer @ outer_digits`` (one row per subset,
-    one column per leading position) plus ``inner @ inner_digits``
-    broadcast over the trailing positions.  ``outer`` and ``inner`` hold
-    the parties' flat strides in transposed order; the digit tables list
-    every position of their half of ``T``.  Each pass stacks ``batch`` of
-    the subsets as ``(B, *shape)`` and evaluates them over ``windows``.
+    other parties' dims in ascending party order.  A group is ``(places,
+    outer, inner, outer_digits, inner_digits, layout)``.  ``places`` are
+    its subsets' places in lexicographic order, and ``layout`` comes from
+    :func:`etensor.kernel._layout`.  ``T`` is cut into leading and
+    trailing axes, so the flat amplitude index of every stacked entry is
+    ``outer @ outer_digits`` (one row per subset, one column per leading
+    position) plus ``inner @ inner_digits`` broadcast over the trailing
+    positions.  ``outer`` and ``inner`` hold the parties' flat strides in
+    transposed order; the digit tables list every position of their half
+    of ``T``.
 
     Built once per key, with no Python loop per subset beyond creating the
     selectors.  A plan holds no amplitudes: per subset it keeps its place,
     its selector and one stride per party, and per transposed shape two
-    digit tables of about ``M * sqrt(total_dim)`` entries.  The gather
-    index itself is rebuilt in each pass and counted by :func:`_pass_bytes`.
+    digit tables of about ``M * sqrt(total_dim)`` entries and its layout.
+    The gather indexes are rebuilt in each pass, in the workspace.
     """
     num = len(dims)
     combos = list(itertools.combinations(range(num), size))
@@ -468,9 +323,10 @@ def _plan(dims: tuple[int, ...], size: int, budget: int) -> tuple:
             by_shape[first:end],
             stacked[first:end, :cut],
             stacked[first:end, cut:],
-            _digits(transposed[:cut]),
-            _digits(transposed[cut:]),
-            *_stacking(dims, transposed[:size], budget),
+            kernel._digits(transposed[:cut]),
+            kernel._digits(transposed[cut:]),
+            kernel._layout(transposed[:size], math.prod(transposed[size:]),
+                           budget),
         ))
     return tuple(map(SubsetSelector, combos)), tuple(groups)
 
@@ -516,13 +372,14 @@ def full_tensor(
 
     Each size runs the passes of its plan, cached under ``(dims, size,
     GATHER_BUDGET_BYTES)`` with the budget read at call time; the last
-    ``PLAN_CACHE_SIZE`` plans are kept.  A pass gathers a stack of subsets
-    that share their transposed shape straight off ``state.amplitudes``
-    and evaluates it with the batched kernel, so a call on dims seen
-    before does no Python work per subset.  The first call on new dims
-    builds the plan, with numpy work per group of subsets rather than per
-    subset.  A plan holds no amplitudes: per subset, its selector and
-    ``M + 1`` integers, and per transposed shape two small digit tables.
+    ``PLAN_CACHE_SIZE`` plans are kept.  A pass builds the gather index of
+    a stack of subsets that share their transposed shape in the workspace
+    and evaluates them with the batched kernel off ``state.amplitudes``,
+    so a call on dims seen before does no Python work per subset.  The
+    first call on new dims builds the plan, with numpy work per group of
+    subsets rather than per subset.  A plan holds no amplitudes: per
+    subset, its selector and ``M + 1`` integers, and per transposed shape
+    two small digit tables and the kernel's layout.
     Components come out by size, then in lexicographic order within a
     size.
     """
@@ -540,22 +397,29 @@ def full_tensor(
         sum(_kernel_work(structure.dims, size) for size in size_list),
         "subset sizes {} of dims {}", size_list, structure.dims,
     )
+    amplitudes = state.amplitudes
+    squares = kernel._squares(amplitudes)
     components: dict[SubsetSelector, float] = {}
     for size in size_list:
         subsets, groups = _plan(structure.dims, size, GATHER_BUDGET_BYTES)
         values = np.empty(len(subsets))
         constant = scheme.constant(size)
-        for (positions, outer, inner, outer_digits, inner_digits,
-             shape, batch, windows) in groups:
-            for start in range(0, len(positions), batch):
-                rows = slice(start, start + batch)
-                index = np.add(
-                    (outer[rows] @ outer_digits)[:, :, None],
-                    (inner[rows] @ inner_digits)[:, None, :],
-                )
-                sectors = state.amplitudes.take(index).reshape((-1,) + shape)
-                values[positions[rows]] = _evaluate_batch(
-                    sectors, windows, constant
+        for places, outer, inner, outer_digits, inner_digits, layout in groups:
+            split = (outer_digits.shape[1], inner_digits.shape[1])
+            sectors = split[0] * split[1] // layout.positions
+            for start in range(0, len(places), layout.batch):
+                rows = slice(start, start + layout.batch)
+                batch = len(places[rows])
+                views = kernel._pass_views(layout, batch, sectors)
+                (_, _, offsets, positions), (index, _), _ = views
+                np.add((outer[rows] @ outer_digits)[:, :, None],
+                       (inner[rows] @ inner_digits)[:, None, :],
+                       out=index.reshape((batch,) + split))
+                np.copyto(offsets, index[:, 0, :])
+                np.subtract(index[:, :, 0], offsets[:, :1], out=positions)
+                values[places[rows]] = kernel._evaluate_pass(
+                    positions, index, offsets, amplitudes, squares, layout,
+                    constant, views,
                 )
         components.update(zip(subsets, values.tolist()))
     return TensorReport(structure=structure, scheme=scheme, components=components)

@@ -152,6 +152,19 @@ class TestErrorChannels:
         assert "NaN" not in out
         assert err.startswith("state error")
 
+    @pytest.mark.parametrize("document", [
+        '{"dims": [2], "amplitudes": [{"index": [0], "re": 1%s, "im": 0.0}]}',
+        '{"dims": [2, 1%s], "amplitudes": [{"index": [0, 0], "re": 1.0, "im": 0.0}]}',
+    ], ids=["re", "dims"])
+    def test_over_long_json_integer_is_exit_two(self, capsys, tmp_path, document):
+        # int() refuses more than 4,300 decimal digits by default
+        path = tmp_path / "long.ket.json"
+        path.write_text(document % ("0" * 4999))
+        code, out, err = run_cli(capsys, "compute", "--state", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("parse error: invalid JSON: Exceeds the limit (4300")
+        assert "Traceback" not in err
+
     def test_non_list_amplitudes_is_exit_two(self, capsys, tmp_path):
         path = tmp_path / "null.ket.json"
         path.write_text('{"dims": [2, 2], "amplitudes": null}')

@@ -1,5 +1,9 @@
+import copy
 import itertools
 import math
+import pickle
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -22,7 +26,8 @@ from etensor.states import (
     random_state,
     w_state,
 )
-from etensor.supremum import haar_unitary
+from etensor.supremum import _Objective, haar_unitary
+from etensor import kernel as kernel_module
 from etensor import tensor as tensor_module
 from etensor.tensor import (
     ZERO_COMPONENT_THRESHOLD,
@@ -60,6 +65,20 @@ class TestSubsetSelector:
     def test_range_check(self):
         with pytest.raises(ValueError):
             SubsetSelector((0, 5)).validate_for(PartyStructure((2, 2)))
+
+    def test_hashes_as_its_parties(self):
+        subset = SubsetSelector((1, 3, 4))
+        assert hash(subset) == hash((1, 3, 4))
+        assert subset == SubsetSelector([1, 3, 4]) and subset != (1, 3, 4)
+        assert repr(subset) == "SubsetSelector(parties=(1, 3, 4))"
+        assert not hasattr(subset, "__dict__")
+
+    def test_pickle_and_deepcopy_round_trip(self):
+        subset = SubsetSelector((0, 2))
+        for twin in (pickle.loads(pickle.dumps(subset)), copy.deepcopy(subset)):
+            assert twin == subset and hash(twin) == hash(subset)
+            assert repr(twin) == repr(subset)
+            assert twin.parties == (0, 2) and twin.size == 2
 
     @pytest.mark.parametrize("m,d", [(3, 2), (4, 2), (4, 3), (5, 3), (6, 4)])
     def test_subset_count_is_binomial(self, m, d):
@@ -465,18 +484,19 @@ def _make_evaluator(
 
 
 def _count_calls(monkeypatch, name):
-    """Record the batch size of each call of a kernel function of ``tensor``.
+    """Record each call of a function of ``etensor.kernel``.
 
-    Only sizes are kept, so the record holds no arrays alive.
+    Only the length of its first argument is kept (the batch size for
+    ``_evaluate_pass``), so the record holds no arrays alive.
     """
     calls = []
-    original = getattr(tensor_module, name)
+    original = getattr(kernel_module, name)
 
-    def counted(sectors, *args):
-        calls.append(len(sectors))
-        return original(sectors, *args)
+    def counted(first, *args):
+        calls.append(len(first))
+        return original(first, *args)
 
-    monkeypatch.setattr(tensor_module, name, counted)
+    monkeypatch.setattr(kernel_module, name, counted)
     return calls
 
 
@@ -514,8 +534,8 @@ class TestBatchedKernel:
     def test_chunking_does_not_change_values(self, monkeypatch):
         dims = (3, 3, 3, 2)
         state = random_state(PartyStructure(dims), np.random.default_rng(5))
-        passes = _count_calls(monkeypatch, "_evaluate_batch")
-        windows = _count_calls(monkeypatch, "_pair_sums")
+        passes = _count_calls(monkeypatch, "_evaluate_pass")
+        windows = _count_calls(monkeypatch, "_window_sums")
         whole = full_tensor(state).components
         single = component_evaluator(state.structure, SubsetSelector((0, 1, 2)))
         whole_single = single(state.tensor)
@@ -523,12 +543,11 @@ class TestBatchedKernel:
         # 27 pair choices are split into windows, and no two subsets of the
         # (3, 3) pair group share a pass
         budget = 4000
-        assert budget < tensor_module._pass_bytes((3, 3, 3, 2), 27)
-        assert budget < 2 * tensor_module._pass_bytes((3, 3, 6), 9)
+        regions = kernel_module._regions
+        assert budget < kernel_module._pass_bytes(*regions(1, 8, 27, 27, 27, 2))
+        assert budget < 2 * kernel_module._pass_bytes(*regions(1, 4, 9, 9, 9, 6))
         monkeypatch.setattr(tensor_module, "GATHER_BUDGET_BYTES", budget)
-        assert len(tensor_module._pair_windows(
-            tensor_module._pair_index((3, 3, 3)), (3, 3, 3, 2), 1, budget
-        )[1]) > 1
+        assert kernel_module._layout((3, 3, 3), 2, budget).window < 27
         passes.clear()
         windows.clear()
         split = full_tensor(state).components
@@ -543,7 +562,7 @@ class TestBatchedKernel:
 
     def test_peak_memory_grows_by_at_most_the_budget(self, monkeypatch):
         state = random_state(PartyStructure((2,) * 10), np.random.default_rng(8))
-        passes = _count_calls(monkeypatch, "_evaluate_batch")
+        passes = _count_calls(monkeypatch, "_evaluate_pass")
         peaks, counts = {}, {}
         # a budget of one byte makes every pass a single subset and window;
         # its peak is the report itself plus one small pass.  The first call
@@ -575,6 +594,298 @@ class TestBatchedKernel:
         assert [s.parties for s in expected[:6]] == [
             (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)
         ]
+
+
+def _reference_batch(sectors: np.ndarray, constant: float) -> np.ndarray:
+    """Reference: the batched kernel before kernel-order gathers.
+
+    ``_evaluate_batch`` and ``_pair_sums`` as ``full_tensor`` ran them,
+    with all pair choices in one window.  ``sectors`` is a C-contiguous
+    ``(B, *selected_dims, S)`` stack: per entry, the amplitudes with the
+    selected parties in nesting order and the others flattened into S
+    sectors.
+    """
+    pairs = tuple(
+        None if d == 2 else np.array(list(itertools.combinations(range(d), 2)))
+        for d in sectors.shape[1:-1]
+    )
+    batch, num_sectors = sectors.shape[0], sectors.shape[-1]
+    flat = sectors.reshape(batch, -1, num_sectors)
+    squares = flat.conj()
+    squares *= flat
+    prob = np.add.reduce(squares.real, axis=1)
+    del squares
+    weight = 1.0 / np.maximum(prob, sys.float_info.min)
+    sums = np.empty((batch,) + tuple(len(p) for p in pairs if p is not None))
+    sums[...] = _reference_pair_sums(sectors, pairs, weight)
+    return np.sqrt(constant * np.add.reduce(sums.reshape(batch, -1), axis=1))
+
+
+def _reference_pair_sums(sectors, pairs, weight):
+    depth = len(pairs)
+    block = sectors
+    # gather the last axis first, so the earlier axis numbers stay valid;
+    # each gathered axis d becomes (pair choice, k/l)
+    for axis in reversed(range(depth)):
+        if pairs[axis] is not None:
+            block = np.take(block, pairs[axis], axis=axis + 1)
+    if block is not sectors:
+        choice_axes, lattice_axes, pos = [], [], 1
+        for p in pairs:
+            if p is not None:
+                choice_axes.append(pos)
+                pos += 1
+            lattice_axes.append(pos)
+            pos += 1
+        block = block.transpose([0, *choice_axes, *lattice_axes, pos])
+    # leading (subset, pair choice...) axes, then the 2^depth swap lattice
+    # and the sectors; the anchor is consumed by its k and l sides, and the
+    # non-anchor parties of the l side are flipped to their swapped values
+    head = (slice(None),) * (block.ndim - depth - 1)
+    flip = (slice(None, None, -1),) * (depth - 1)
+    products = block[head + (0,)] * block[head + (1,) + flip]
+    del block
+    reduced = np.abs(products[..., 0, :] - products[..., 1, :]) ** 2
+    for _ in range(depth - 2):
+        reduced = np.abs(reduced[..., 0, :] - reduced[..., 1, :])
+    weight = weight.reshape((len(weight),) + (1,) * (len(head) - 1) + (-1,))
+    return np.add.reduce(reduced * weight, axis=-1)
+
+
+def _reference_stack(stack, dims, order):
+    """``(B, *selected_dims, S)``, C-contiguous, off a ``(B, *dims)`` stack."""
+    others = tuple(p for p in range(len(dims)) if p not in order)
+    shape = tuple(dims[p] for p in order) + (-1,)
+    moved = stack.transpose((0,) + tuple(1 + p for p in order + others))
+    return np.ascontiguousarray(moved.reshape((len(stack),) + shape))
+
+
+def _reference_value(state, order, constant=4.0):
+    sectors = _reference_stack(state.tensor[None], state.structure.dims, order)
+    return float(_reference_batch(sectors, constant)[0])
+
+
+# a party never takes some value, so some sectors have probability zero
+ZERO_SECTOR_KETS = [
+    ("(|0,1,0> + |1,0,1> + |2,2,0>)/sqrt(3)", (3, 3, 3)),
+    ("(|0,0,0> + |1,1,0>)/sqrt(2)", (2, 2, 2)),
+]
+KERNEL_DIMS = [(2,) * m for m in range(3, 11)] + [
+    (3, 3, 2), (4, 4, 3), (3, 2, 4, 2), (3,) * 6, (5, 2, 2, 2),
+]
+
+
+def _kernel_states():
+    rng = np.random.default_rng(2020)
+    for dims in KERNEL_DIMS:
+        yield random_state(PartyStructure(dims), rng)
+    for text, dims in ZERO_SECTOR_KETS:
+        yield parse_ket(text, PartyStructure(dims))
+
+
+class TestKernelOrder:
+    """The kernel-order kernel equals the reference bit for bit."""
+
+    @pytest.mark.parametrize("budget", [None, 4000])
+    def test_full_tensor_equals_reference(self, monkeypatch, budget):
+        # 4000 bytes puts one subset in a pass and splits the larger
+        # subsets of the qudit dims into windows of pair choices
+        if budget is not None:
+            monkeypatch.setattr(tensor_module, "GATHER_BUDGET_BYTES", budget)
+        windows = _count_calls(monkeypatch, "_window_sums")
+        passes = _count_calls(monkeypatch, "_evaluate_pass")
+        for state in _kernel_states():
+            if budget is not None and state.structure.num_parties > 8:
+                continue
+            for subset, value in full_tensor(state).components.items():
+                assert value == _reference_value(state, subset.parties)
+        if budget is not None:
+            assert len(windows) > len(passes)
+
+    @pytest.mark.parametrize("budget", [None, 4000])
+    def test_evaluators_equal_reference(self, monkeypatch, budget):
+        if budget is not None:
+            monkeypatch.setattr(tensor_module, "GATHER_BUDGET_BYTES", budget)
+        for state in _kernel_states():
+            structure = state.structure
+            subsets = [s for size in range(2, structure.num_parties + 1)
+                       for s in subsets_of_size(structure, size)][::7]
+            for subset in subsets:
+                got = component_evaluator(structure, subset)(state.tensor)
+                assert got == _reference_value(state, subset.parties)
+            for order in itertools.permutations(range(3)):
+                order += tuple(range(3, min(structure.num_parties, 5)))
+                assert component_with_nesting_order(state, order) == (
+                    _reference_value(state, order))
+
+    def test_evaluator_equals_full_tensor(self):
+        # the evaluator gathers as full_tensor does, whatever the subset
+        for state in list(_kernel_states())[:6]:
+            for subset, value in full_tensor(state).components.items():
+                assert component_evaluator(state.structure, subset)(
+                    state.tensor) == value
+
+    @pytest.mark.parametrize("dims, parties_list, combine", [
+        ((2, 2, 2, 2), [(0, 1), (1, 2, 3)], "min"),
+        ((3, 3, 2), [(0, 2), (0, 1, 2)], "mean"),
+        ((3, 2, 4, 2), [(1, 3), (0, 1, 2)], "min"),
+        ((5, 2, 2, 2), [(0, 1, 2, 3)], "min"),
+    ])
+    @pytest.mark.parametrize("budget", [None, 4000])
+    def test_probe_scores_equal_reference(self, monkeypatch, dims, parties_list,
+                                          combine, budget):
+        if budget is not None:
+            monkeypatch.setattr(tensor_module, "GATHER_BUDGET_BYTES", budget)
+        rng = np.random.default_rng(sum(dims))
+        structure = PartyStructure(dims)
+        objective = _Objective(structure, [SubsetSelector(p) for p in parties_list],
+                               NormalizationScheme(), combine)
+        stack = np.stack([random_state(structure, rng).tensor for _ in range(5)])
+        stack[1, 0] = 0.0  # sectors of probability zero
+        values = [0.25] * len(parties_list)
+        for party in range(len(dims)):
+            scores = np.array([
+                [values[row] if len(p) == 2 and party in p else
+                 float(_reference_batch(_reference_stack(stack[i:i + 1], dims, p),
+                                        4.0)[0])
+                 for i in range(len(stack))]
+                for row, p in enumerate(parties_list)
+            ])
+            want = (scores.min(axis=0) if combine == "min"
+                    else scores.sum(axis=0) / len(parties_list))
+            # as the gradient does, at most objective.chunk probes per call
+            got = np.concatenate([
+                objective._score(stack[i:i + objective.chunk], party, values)
+                for i in range(0, len(stack), objective.chunk)
+            ])
+            assert got.tolist() == want.tolist()
+
+
+
+class TestWorkspace:
+    """One workspace per thread, reused between calls, within the budget."""
+
+    def states(self):
+        get = golden.fixtures()
+        yield from (get(name) for name in golden.FIXTURES)
+        for text, dims in ZERO_SECTOR_KETS:
+            yield parse_ket(text, PartyStructure(dims))
+
+    def test_no_floating_point_warnings(self):
+        with np.errstate(all="raise"):
+            for state in self.states():
+                report = full_tensor(state)
+                for subset in report.components:
+                    component_evaluator(state.structure, subset)(state.tensor)
+                component_with_nesting_order(
+                    state, tuple(reversed(range(state.structure.num_parties))))
+
+    def test_reports_do_not_alias_the_workspace(self):
+        rng = np.random.default_rng(31)
+        first_state, second_state = (
+            random_state(PartyStructure((2, 3, 2, 2)), rng) for _ in range(2))
+        first = full_tensor(first_state).components
+        kept = dict(first)
+        full_tensor(second_state)
+        assert first == kept
+        selected, index, offsets, layout = kernel_module._probe_term(
+            (2, 2), (0, 1), 1, tensor_module.GATHER_BUDGET_BYTES)
+        amplitudes = ghz_state(2).amplitudes
+        values = kernel_module._evaluate_pass(
+            selected, index, offsets, amplitudes,
+            kernel_module._squares(amplitudes), layout, 4.0)
+        assert not np.shares_memory(values, kernel_module._thread.workspace[0])
+
+    def test_threads_give_single_thread_values(self):
+        rng = np.random.default_rng(32)
+        states = [random_state(PartyStructure(dims), rng)
+                  for dims in [(2,) * 8, (3, 3, 2, 2), (4, 2, 3), (2,) * 6]]
+        want = [full_tensor(state).components for state in states]
+        results, errors = {}, []
+
+        def work(worker):
+            try:
+                for _ in range(3):
+                    for k, state in enumerate(states):
+                        results[worker, k] = full_tensor(state).components
+            except Exception as exc:  # reported below
+                errors.append(exc)
+
+        # more threads than cores, switching often, so passes interleave
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(w,)) for w in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(results) == 4 * len(states)
+        for (worker, k), got in results.items():
+            assert got == want[k]
+
+    def test_workspace_and_its_views_are_kept_between_calls(self):
+        state = random_state(PartyStructure((2, 3, 2, 2)), np.random.default_rng(34))
+        first = full_tensor(state).components
+        buffer, carved = kernel_module._thread.workspace
+        views = dict(carved)
+        assert views
+        assert full_tensor(state).components == first
+        assert kernel_module._thread.workspace[0] is buffer
+        assert all(carved[key] is kept for key, kept in views.items())
+
+    def test_kept_workspace_stays_within_the_budget(self, monkeypatch):
+        budget = 4000
+        monkeypatch.setattr(tensor_module, "GATHER_BUDGET_BYTES", budget)
+        state = random_state(PartyStructure((2,) * 8), np.random.default_rng(33))
+        passes = _count_calls(monkeypatch, "_evaluate_pass")
+        full_tensor(state)
+        # the full 8-qubit subset alone needs more than the budget
+        assert kernel_module._pass_bytes(*kernel_module._regions(
+            1, 256, 1, 1, 256, 1)) > budget
+        assert passes[-1] == 1
+        assert len(kernel_module._thread.workspace[0]) <= budget
+
+
+@st.composite
+def _pair_bound_states(draw):
+    dims = tuple(draw(st.lists(st.integers(2, 4), min_size=3, max_size=5)))
+    rng = np.random.default_rng(draw(seed_strategy))
+    psi = random_state(PartyStructure(dims), rng).amplitudes
+    if draw(st.booleans()):
+        kept = rng.choice(len(psi), size=min(len(psi), draw(st.integers(1, 6))),
+                          replace=False)
+        sparse = np.zeros_like(psi)
+        sparse[kept] = psi[kept]
+        psi = sparse / np.linalg.norm(sparse)
+    return StateVector(PartyStructure(dims), psi)
+
+
+class TestPairBound:
+    """A pair component never exceeds either party's concurrence with the rest.
+
+    1 - Tr rho^2 is concave and rho_i = sum_s p_s rho_{i,s}, so the sector
+    average in the pair component is at most the party's own mixedness.
+    The purity oracle is exact only in its square, so squares are compared.
+    This checks the kernel without the kernel.
+    """
+
+    @given(_pair_bound_states())
+    @settings(max_examples=60, deadline=None)
+    def test_pairs_below_purity_concurrence(self, state):
+        num = state.structure.num_parties
+        bounds = [
+            concurrence_purity(state, PartyGrouping(
+                ((party,), tuple(p for p in range(num) if p != party)))) ** 2
+            for party in range(num)
+        ]
+        for subset, value in full_tensor(state, sizes=[2]).components.items():
+            for party in subset.parties:
+                assert value**2 <= bounds[party] + 1e-12
 
 
 def _assert_matches_reference(state, components):
