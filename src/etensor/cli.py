@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import json
 import os
 import re
 import sys
@@ -29,6 +28,7 @@ from .ketparse import (
     KetSyntaxError,
     load_ket_json,
     parse_ket,
+    read_json,
     state_document,
     state_to_dict,  # noqa: F401 - a name perfbench's traced runs wrap
     write_json,
@@ -122,18 +122,19 @@ def _load_state(args: argparse.Namespace) -> StateVector:
 
 
 def _load_unitary_matrix(path: str) -> np.ndarray:
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise KetFormatError(f"invalid unitary JSON: {exc}") from exc
+    data = read_json(path)
     try:
         re_part = np.asarray(data["re"], dtype=float)
         im_part = np.asarray(data.get("im", np.zeros_like(re_part)), dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise KetFormatError(
             "unitary file must hold {'re': [[...]], 'im': [[...]]}"
         ) from exc
+    if im_part.shape != re_part.shape:
+        raise KetFormatError(
+            f"unitary file holds 're' of shape {re_part.shape} and 'im' of "
+            f"shape {im_part.shape}"
+        )
     return re_part + 1j * im_part
 
 

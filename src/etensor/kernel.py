@@ -22,14 +22,16 @@ selected positions, and S sectors of the other parties per entry.
   reductions of a pass are written with ``out=`` into one workspace per
   thread, which the thread keeps between calls.  It holds the budget the
   layout was made for; a pass over it gets a buffer of its own, dropped
-  with the pass.  Results are new arrays.  An evaluator or a probe stack
-  keeps the row-major index of its one subset, which never changes.
+  with the pass.  Results are new arrays.  An evaluator keeps the
+  row-major index of its one subset over up to one pass of probe tensors,
+  which never changes.
 
 The bits do not change: every product, difference, absolute value and
 square takes the same operands in the same order as the stacked kernel
 did (element-wise operations do not depend on the layout), and every sum
 runs over the same numbers in the same order along an axis with the same
-memory layout as before.
+memory layout as before.  Each entry of a batch is reduced on its own, so
+how subsets or probes are cut into passes does not change their values.
 """
 
 from __future__ import annotations
@@ -143,20 +145,14 @@ def _layout(selected_dims: tuple[int, ...], sectors: int, budget: int) -> _Layou
                    budget)
 
 
-def _subset_layout(
-    dims: tuple[int, ...], order: tuple[int, ...], budget: int
-) -> _Layout:
-    """:func:`_layout` of the parties ``order`` of a state of ``dims``."""
-    selected = tuple(dims[p] for p in order)
-    return _layout(selected, math.prod(dims) // math.prod(selected), budget)
-
-
 def _probe_term(
     dims: tuple[int, ...], order: tuple[int, ...], probes: int, budget: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, _Layout]:
     """Kernel inputs of one subset over a stack of up to ``probes`` tensors.
 
-    The stack is ``(P, *dims)``, read flat.  Returns ``(positions, index,
+    The stack is ``(P, *dims)``, read flat, and ``layout`` is the
+    :func:`_layout` of the parties ``order``; the inputs cover at most
+    ``layout.batch`` tensors, one pass.  Returns ``(positions, index,
     offsets, layout)`` for :func:`_evaluate_pass`.  Per probe, ``index`` is
     the row-major index of its amplitudes with the parties of ``order``
     first (in nesting order) and the others after them in ascending
@@ -165,9 +161,10 @@ def _probe_term(
     selected positions.  They never change, so they are built once.
     """
     others = tuple(p for p in range(len(dims)) if p not in order)
-    total = math.prod(dims)
-    layout = _subset_layout(dims, order, budget)
-    index = np.arange(probes * total).reshape((probes,) + dims).transpose(
+    selected = tuple(dims[p] for p in order)
+    layout = _layout(selected, math.prod(dims) // math.prod(selected), budget)
+    probes = min(probes, layout.batch)
+    index = np.arange(probes * math.prod(dims)).reshape((probes,) + dims).transpose(
         (0, *(1 + p for p in order + others))).reshape(probes, layout.positions, -1)
     positions = index[:, :, 0] - index[:, :1, 0]
     index.flags.writeable = positions.flags.writeable = False

@@ -550,11 +550,19 @@ def save_ket_json(state: StateVector, path: str) -> None:
         write_json(state_document(state), fh)
 
 
-def load_ket_json(path: str, normalize: bool = False) -> StateVector:
+def read_json(path: str) -> Any:
+    """The JSON document in the file at ``path``.
+
+    Raises :class:`KetFormatError` for any ``ValueError`` of the decoder:
+    invalid JSON, invalid UTF-8, and the digit limit of ``int()`` on a
+    long integer.
+    """
     with open(path) as fh:
         try:
-            data = json.load(fh)
-        # JSONDecodeError, and the digit limit of int() on a long integer
+            return json.load(fh)
         except ValueError as exc:
             raise KetFormatError(f"invalid JSON: {exc}") from exc
-    return state_from_dict(data, normalize=normalize)
+
+
+def load_ket_json(path: str, normalize: bool = False) -> StateVector:
+    return state_from_dict(read_json(path), normalize=normalize)

@@ -17,10 +17,10 @@ Each gradient is built party by party.  The 2 * dim^2 probes of one party
 differ from the current point only in that party's unitary, so they are
 made as one stack of unitaries, applied with one matmul to the state with
 every other unitary in place, and each subset scores the whole
-``(P, *dims)`` stack with one call of the batched component kernel.  A
-stack is split into chunks so that one pass stays within
-``etensor.tensor.GATHER_BUDGET_BYTES``.  Line-search points are evaluated
-one at a time through :func:`etensor.tensor.component_evaluator`.
+``(P, *dims)`` stack with one call of its evaluator from
+:func:`etensor.tensor.component_evaluator`, which cuts the stack into
+passes of the batched kernel.  Line-search points go through the same
+evaluators one tensor at a time.
 
 Directions that cannot change the value are not probed.  A pair component
 is sqrt(2 sum_s p_s (1 - Tr rho_s^2)) over the sectors s of the other
@@ -49,7 +49,6 @@ from typing import Sequence
 
 import numpy as np
 
-from . import kernel, tensor
 from .localops import LocalUnitary, apply_local
 from .states import PartyStructure, StateVector
 from .tensor import (
@@ -172,12 +171,11 @@ def _unitary_exp(antiherm: np.ndarray) -> np.ndarray:
 class _Objective:
     """Components of some subsets, combined by ``min`` or ``mean``.
 
-    A single point is scored through the evaluators that
-    :func:`component_evaluator` builds; a stack of gradient probes on one
-    party through the batched kernel, which forms the stack's
-    ``conj(a) * a`` once for all subsets.  ``frozen`` lists the parties never
-    probed: those whose subsets are all pairs containing them.  ``moving``
-    lists the others with the slice of the parameter vector each one owns.
+    Each subset has one evaluator from :func:`component_evaluator`, which
+    scores both a single point and a stack of gradient probes on one party.
+    ``frozen`` lists the parties never probed: those whose subsets are all
+    pairs containing them.  ``moving`` lists the others with the slice of
+    the parameter vector each one owns.
     """
 
     def __init__(
@@ -189,23 +187,11 @@ class _Objective:
     ) -> None:
         dims = structure.dims
         self.dims = dims
+        self.subsets = tuple(subsets)
         self.evaluators = [
             component_evaluator(structure, subset, scheme) for subset in subsets
         ]
         self.combine = combine
-        budget = tensor.GATHER_BUDGET_BYTES
-        # probes per pass: the fewest that any subset's kernel fits in budget,
-        # and never more than one party's probes
-        self.chunk = min(2 * max(dims) ** 2, *(
-            kernel._subset_layout(dims, subset.parties, budget).batch
-            for subset in subsets
-        ))
-        self.terms = [
-            (subset.parties,
-             kernel._probe_term(dims, subset.parties, self.chunk, budget),
-             scheme.constant(subset.size))
-            for subset in subsets
-        ]
         self.frozen = tuple(
             j for j in range(len(dims))
             if all(s.size == 2 and j in s.parties for s in subsets)
@@ -279,11 +265,7 @@ class _Objective:
             probes = starts[j] @ _unitary_exp(
                 _antihermitian(theta[a:b] + GRADIENT_STEP * shifts, dims[j])
             )
-            chunks = np.split(probes, range(self.chunk, len(probes), self.chunk))
-            scores = np.concatenate([
-                self._score(self.apply(chunk, rest, j), j, values)
-                for chunk in chunks
-            ])
+            scores = self._score(self.apply(probes, rest, j), j, values)
             grad[a:b] = (scores[:b - a] - scores[b - a:]) / (2.0 * GRADIENT_STEP)
         return grad
 
@@ -293,22 +275,15 @@ class _Objective:
         The probes differ from the current point only on ``party``, so a
         pair containing it keeps its current value from ``values``.
         """
-        probes = len(stack)
-        amplitudes = stack.reshape(-1)
-        squares = kernel._squares(amplitudes)
-        scores = np.empty((len(self.terms), probes))
-        for row, (parties, term, constant) in enumerate(self.terms):
-            if len(parties) == 2 and party in parties:
+        scores = np.empty((len(self.subsets), len(stack)))
+        for row, (subset, evaluate) in enumerate(zip(self.subsets, self.evaluators)):
+            if subset.size == 2 and party in subset.parties:
                 scores[row] = values[row]
             else:
-                positions, index, offsets, layout = term
-                scores[row] = kernel._evaluate_pass(
-                    positions[:probes], index[:probes], offsets[:probes],
-                    amplitudes, squares, layout, constant,
-                )
+                scores[row] = evaluate(stack)
         if self.combine == "min":
             return scores.min(axis=0)
-        return scores.sum(axis=0) / len(self.terms)
+        return scores.sum(axis=0) / len(self.subsets)
 
 
 def _ascend(

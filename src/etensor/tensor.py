@@ -23,29 +23,14 @@ For three or more parties the values depend on the local basis; see
 :mod:`etensor.supremum` for the basis search.
 
 Evaluation runs in :mod:`etensor.kernel`, in numpy, with no Python loop
-over pair choices or subsets.  :func:`full_tensor` evaluates the subsets
-of one size that share their selected dims in stacked passes, and an
-evaluator from :func:`component_evaluator` runs the same kernel on one
-subset.  Layout: a pass gathers the amplitudes straight into the order the
-nested reduction consumes, ``(2^D * C, B, S)``: the anchor's k/l side,
-then one bit per other selected party (innermost party first), then the C
-pair choices, then the B subsets (or probes), then the S sectors.  The l
-side's other parties already read their swapped values and qudit pair
-choices are folded into the gather, so the products multiply the two
-halves of the leading axis, each reduction is the difference of two
-contiguous halves, and the sector sum runs on the contiguous last axis.
-The sector probabilities come from ``conj(a) * a``, formed once per call
-and gathered in row-major order ``(B, L, S)``.  Workspace: every
-temporary of a pass (both gather indexes, both gathers, the products and
-the reductions) is written into one workspace per thread, which the
-thread keeps between calls and which holds at most
-``GATHER_BUDGET_BYTES``.  :func:`full_tensor` puts as many subsets into a
-pass as fit the budget, and a subset that does not fit alone is split
-into windows of pair choices.  Bits: every product, difference, absolute
-value and square takes the same operands in the same order as the
-stacked kernel before it, and every sum adds the same numbers in the same
-order along an axis of the same memory layout, so the values are those of
-that kernel bit for bit.
+over pair choices or subsets; its module notes describe the layout of a
+pass, the workspace of ``GATHER_BUDGET_BYTES`` per thread, and why the
+values do not depend on how a batch is cut into passes.  :func:`full_tensor`
+puts as many subsets of one size that share their selected dims into a
+pass as fit the budget.  An evaluator from :func:`component_evaluator`
+runs the same kernel on one subset, over one tensor or a stack of probe
+tensors that it cuts into passes the same way.  A subset that does not fit
+a pass alone is split into windows of pair choices.
 
 What :func:`full_tensor` does for one subset size depends only on the
 dims, so it is built once as a plan and kept in an LRU cache of
@@ -143,7 +128,7 @@ def subsets_of_size(structure: PartyStructure, size: int) -> list[SubsetSelector
 
 @dataclass(frozen=True)
 class NormalizationScheme:
-    """Per-subset-size positive constants; sizes not listed default to 4.
+    """Per-subset-size finite positive constants; sizes not listed default to 4.
 
     The default pins the two-party value of a maximally entangled qubit
     pair, and of the D-qubit generalization, to 1.
@@ -153,8 +138,9 @@ class NormalizationScheme:
 
     def __post_init__(self) -> None:
         clean = {int(d): float(v) for d, v in self.constants.items()}
-        if any(v <= 0.0 for v in clean.values()):
-            raise ValueError("normalization constants must be strictly positive")
+        if not all(math.isfinite(v) and v > 0.0 for v in clean.values()):
+            raise ValueError(
+                "normalization constants must be finite and strictly positive")
         object.__setattr__(self, "constants", clean)
 
     def constant(self, size: int) -> float:
@@ -200,17 +186,22 @@ def component_evaluator(
     structure: PartyStructure,
     subset: SubsetSelector,
     scheme: NormalizationScheme = DEFAULT_SCHEME,
-) -> Callable[[np.ndarray], float]:
+) -> Callable[[np.ndarray], float | np.ndarray]:
     """Precompiled component evaluator for repeated calls on one subset.
 
-    The returned callable maps an amplitude tensor shaped like
-    ``structure.dims`` to the component value.  The kernel's layout and,
-    on the first call, the gather index of the subset's amplitudes (its
-    parties first, then the others) are set up once, which matters inside
-    optimization loops.  Each call is one pass of the batched kernel on a
-    batch of one, the kernel that :func:`full_tensor` runs, so the two
-    agree bit for bit.  A subset too large for ``GATHER_BUDGET_BYTES`` is
-    evaluated over several windows of pair choices in that call.
+    The returned callable maps an amplitude tensor with ``total_dim``
+    amplitudes (shaped like ``structure.dims``, or flat) to the component
+    value as a float, and a ``(P, *structure.dims)`` stack of tensors to
+    an array of their P values.  It runs the batched kernel that
+    :func:`full_tensor` runs, with the tensors of a stack in place of
+    subsets, so the two agree bit for bit, and each tensor of a stack gets
+    the value it gets on its own.  A stack is cut into passes of as many
+    tensors as fit ``GATHER_BUDGET_BYTES``, read when the evaluator is
+    compiled; a subset too large for one pass is evaluated over several
+    windows of pair choices.  Compiling builds no index.  The gather index
+    of the subset's amplitudes (its parties first, then the others) is
+    built on first use, for the largest stack seen and at most one pass,
+    and kept, which matters inside optimization loops.
     """
     subset.validate_for(structure)
     return _make_evaluator(structure.dims, subset.parties,
@@ -249,7 +240,7 @@ def _make_evaluator(
     dims: tuple[int, ...],
     order: tuple[int, ...],
     constant: float,
-) -> Callable[[np.ndarray], float]:
+) -> Callable[[np.ndarray], float | np.ndarray]:
     _check_work(
         math.prod(math.comb(dims[p], 2) for p in order) * 2 ** len(order)
         * math.prod(dims) // math.prod(dims[p] for p in order),
@@ -258,16 +249,25 @@ def _make_evaluator(
     budget = GATHER_BUDGET_BYTES
     term = None
 
-    def evaluate(tensor: np.ndarray) -> float:
+    def evaluate(tensor: np.ndarray) -> float | np.ndarray:
         nonlocal term
-        if term is None:  # built on first use, so compiling stays cheap
-            term = kernel._probe_term(dims, order, 1, budget)
+        stack = np.ascontiguousarray(tensor, dtype=np.complex128)
+        single = stack.shape[1:] != dims
+        stack = stack.reshape(1 if single else len(stack), -1)
+        # built on first use, so compiling stays cheap, and again for a
+        # larger stack, up to one pass
+        if term is None or len(term[1]) < min(len(stack), term[3].batch):
+            term = kernel._probe_term(dims, order, len(stack), budget)
         positions, index, offsets, layout = term
-        amplitudes = np.ascontiguousarray(tensor, dtype=np.complex128).reshape(-1)
-        return float(kernel._evaluate_pass(
-            positions, index, offsets, amplitudes, kernel._squares(amplitudes),
-            layout, constant,
-        )[0])
+        values = []
+        for start in range(0, len(stack), layout.batch):
+            part = stack[start:start + layout.batch]
+            probes, part = len(part), part.reshape(-1)
+            values.append(kernel._evaluate_pass(
+                positions[:probes], index[:probes], offsets[:probes], part,
+                kernel._squares(part), layout, constant,
+            ))
+        return float(values[0][0]) if single else np.concatenate(values)
 
     return evaluate
 

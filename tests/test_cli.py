@@ -81,6 +81,17 @@ class TestCompute:
         assert doc["components"][0]["value"] == pytest.approx(2.0, abs=1e-12)
         assert doc["norm_constants"]["3"] == 16.0
 
+    @pytest.mark.parametrize("command", [
+        ["compute", "--norm-const", "2=1e999"],
+        ["optimize", "--subset", "1,2,3", "--restarts", "1",
+         "--norm-const", "3=1e999"],
+    ])
+    def test_infinite_norm_const_refused(self, capsys, command):
+        code, out, err = run_cli(capsys, *command, "--expr", GHZ_EXPR)
+        assert (code, out) == (1, "")
+        assert err == ("error: normalization constants must be finite and "
+                       "strictly positive\n")
+
     def test_table_matches_json(self, capsys):
         doc = run_json(capsys, "compute", "--expr", W3_EXPR)
         code, table, _ = run_cli(capsys, "compute", "--expr", W3_EXPR, "--table")
@@ -241,6 +252,18 @@ def _ket_sums(draw):
 
 fuzz_texts = st.lists(_fuzz_atoms, max_size=8).map("".join) | _ket_sums()
 
+# --norm-const D=VALUE texts: sizes in and out of range, values past the
+# float range either way, zero, negatives and stray characters
+_norm_const_texts = st.builds(
+    "{}={}".format,
+    st.integers(0, 4),
+    st.one_of(
+        st.sampled_from(["1e999", "-1e999", "0", "-1", "1e-400", "4", "1e308",
+                         "5e-324", ".", "e", "1e", "--1", "nan", "inf", ""]),
+        st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    ),
+)
+
 
 class TestFuzzedBoundary:
     """Any expression ends in exit 0, 1 or 2, never a traceback or NaN."""
@@ -264,6 +287,11 @@ class TestFuzzedBoundary:
     def test_compute(self, text, normalize):
         self.check(["compute", "--expr", text, "--all"]
                    + ["--normalize"] * normalize)
+
+    @given(_norm_const_texts)
+    @settings(max_examples=60, deadline=None)
+    def test_norm_const(self, entry):
+        self.check(["compute", "--expr", GHZ_EXPR, "--all", "--norm-const", entry])
 
     @given(fuzz_texts, st.booleans())
     @settings(max_examples=60, deadline=None)
@@ -451,6 +479,25 @@ class TestApply:
         assert code == 1
         assert "NaN" not in out
         assert err.startswith("error: unitary matrix must be finite")
+
+    @pytest.mark.parametrize("document, message", [
+        ('{"re": [[' + "1" * 5000 + ', 0], [0, 1]]}',
+         "parse error: invalid JSON: Exceeds the limit (4300"),
+        ('{"re": [[' + "1" * 400 + ', 0], [0, 1]]}',
+         "parse error: unitary file must hold"),
+        ('{"re": [[1, 0], [0, 1]], "im": [[0, 0]]}',
+         "parse error: unitary file holds 're' of shape (2, 2) and 'im' of "
+         "shape (1, 2)"),
+    ], ids=["long-integer", "past-float-range", "im-shape"])
+    def test_bad_unitary_file_is_a_parse_error(self, capsys, tmp_path,
+                                               document, message):
+        path = tmp_path / "u.json"
+        path.write_text(document)
+        code, out, err = run_cli(capsys, "apply", "--expr", "|0,0>",
+                                 "--party", "1", "--gate", f"U({path})")
+        assert (code, out) == (2, "")
+        assert err.startswith(message)
+        assert err.count("\n") == 1
 
     def test_bad_gate(self, capsys):
         code, _, err = run_cli(capsys, "apply", "--expr", EPR_EXPR,

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from etensor import kernel as kernel_module
 from etensor import tensor as tensor_module
 from etensor.localops import LocalUnitary, apply_local
 from etensor.states import (
@@ -321,11 +322,27 @@ class TestBatchedGradient:
 
     def test_chunked_probe_stack_is_exact(self, monkeypatch):
         dims, parties_list = (3, 2, 3), [(0, 1), (0, 1, 2)]
+        passes = []
+        evaluate_pass = kernel_module._evaluate_pass
+
+        def counted(positions, *args):
+            passes.append(len(positions))
+            return evaluate_pass(positions, *args)
+
+        monkeypatch.setattr(kernel_module, "_evaluate_pass", counted)
         _, whole, _ = _gradient_case(dims, parties_list, "min", seed=5)
+        whole_passes = list(passes)
         monkeypatch.setattr(tensor_module, "GATHER_BUDGET_BYTES", 4000)
-        objective, chunked, _ = _gradient_case(dims, parties_list, "min", seed=5)
-        # 18 probes per qutrit, a few per pass
-        assert 1 <= objective.chunk < 18
+        passes.clear()
+        _, chunked, _ = _gradient_case(dims, parties_list, "min", seed=5)
+        # after one point of both subsets, the gradient scores the triple's
+        # stacks of 18, 8 and 18 probes (the pair is reused on its parties),
+        # one pass each in the default budget; the loop reference follows.
+        # In 4,000 bytes the same probes take more, smaller passes.
+        assert whole_passes[:5] == [1, 1, 18, 8, 18]
+        assert sum(passes) == sum(whole_passes)
+        assert len(passes) > len(whole_passes)
+        assert max(passes) < 8
         assert np.array_equal(chunked, whole)
 
 

@@ -101,6 +101,11 @@ class TestNormalizationScheme:
         with pytest.raises(ValueError):
             NormalizationScheme({2: 0.0})
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_finite_required(self, value):
+        with pytest.raises(ValueError, match="finite and strictly positive"):
+            NormalizationScheme({2: value})
+
 
 class TestPermutationDifference:
     def test_epr(self):
@@ -743,6 +748,8 @@ class TestKernelOrder:
         stack = np.stack([random_state(structure, rng).tensor for _ in range(5)])
         stack[1, 0] = 0.0  # sectors of probability zero
         values = [0.25] * len(parties_list)
+        passes = _count_calls(monkeypatch, "_evaluate_pass")
+        scored = 0
         for party in range(len(dims)):
             scores = np.array([
                 [values[row] if len(p) == 2 and party in p else
@@ -753,13 +760,106 @@ class TestKernelOrder:
             ])
             want = (scores.min(axis=0) if combine == "min"
                     else scores.sum(axis=0) / len(parties_list))
-            # as the gradient does, at most objective.chunk probes per call
-            got = np.concatenate([
-                objective._score(stack[i:i + objective.chunk], party, values)
-                for i in range(0, len(stack), objective.chunk)
-            ])
+            got = objective._score(stack, party, values)
+            scored += sum(not (len(p) == 2 and party in p) for p in parties_list)
             assert got.tolist() == want.tolist()
+        # each scored stack of 5 probes is one pass in the default budget;
+        # in 4,000 bytes, where one pass of the qudit subsets holds fewer
+        # than 5 probes, the evaluators cut their stacks into several passes
+        assert sum(passes) == 5 * scored
+        if budget is None or dims == (2, 2, 2, 2):
+            assert passes == [5] * scored
+        else:
+            assert len(passes) > scored
 
+
+
+def _stack_states():
+    """Qubit, qutrit and mixed dims, and a state with empty sectors."""
+    rng = np.random.default_rng(41)
+    for dims in [(2, 2, 2, 2), (3, 3, 3), (3, 2, 4, 2)]:
+        yield random_state(PartyStructure(dims), rng)
+    text, dims = ZERO_SECTOR_KETS[0]
+    yield parse_ket(text, PartyStructure(dims))
+
+
+def _probe_stack(state, probes, rng):
+    """``(probes, *dims)``: phases of ``state`` on even rows, Haar states on odd."""
+    return np.stack([
+        state.tensor * np.exp(1j * k) if k % 2 == 0
+        else random_state(state.structure, rng).tensor
+        for k in range(probes)
+    ])
+
+
+class TestStackEvaluator:
+    """An evaluator scores one tensor, or each tensor of a ``(P, *dims)`` stack."""
+
+    @staticmethod
+    def subsets(structure):
+        return [s for size in range(2, structure.num_parties + 1)
+                for s in subsets_of_size(structure, size)]
+
+    @pytest.mark.parametrize("probes", [1, 7])
+    def test_stack_equals_single_calls(self, probes):
+        rng = np.random.default_rng(probes)
+        for state in _stack_states():
+            structure = state.structure
+            stack = _probe_stack(state, probes, rng)
+            for subset in self.subsets(structure):
+                evaluate = component_evaluator(structure, subset)
+                got = evaluate(stack)
+                assert isinstance(got, np.ndarray) and got.shape == (probes,)
+                single = component_evaluator(structure, subset)
+                assert got.tolist() == [single(tensor) for tensor in stack]
+                # the same evaluator still maps one tensor to a float
+                for tensor in (stack[-1], stack[-1].reshape(-1)):
+                    value = evaluate(tensor)
+                    assert type(value) is float and value == got[-1]
+
+    def test_stack_over_one_pass_is_cut(self, monkeypatch):
+        budget = 4000
+        monkeypatch.setattr(tensor_module, "GATHER_BUDGET_BYTES", budget)
+        passes = _count_calls(monkeypatch, "_evaluate_pass")
+        rng = np.random.default_rng(43)
+        for state in _stack_states():
+            structure = state.structure
+            for subset in self.subsets(structure):
+                batch = kernel_module._probe_term(
+                    structure.dims, subset.parties, 1, budget)[3].batch
+                stack = _probe_stack(state, batch + 1, rng)
+                evaluate = component_evaluator(structure, subset)
+                single = component_evaluator(structure, subset)
+                passes.clear()
+                got = evaluate(stack)
+                assert passes == [batch, 1]
+                assert got.tolist() == [single(tensor) for tensor in stack]
+
+    def test_index_is_built_on_use_and_grows_to_one_pass(self, monkeypatch):
+        sizes = []
+        probe_term = kernel_module._probe_term
+
+        def counted(*args):
+            term = probe_term(*args)
+            sizes.append(len(term[1]))
+            return term
+
+        monkeypatch.setattr(kernel_module, "_probe_term", counted)
+        state = random_state(PartyStructure((3, 2, 3)), np.random.default_rng(44))
+        stack = _probe_stack(state, 7, np.random.default_rng(45))
+        triple = SubsetSelector((0, 1, 2))
+        evaluate = component_evaluator(state.structure, triple)
+        assert sizes == []
+        for tensor in (state.tensor, stack, stack[:3], state.tensor, stack):
+            evaluate(tensor)
+        assert sizes == [1, 7]
+        # capped at one pass: a few probes in 4,000 bytes
+        monkeypatch.setattr(tensor_module, "GATHER_BUDGET_BYTES", 4000)
+        evaluate = component_evaluator(state.structure, triple)
+        evaluate(stack)
+        evaluate(stack)
+        batch = kernel_module._layout((3, 2, 3), 1, 4000).batch
+        assert sizes[2:] == [batch] and batch < 7
 
 
 class TestWorkspace:
