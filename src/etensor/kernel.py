@@ -6,32 +6,50 @@ selected dims: D selected parties in nesting order (anchor first), L
 selected positions, and S sectors of the other parties per entry.
 
 * Probabilities.  ``conj(a) * a`` is formed once per state or probe stack
-  and gathered in row-major order, ``(B, L, S)``, the layout the stacked
-  sectors always had, so each sector probability adds up the same numbers
-  in the same order.
+  and gathered through the row-major index of the pass, laid out
+  ``(L, B, S)``: selected positions, then entries, then sectors.  The sum
+  over axis 0 adds whole contiguous ``(B, S)`` rows one after another, so
+  each sector probability adds up the selected positions in row-major
+  order, as the ``(B, L, S)`` layout the stacked sectors always had did,
+  with numpy's inner loop over all of ``B * S`` instead of over S.  With
+  one sector (S = 1, a subset of every party) the squares are gathered
+  ``(B, L)`` through the transposed index instead: numpy sums each
+  contiguous ``(L,)`` row pairwise, and a sum over axis 0 would add in
+  order, which for B > 1 moves bits.
 * Layout.  The amplitudes are gathered straight into kernel order,
   ``(2^D * C, B, S)``: the anchor's k/l side, then one bit per other
   selected party (innermost party first), then the C pair choices, then
-  the entries, then the sectors.  The l side's other parties already read
+  the entries, then the sectors.  The kernel-order index of a window is
+  rows of the ``(L, B, S)`` index, taken with one ``take`` along axis 0
+  through the layout's table: row r reads the selected position that
+  entry r of the window reads.  The l side's other parties already read
   their swapped values, and each party's basis pair k < l is read through
-  the layout's table, so there is no flip and no per-axis gather.  The
-  products are the two contiguous halves of the leading axis multiplied,
-  each nested reduction is the difference of the two halves of what is
-  left, and the sector sum runs on the contiguous last axis.
-* Workspace.  Both gather indexes, both gathers, the products and the
-  reductions of a pass are written with ``out=`` into one workspace per
-  thread, which the thread keeps between calls.  It holds the budget the
-  layout was made for; a pass over it gets a buffer of its own, dropped
-  with the pass.  Results are new arrays.  An evaluator keeps the
-  row-major index of its one subset over up to one pass of probe tensors,
-  which never changes.
+  that table, so there is no flip and no per-axis gather.  The products
+  are the two contiguous halves of the leading axis multiplied, each
+  nested reduction is the difference of the two halves of what is left,
+  and the sector sum runs on the contiguous last axis.
+* Workspace.  The row-major index, both gathers, the kernel-order index,
+  the products and the reductions of a pass are written with ``out=`` into
+  one workspace per thread, which the thread keeps between calls.  The
+  windows reuse the bytes of the dead probability gather, and a pass of
+  one window also those of the row-major index once it has taken its
+  rows.  It holds the budget the layout was made for; a pass over it gets
+  a buffer of its own, dropped with the pass.  Results are new arrays.  An evaluator keeps
+  the row-major index of its one subset over up to one pass of probe
+  tensors, which never changes; a shorter stack copies the leading probes
+  of it into the workspace.
 
-The bits do not change: every product, difference, absolute value and
-square takes the same operands in the same order as the stacked kernel
-did (element-wise operations do not depend on the layout), and every sum
-runs over the same numbers in the same order along an axis with the same
-memory layout as before.  Each entry of a batch is reduced on its own, so
-how subsets or probes are cut into passes does not change their values.
+The bits do not change: every gather reads the same places as in the
+stacked kernel (entry r of a window reads selected position ``places[r]``
+plus each sector's offset), every product, difference, absolute value and
+square takes the same operands in the same order (element-wise operations
+do not depend on the layout), and every sum runs over the same numbers in
+the same order.  The sector sums run along an axis with the memory layout
+they always had.  The probabilities run along axis 0 of ``(L, B, S)``,
+which adds row after row as a sum over the middle axis of ``(B, L, S)``
+does, or along the rows of ``(B, L)`` when S = 1.  Each entry of a batch
+is reduced on its own, so how subsets or probes are cut into passes does
+not change their values.
 """
 
 from __future__ import annotations
@@ -52,7 +70,7 @@ PLAN_CACHE_SIZE = 128
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _digits(shape: tuple[int, ...]) -> np.ndarray:
     """Every position of ``shape`` in row-major order, one row per axis."""
-    table = np.indices(shape).reshape(len(shape), -1)
+    table = np.indices(shape).reshape(len(shape), math.prod(shape))
     table.flags.writeable = False
     return table
 
@@ -63,22 +81,26 @@ def _regions(
 ) -> tuple[list, list, list]:
     """``(shape, dtype)`` of every temporary of one pass, in workspace order.
 
-    Three lists: the arrays kept through the pass (sector weights, the
-    per-choice sums and, for a stack of subsets, their sector offsets and
-    the offsets of their selected positions); the probability phase
-    (row-major index and gathered squares); and one window of pair choices
-    (kernel-order offsets of the selected positions, index and gathered
-    amplitudes).  The two phases take turns in the bytes after the kept
-    arrays.  The products are written over the kernel-order index, which
-    has the same size, and the reductions over the gathered amplitudes.
+    Three lists: the arrays kept through the pass (sector weights and the
+    per-choice sums); the probability phase (the row-major gather index
+    ``(L, B, S)`` and the gathered squares); and one window of pair choices
+    (gathered amplitudes and kernel-order index).  The two phases take
+    turns in the bytes after the kept arrays.  A pass of several windows
+    keeps the gather index, so its windows start after it.  One window of
+    every pair choice takes its rows first and then gathers the amplitudes
+    over it: they are ``2^D * C >= L`` rows of complex values, at least
+    twice the index's bytes, so the kernel-order index after them never
+    overlaps it.
+    The products are written over the kernel-order index, which has the
+    same size, and the reductions over the gathered amplitudes.
     """
     rows = lattice * window
-    return ([((batch, sectors), np.float64), ((batch, choices), np.float64),
-             ((batch, sectors), np.intp), ((batch, positions), np.intp)],
-            [((batch, positions, sectors), np.intp),
-             ((batch, positions, sectors), np.float64)],
-            [((batch, rows), np.intp), ((rows, batch, sectors), np.intp),
-             ((rows, batch, sectors), np.complex128)])
+    index = ((positions, batch, sectors), np.intp)
+    return ([((batch, sectors), np.float64), ((batch, choices), np.float64)],
+            [index, ((positions, batch, sectors), np.float64)],
+            [index] * (window < choices) + [
+                ((rows, batch, sectors), np.complex128),
+                ((rows, batch, sectors), np.intp)])
 
 
 def _pass_bytes(*regions: list) -> int:
@@ -133,9 +155,10 @@ def _layout(selected_dims: tuple[int, ...], sectors: int, budget: int) -> _Layou
     whole = _regions(1, lattice, choices, choices, positions, sectors)
     batch, window = budget // _pass_bytes(*whole), choices
     if not batch:
-        kept, _, one = _regions(1, lattice, choices, 1, positions, sectors)
+        kept, (index, _), _ = _regions(1, lattice, choices, 1, positions, sectors)
+        one = _regions(1, lattice, 1, 1, positions, sectors)[2]
         batch = 1
-        window = max(1, min(choices, (budget - _pass_bytes(kept, [], []))
+        window = max(1, min(choices, (budget - _pass_bytes(kept, [index], []))
                             // _pass_bytes([], [], one)))
     windows = []
     for start in range(0, choices, window):
@@ -147,28 +170,27 @@ def _layout(selected_dims: tuple[int, ...], sectors: int, budget: int) -> _Layou
 
 def _probe_term(
     dims: tuple[int, ...], order: tuple[int, ...], probes: int, budget: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, _Layout]:
+) -> tuple[np.ndarray, _Layout]:
     """Kernel inputs of one subset over a stack of up to ``probes`` tensors.
 
     The stack is ``(P, *dims)``, read flat, and ``layout`` is the
     :func:`_layout` of the parties ``order``; the inputs cover at most
-    ``layout.batch`` tensors, one pass.  Returns ``(positions, index,
-    offsets, layout)`` for :func:`_evaluate_pass`.  Per probe, ``index`` is
-    the row-major index of its amplitudes with the parties of ``order``
-    first (in nesting order) and the others after them in ascending
-    order, ``offsets`` its first position, the offsets of the sectors, and
-    ``positions`` its first sector less that offset, the offsets of the
-    selected positions.  They never change, so they are built once.
+    ``layout.batch`` tensors, one pass.  Returns ``(index, layout)`` for
+    :func:`_evaluate_pass`: ``index`` ``(L, P, S)`` is the row-major gather
+    index of the stack, per probe its amplitudes with the parties of
+    ``order`` first (in nesting order) and the others after them in
+    ascending order.  It never changes, so it is built once; the leading
+    probes of it, ``index[:, :p]``, serve a shorter stack.
     """
     others = tuple(p for p in range(len(dims)) if p not in order)
     selected = tuple(dims[p] for p in order)
     layout = _layout(selected, math.prod(dims) // math.prod(selected), budget)
     probes = min(probes, layout.batch)
     index = np.arange(probes * math.prod(dims)).reshape((probes,) + dims).transpose(
-        (0, *(1 + p for p in order + others))).reshape(probes, layout.positions, -1)
-    positions = index[:, :, 0] - index[:, :1, 0]
-    index.flags.writeable = positions.flags.writeable = False
-    return positions, index, index[:, 0, :], layout
+        (*(1 + p for p in order), 0, *(1 + p for p in others))).reshape(
+        layout.positions, probes, -1)
+    index.flags.writeable = False
+    return index, layout
 
 
 def _squares(amplitudes: np.ndarray) -> np.ndarray:
@@ -190,16 +212,16 @@ def _carve(buffer: np.ndarray, offset: int, regions: list) -> list[np.ndarray]:
 def _window_views(buffer: np.ndarray, at: int, regions: list, window: int) -> tuple:
     """One window's temporaries at ``at`` in ``buffer``, with their halves.
 
-    Returns ``(shifts, column, index, gathered, products, halves, first,
-    levels, reduced)``: the window's regions of :func:`_regions`, ``column``
-    being ``shifts`` transposed with a trailing sector axis.  ``halves``
-    holds the lower and upper halves of ``gathered`` (the k and l sides)
-    and of ``products``.  The first reduction writes the products into
-    ``first``, ``levels`` holds the ``(lower, upper)`` halves of each later
-    one, innermost party first, and ``reduced`` ``(window, B, S)`` is what
-    they leave.
+    Returns ``(index, gathered, products, halves, first, levels,
+    reduced)``: the kernel-order index and gathered amplitudes of the
+    window's regions of :func:`_regions`, then the products over
+    ``index``.  ``halves`` holds the lower and upper halves of
+    ``gathered`` (the k and l sides) and of ``products``.  The first
+    reduction writes the products into ``first``, ``levels`` holds the
+    ``(lower, upper)`` halves of each later one, innermost party first, and
+    ``reduced`` ``(window, B, S)`` is what they leave.
     """
-    shifts, index, gathered = _carve(buffer, at, regions)
+    gathered, index = _carve(buffer, at, regions)[-2:]
     rows = len(index)
     products = np.ndarray((rows // 2,) + index.shape[1:], np.complex128, index)
     first = np.ndarray((rows // 4,) + index.shape[1:], np.float64, gathered)
@@ -209,8 +231,7 @@ def _window_views(buffer: np.ndarray, at: int, regions: list, window: int) -> tu
         levels.append((first[:size], first[size:2 * size]))
     halves = (gathered[:rows // 2], gathered[rows // 2:],
               products[:rows // 4], products[rows // 4:])
-    return (shifts, shifts.T[:, :, None], index, gathered, products, halves,
-            first, levels, first[:window])
+    return index, gathered, products, halves, first, levels, first[:window]
 
 
 _thread = threading.local()
@@ -220,7 +241,9 @@ def _pass_views(layout: _Layout, batch: int, sectors: int) -> tuple:
     """One pass's temporaries, carved from this thread's workspace.
 
     Returns ``(kept, probability, windows)``: the views of the first two
-    lists of :func:`_regions`, and per window of pair choices its
+    lists of :func:`_regions`, the gathered squares being ``(B, L)`` when
+    there is one sector (see :func:`_evaluate_pass`), and per window of
+    pair choices its
     :func:`_window_views` with the columns of the per-choice sums it
     fills, transposed.  Each thread keeps one workspace of the layout's
     budget between calls, with the views of every pass shape carved from
@@ -240,6 +263,9 @@ def _pass_views(layout: _Layout, batch: int, sectors: int) -> tuple:
         buffer = np.empty(_pass_bytes(*regions), np.uint8)
     kept = _carve(buffer, 0, regions[0])
     at = _pass_bytes(regions[0], [], [])
+    index, squares = _carve(buffer, at, regions[1])
+    if sectors == 1:
+        squares = squares.reshape(batch, layout.positions)
     windows = []
     for start in range(0, layout.choices, layout.window):
         stop = min(start + layout.window, layout.choices)
@@ -248,7 +274,7 @@ def _pass_views(layout: _Layout, batch: int, sectors: int) -> tuple:
                 buffer, at, _regions(*key[:3], stop - start, *key[4:])[2],
                 stop - start)
         windows.append((temps, kept[1][:, start:stop].T))
-    views = (kept, _carve(buffer, at, regions[1]), windows)
+    views = (kept, (index, squares), windows)
     if buffer is workspace[0]:
         if len(carved) == PLAN_CACHE_SIZE:
             carved.clear()
@@ -257,9 +283,7 @@ def _pass_views(layout: _Layout, batch: int, sectors: int) -> tuple:
 
 
 def _evaluate_pass(
-    positions: np.ndarray,
     index: np.ndarray,
-    offsets: np.ndarray,
     amplitudes: np.ndarray,
     squares: np.ndarray,
     layout: _Layout,
@@ -268,37 +292,46 @@ def _evaluate_pass(
 ) -> np.ndarray:
     """Components of a batch of subsets, or probes, that share one layout.
 
-    Per entry of the batch, ``index`` ``(B, L, S)`` holds the flat place of
-    each of its amplitudes, selected positions in row-major order and then
-    sectors.  ``offsets`` ``(B, S)`` is its first selected position, the
-    offsets of the sectors, and ``positions`` ``(B, L)`` its first sector
-    less those, the offsets of the selected positions.  ``amplitudes`` is
-    flat and ``squares`` is :func:`_squares` of it.  ``layout`` comes from
-    :func:`_layout` for a batch of at least B, and ``views`` from
-    :func:`_pass_views` when the caller carved them already.  Every window
-    of pair choices writes its sums into one ``(B, C)`` array that is
-    summed once, so the split into windows does not change the result.
+    ``index`` ``(L, B, S)`` holds the flat place of each amplitude of each
+    entry of the batch: selected positions in row-major order, then the
+    entries, then the sectors.  ``amplitudes`` is flat and ``squares`` is
+    :func:`_squares` of it.  ``layout`` comes from :func:`_layout` for a
+    batch of at least B, and ``views`` from :func:`_pass_views` when the
+    caller carved them already.  An ``index`` that is not C-contiguous (the
+    leading probes of a larger stack's index) is first copied into the
+    workspace.
+    Every window of pair choices writes its sums into one ``(B, C)`` array
+    that is summed once, so the split into windows does not change the
+    result.
     """
-    batch, sectors = offsets.shape
+    _, batch, sectors = index.shape
     if views is None:
         views = _pass_views(layout, batch, sectors)
-    (weight, sums, _, _), (_, gathered), windows = views
-    squares.take(index, out=gathered, mode="wrap")
-    # the sector probabilities add up the selected positions in row-major order
-    np.add.reduce(gathered, axis=1, out=weight)
+    (weight, sums), (kept, gathered), windows = views
+    if not index.flags.c_contiguous:
+        np.copyto(kept, index)
+        index = kept
+    if sectors == 1:
+        # one sector per entry: numpy sums each contiguous (L,) row of the
+        # (B, L) squares pairwise, and an (L, B) sum over axis 0 would add
+        # in order instead, so these keep the (B, L) order
+        squares.take(index.reshape(-1, batch).T, out=gathered, mode="wrap")
+        np.add.reduce(gathered, axis=1, out=weight, keepdims=True)
+    else:
+        squares.take(index, out=gathered, mode="wrap")
+        np.add.reduce(gathered, axis=0, out=weight)
     # a zero-probability sector has only zero amplitudes, so all of its
     # reduced values are exactly 0 and any finite weight resolves 0/0 to 0
     np.maximum(weight, sys.float_info.min, out=weight)
     np.divide(1.0, weight, out=weight)
     for places, (temps, out) in zip(layout.windows, windows):
-        _window_sums(places, positions, offsets, weight, amplitudes, temps, out)
+        _window_sums(places, index, weight, amplitudes, temps, out)
     return np.sqrt(constant * np.add.reduce(sums, axis=1))
 
 
 def _window_sums(
     places: np.ndarray,
-    positions: np.ndarray,
-    offsets: np.ndarray,
+    index: np.ndarray,
     weight: np.ndarray,
     amplitudes: np.ndarray,
     temps: tuple,
@@ -306,15 +339,15 @@ def _window_sums(
 ) -> None:
     """Weighted sector sums of one window of pair choices into ``out`` ``(w, B)``.
 
-    ``places`` is the window's table from :func:`_layout` and ``temps``
-    comes from :func:`_window_views`.
+    ``places`` is the window's table from :func:`_layout`, ``index`` the
+    pass's ``(L, B, S)`` gather index, and ``temps`` comes from
+    :func:`_window_views`.  Row r of the kernel-order index is row
+    ``places[r]`` of ``index``.
     """
-    shifts, column, index, gathered, products, halves, first, levels, reduced = (
-        temps)
+    order, gathered, products, halves, first, levels, reduced = temps
     k_side, l_side, lower, upper = halves
-    positions.take(places, axis=1, out=shifts, mode="wrap")
-    np.add(column, offsets, out=index)
-    amplitudes.take(index, out=gathered, mode="wrap")
+    index.take(places, axis=0, out=order, mode="wrap")
+    amplitudes.take(order, out=gathered, mode="wrap")
     np.multiply(k_side, l_side, out=products)
     np.subtract(lower, upper, out=lower)
     np.abs(lower, out=first)

@@ -417,7 +417,9 @@ def write_json(doc: Any, out: TextIO, round_floats: bool = False) -> None:
     dicts with str keys nest; any other value raises ``TypeError``, as
     ``json.dump`` does, except the amplitude list of a
     :func:`state_document`.  With ``round_floats``, each float is first
-    rounded to 15 significant digits, as the CLI displays them.
+    rounded to 15 significant digits, as the CLI displays them, unless the
+    rounding is not finite: a float within 15 digits of the largest double
+    is written as it is.
     """
     chunks: list[str] = []
     _encode(doc, "\n", chunks, round_floats)
@@ -438,7 +440,10 @@ def _encode(obj: Any, newline: str, chunks: list[str], round_floats: bool) -> No
         chunks.append(_int_repr(obj))
     elif isinstance(obj, float):
         if round_floats:
-            obj = float(f"{obj:.15g}")
+            rounded = float(f"{obj:.15g}")
+            # near the largest double, 15 digits round past it to inf
+            if math.isfinite(rounded):
+                obj = rounded
         text = _float_repr(obj)
         chunks.append(_NON_FINITE.get(text, text))
     elif isinstance(obj, (list, tuple)):

@@ -15,12 +15,14 @@ search is a multi-start ascent:
 
 Each gradient is built party by party.  The 2 * dim^2 probes of one party
 differ from the current point only in that party's unitary, so they are
-made as one stack of unitaries, applied with one matmul to the state with
-every other unitary in place, and each subset scores the whole
-``(P, *dims)`` stack with one call of its evaluator from
-:func:`etensor.tensor.component_evaluator`, which cuts the stack into
-passes of the batched kernel.  Line-search points go through the same
-evaluators one tensor at a time.
+made as one stack of unitaries.  They are applied to the state with every
+other unitary in place, with one matmul per pass of the batched kernel,
+and each subset scores the ``(P, *dims)`` stack of a pass with one call of
+its evaluator from :func:`etensor.tensor.component_evaluator`.  A pass
+holds as many probes as one kernel pass of every evaluator takes: the
+whole stack on small states, one probe on large ones, so a gradient never
+holds more probe tensors than one pass.  Line-search points go through the
+same evaluators one tensor at a time.
 
 Directions that cannot change the value are not probed.  A pair component
 is sqrt(2 sum_s p_s (1 - Tr rho_s^2)) over the sectors s of the other
@@ -173,9 +175,10 @@ class _Objective:
 
     Each subset has one evaluator from :func:`component_evaluator`, which
     scores both a single point and a stack of gradient probes on one party.
-    ``frozen`` lists the parties never probed: those whose subsets are all
-    pairs containing them.  ``moving`` lists the others with the slice of
-    the parameter vector each one owns.
+    ``batch`` is the number of probe tensors that one kernel pass of every
+    evaluator takes.  ``frozen`` lists the parties never probed: those
+    whose subsets are all pairs containing them.  ``moving`` lists the
+    others with the slice of the parameter vector each one owns.
     """
 
     def __init__(
@@ -191,6 +194,7 @@ class _Objective:
         self.evaluators = [
             component_evaluator(structure, subset, scheme) for subset in subsets
         ]
+        self.batch = min(evaluate.batch for evaluate in self.evaluators)
         self.combine = combine
         self.frozen = tuple(
             j for j in range(len(dims))
@@ -250,7 +254,8 @@ class _Objective:
         """Central-difference gradient over the moving parties' parameters.
 
         ``base`` is the input tensor with the frozen parties' starts applied
-        and ``values`` are the subsets' components at ``theta``.
+        and ``values`` are the subsets' components at ``theta``.  Each
+        party's probes are applied and scored ``batch`` at a time.
         """
         dims = self.dims
         mats = self.unitaries(starts, theta)
@@ -265,7 +270,11 @@ class _Objective:
             probes = starts[j] @ _unitary_exp(
                 _antihermitian(theta[a:b] + GRADIENT_STEP * shifts, dims[j])
             )
-            scores = self._score(self.apply(probes, rest, j), j, values)
+            scores = np.empty(len(probes))
+            for start in range(0, len(probes), self.batch):
+                part = slice(start, start + self.batch)
+                scores[part] = self._score(self.apply(probes[part], rest, j), j,
+                                           values)
             grad[a:b] = (scores[:b - a] - scores[b - a:]) / (2.0 * GRADIENT_STEP)
         return grad
 

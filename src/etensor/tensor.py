@@ -39,11 +39,12 @@ with the budget read at call time.  A plan holds the size's selectors in
 lexicographic order and groups them by transposed shape (selected dims,
 then the others in ascending party order).  Plans hold no amplitudes and
 no per-subset index tables: per subset one place, one selector and one
-stride per party, and per transposed shape two digit tables of about
-``M * sqrt(total_dim)`` entries and the kernel's layout, which maps each
-kernel-order entry to the selected position it reads.  The index of a
-pass is rebuilt from them on each call, so a warm call makes a few numpy
-calls per pass and no Python loop over subsets.
+stride per party, and per transposed shape two digit tables, of its
+selected positions and of its sectors (``D * L + (M - D) * S`` entries),
+and the kernel's layout, which maps each kernel-order entry to the
+selected position it reads.  The ``(L, B, S)`` index of a pass is rebuilt
+from them on each call, with two matmuls and one add, so a warm call makes
+a few numpy calls per pass and no Python loop over subsets.
 """
 
 from __future__ import annotations
@@ -192,16 +193,17 @@ def component_evaluator(
     The returned callable maps an amplitude tensor with ``total_dim``
     amplitudes (shaped like ``structure.dims``, or flat) to the component
     value as a float, and a ``(P, *structure.dims)`` stack of tensors to
-    an array of their P values.  It runs the batched kernel that
-    :func:`full_tensor` runs, with the tensors of a stack in place of
-    subsets, so the two agree bit for bit, and each tensor of a stack gets
-    the value it gets on its own.  A stack is cut into passes of as many
-    tensors as fit ``GATHER_BUDGET_BYTES``, read when the evaluator is
-    compiled; a subset too large for one pass is evaluated over several
-    windows of pair choices.  Compiling builds no index.  The gather index
-    of the subset's amplitudes (its parties first, then the others) is
-    built on first use, for the largest stack seen and at most one pass,
-    and kept, which matters inside optimization loops.
+    an array of their P values; any other number of amplitudes raises
+    ``ValueError``.  It runs the batched kernel that :func:`full_tensor`
+    runs, with the tensors of a stack in place of subsets, so the two
+    agree bit for bit, and each tensor of a stack gets the value it gets on
+    its own.  A stack is cut into passes of ``batch`` tensors, an attribute
+    of the callable: as many as fit ``GATHER_BUDGET_BYTES``, read when the
+    evaluator is compiled.  A subset too large for one pass is evaluated
+    over several windows of pair choices.  Compiling builds no index.  The
+    gather index of the subset's amplitudes (its parties first, then the
+    others) is built on first use, for the largest stack seen and at most
+    one pass, and kept, which matters inside optimization loops.
     """
     subset.validate_for(structure)
     return _make_evaluator(structure.dims, subset.parties,
@@ -247,28 +249,35 @@ def _make_evaluator(
         "subset {} of dims {}", order, dims,
     )
     budget = GATHER_BUDGET_BYTES
-    term = None
+    total = math.prod(dims)
+    selected = tuple(dims[p] for p in order)
+    layout = kernel._layout(selected, total // math.prod(selected), budget)
+    index = None
 
     def evaluate(tensor: np.ndarray) -> float | np.ndarray:
-        nonlocal term
+        nonlocal index
         stack = np.ascontiguousarray(tensor, dtype=np.complex128)
         single = stack.shape[1:] != dims
-        stack = stack.reshape(1 if single else len(stack), -1)
+        # the gathers wrap around, so a wrong size would read wrong amplitudes
+        if single and stack.size != total:
+            raise ValueError(
+                f"an input tensor of {stack.size} amplitudes, but dims {dims} "
+                f"have {total}")
+        stack = stack.reshape(1 if single else len(stack), total)
         # built on first use, so compiling stays cheap, and again for a
         # larger stack, up to one pass
-        if term is None or len(term[1]) < min(len(stack), term[3].batch):
-            term = kernel._probe_term(dims, order, len(stack), budget)
-        positions, index, offsets, layout = term
+        if index is None or index.shape[1] < min(len(stack), layout.batch):
+            index = kernel._probe_term(dims, order, len(stack), budget)[0]
         values = []
         for start in range(0, len(stack), layout.batch):
             part = stack[start:start + layout.batch]
             probes, part = len(part), part.reshape(-1)
             values.append(kernel._evaluate_pass(
-                positions[:probes], index[:probes], offsets[:probes], part,
-                kernel._squares(part), layout, constant,
+                index[:, :probes], part, kernel._squares(part), layout, constant,
             ))
         return float(values[0][0]) if single else np.concatenate(values)
 
+    evaluate.batch = layout.batch
     return evaluate
 
 
@@ -279,21 +288,21 @@ def _plan(dims: tuple[int, ...], size: int, budget: int) -> tuple:
     Returns the size's selectors in lexicographic order and a tuple of
     groups, one per transposed shape ``T``: the selected dims, then the
     other parties' dims in ascending party order.  A group is ``(places,
-    outer, inner, outer_digits, inner_digits, layout)``.  ``places`` are
-    its subsets' places in lexicographic order, and ``layout`` comes from
-    :func:`etensor.kernel._layout`.  ``T`` is cut into leading and
-    trailing axes, so the flat amplitude index of every stacked entry is
-    ``outer @ outer_digits`` (one row per subset, one column per leading
-    position) plus ``inner @ inner_digits`` broadcast over the trailing
-    positions.  ``outer`` and ``inner`` hold the parties' flat strides in
-    transposed order; the digit tables list every position of their half
-    of ``T``.
+    selected, others, positions, sectors, layout)``.  ``places`` are its
+    subsets' places in lexicographic order, and ``layout`` comes from
+    :func:`etensor.kernel._layout`.  ``selected`` and ``others`` hold, one
+    row per subset, the flat strides of its selected and of its other
+    parties in transposed order; ``positions`` ``(L, D)`` lists every
+    selected position of ``T`` and ``sectors`` ``(M - D, S)`` every sector.
+    So the flat amplitude index of selected position l and sector s of
+    subset b is ``(positions @ selected.T)[l, b] + (others @ sectors)[b,
+    s]``, which is the ``(L, B, S)`` gather index of a pass.
 
     Built once per key, with no Python loop per subset beyond creating the
     selectors.  A plan holds no amplitudes: per subset it keeps its place,
-    its selector and one stride per party, and per transposed shape two
-    digit tables of about ``M * sqrt(total_dim)`` entries and its layout.
-    The gather indexes are rebuilt in each pass, in the workspace.
+    its selector and one stride per party, and per transposed shape its
+    two digit tables and its layout.  The gather indexes are rebuilt in
+    each pass, in the workspace.
     """
     num = len(dims)
     combos = list(itertools.combinations(range(num), size))
@@ -313,18 +322,12 @@ def _plan(dims: tuple[int, ...], size: int, budget: int) -> tuple:
     groups = []
     for first, end in zip([0, *ends.tolist()], [*ends.tolist(), len(combos)]):
         transposed = tuple(shapes[first].tolist())
-        # cut T where the two digit tables are smallest together
-        cut = min(
-            range(1, num),
-            key=lambda c: c * math.prod(transposed[:c])
-            + (num - c) * math.prod(transposed[c:]),
-        )
         groups.append((
             by_shape[first:end],
-            stacked[first:end, :cut],
-            stacked[first:end, cut:],
-            kernel._digits(transposed[:cut]),
-            kernel._digits(transposed[cut:]),
+            stacked[first:end, :size],
+            stacked[first:end, size:],
+            kernel._digits(transposed[:size]).T,
+            kernel._digits(transposed[size:]),
             kernel._layout(transposed[:size], math.prod(transposed[size:]),
                            budget),
         ))
@@ -404,23 +407,16 @@ def full_tensor(
         subsets, groups = _plan(structure.dims, size, GATHER_BUDGET_BYTES)
         values = np.empty(len(subsets))
         constant = scheme.constant(size)
-        for places, outer, inner, outer_digits, inner_digits, layout in groups:
-            split = (outer_digits.shape[1], inner_digits.shape[1])
-            sectors = split[0] * split[1] // layout.positions
+        for places, selected, others, positions, sectors, layout in groups:
             for start in range(0, len(places), layout.batch):
                 rows = slice(start, start + layout.batch)
-                batch = len(places[rows])
-                views = kernel._pass_views(layout, batch, sectors)
-                (_, _, offsets, positions), (index, _), _ = views
-                np.add((outer[rows] @ outer_digits)[:, :, None],
-                       (inner[rows] @ inner_digits)[:, None, :],
-                       out=index.reshape((batch,) + split))
-                np.copyto(offsets, index[:, 0, :])
-                np.subtract(index[:, :, 0], offsets[:, :1], out=positions)
+                views = kernel._pass_views(
+                    layout, len(places[rows]), sectors.shape[1])
+                index = views[1][0]
+                np.add((positions @ selected[rows].T)[:, :, None],
+                       (others[rows] @ sectors)[None], out=index)
                 values[places[rows]] = kernel._evaluate_pass(
-                    positions, index, offsets, amplitudes, squares, layout,
-                    constant, views,
-                )
+                    index, amplitudes, squares, layout, constant, views)
         components.update(zip(subsets, values.tolist()))
     return TensorReport(structure=structure, scheme=scheme, components=components)
 

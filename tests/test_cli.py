@@ -293,6 +293,19 @@ class TestFuzzedBoundary:
     def test_norm_const(self, entry):
         self.check(["compute", "--expr", GHZ_EXPR, "--all", "--norm-const", entry])
 
+    def test_norm_const_near_the_largest_double(self, capsys):
+        # an example test_norm_const found: 15 digits of this constant round
+        # past the largest double, which printed "2": Infinity
+        argv = ["compute", "--expr", GHZ_EXPR, "--all",
+                "--norm-const", "2=1.7976931348623151e+308"]
+        self.check(argv)
+        doc = run_json(capsys, *argv)
+        assert doc["norm_constants"]["2"] == 1.7976931348623151e308
+        code, out, err = run_cli(capsys, *argv, "--table")
+        assert code == 0 and err == ""
+        values = [float(line.split()[-1]) for line in out.splitlines()[1:]]
+        assert len(values) == 5 and all(map(math.isfinite, values))
+
     @given(fuzz_texts, st.booleans())
     @settings(max_examples=60, deadline=None)
     def test_apply(self, text, normalize):

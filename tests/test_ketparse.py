@@ -588,9 +588,13 @@ class TestJsonAgainstReference:
 
 
 def reference_round_floats(obj: Any) -> Any:
-    """The CLI's old display rounding: a walk that rebuilds the document."""
+    """The CLI's display rounding: a walk that rebuilds the document.
+
+    A float whose 15-digit rounding is not finite is kept as it is.
+    """
     if isinstance(obj, float):
-        return float(f"{obj:.15g}")
+        rounded = float(f"{obj:.15g}")
+        return rounded if math.isfinite(rounded) else obj
     if isinstance(obj, dict):
         return {key: reference_round_floats(value) for key, value in obj.items()}
     if isinstance(obj, list):
@@ -634,6 +638,17 @@ class TestJsonWriter:
     def test_rounded_matches_reference(self, doc):
         assert (_written(doc, round_floats=True)
                 == json.dumps(reference_round_floats(doc), indent=1) + "\n")
+
+    @pytest.mark.parametrize("value", [
+        1.7976931348623151e308, 1.7976931348623153e308, -1.7976931348623157e308,
+    ])
+    def test_rounding_past_the_largest_double_keeps_the_float(self, value):
+        # 15 digits of these round to 1.79769313486232e308, past the largest
+        # double; json.dumps would write Infinity
+        assert math.isinf(float(f"{value:.15g}"))
+        assert _written([value], round_floats=True) == f"[\n {value!r}\n]\n"
+        assert _written([1.7976931348623e308], round_floats=True) == (
+            "[\n 1.7976931348623e+308\n]\n")
 
     @pytest.mark.parametrize("doc", [
         [object()], {"a": np.int64(3)}, {"a": {1, 2}}, [b"bytes"], 1j,

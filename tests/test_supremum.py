@@ -322,19 +322,32 @@ class TestBatchedGradient:
 
     def test_chunked_probe_stack_is_exact(self, monkeypatch):
         dims, parties_list = (3, 2, 3), [(0, 1), (0, 1, 2)]
-        passes = []
+        passes, stacks = [], []
         evaluate_pass = kernel_module._evaluate_pass
+        apply = _Objective.apply
 
-        def counted(positions, *args):
-            passes.append(len(positions))
-            return evaluate_pass(positions, *args)
+        def counted(index, *args):
+            passes.append(index.shape[1])
+            return evaluate_pass(index, *args)
+
+        def applied(self, mats, amplitudes, party):
+            if mats.ndim == 3:
+                stacks.append(len(mats))
+            return apply(self, mats, amplitudes, party)
 
         monkeypatch.setattr(kernel_module, "_evaluate_pass", counted)
+        monkeypatch.setattr(_Objective, "apply", applied)
         _, whole, _ = _gradient_case(dims, parties_list, "min", seed=5)
         whole_passes = list(passes)
+        # each party's probes are applied as one stack in the default budget
+        assert stacks == [18, 8, 18]
         monkeypatch.setattr(tensor_module, "GATHER_BUDGET_BYTES", 4000)
         passes.clear()
-        _, chunked, _ = _gradient_case(dims, parties_list, "min", seed=5)
+        stacks.clear()
+        objective, chunked, _ = _gradient_case(dims, parties_list, "min", seed=5)
+        # and one pass at a time in 4,000 bytes
+        assert sum(stacks) == 44
+        assert max(stacks) == objective.batch < 8
         # after one point of both subsets, the gradient scores the triple's
         # stacks of 18, 8 and 18 probes (the pair is reused on its parties),
         # one pass each in the default budget; the loop reference follows.

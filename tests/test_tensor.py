@@ -491,14 +491,15 @@ def _make_evaluator(
 def _count_calls(monkeypatch, name):
     """Record each call of a function of ``etensor.kernel``.
 
-    Only the length of its first argument is kept (the batch size for
-    ``_evaluate_pass``), so the record holds no arrays alive.
+    Only a size is kept, so the record holds no arrays alive: the batch of
+    the ``(L, B, S)`` index that ``_evaluate_pass`` takes first, and the
+    length of the first argument of any other function.
     """
     calls = []
     original = getattr(kernel_module, name)
 
     def counted(first, *args):
-        calls.append(len(first))
+        calls.append(first.shape[1] if first.ndim == 3 else len(first))
         return original(first, *args)
 
     monkeypatch.setattr(kernel_module, name, counted)
@@ -708,6 +709,60 @@ class TestKernelOrder:
             assert len(windows) > len(passes)
 
     @pytest.mark.parametrize("budget", [None, 4000])
+    def test_kernel_order_index_equals_old_construction(self, monkeypatch, budget):
+        # a pass gathers through an (L, B, S) index, and the kernel-order
+        # index is rows of it; the kernel once built that index from the
+        # (B, L, S) one as positions of the selected places plus offsets
+        budget = budget or tensor_module.GATHER_BUDGET_BYTES
+        monkeypatch.setattr(tensor_module, "GATHER_BUDGET_BYTES", budget)
+        passes = []
+        evaluate_pass = kernel_module._evaluate_pass
+
+        def recorded(index, amplitudes, squares, layout, *args):
+            passes.append((index.copy(), layout))
+            return evaluate_pass(index, amplitudes, squares, layout, *args)
+
+        monkeypatch.setattr(kernel_module, "_evaluate_pass", recorded)
+        checked = windows = 0
+        for state in _kernel_states():
+            dims, num = state.structure.dims, state.structure.num_parties
+            if budget < 1 << 20 and num > 8:
+                continue
+            total = math.prod(dims)
+            passes.clear()
+            full_tensor(state)
+            # per pass, the nesting order and first flat place of each entry
+            entries = []
+            for size in range(2, num + 1):
+                subsets, groups = tensor_module._plan(dims, size, budget)
+                for places, *_, layout in groups:
+                    for start in range(0, len(places), layout.batch):
+                        entries.append([(subsets[p].parties, 0) for p in
+                                        places[start:start + layout.batch]])
+            for subset in subsets_of_size(state.structure, num - 1)[:2]:
+                passes.append(kernel_module._probe_term(dims, subset.parties, 3,
+                                                        budget))
+                entries.append([(subset.parties, total * probe)
+                                for probe in range(passes[-1][0].shape[1])])
+            assert len(passes) == len(entries)
+            checked += len(passes)
+            flat = np.arange(total).reshape((1,) + dims)
+            for (index, layout), pass_entries in zip(passes, entries):
+                row_major = np.stack([
+                    _reference_stack(flat, dims, order)[0].reshape(
+                        layout.positions, -1) + first
+                    for order, first in pass_entries])
+                assert np.array_equal(index, row_major.transpose(1, 0, 2))
+                positions = row_major[:, :, 0] - row_major[:, :1, 0]
+                offsets = row_major[:, 0, :]
+                for places in layout.windows:
+                    old = positions.take(places, axis=1).T[:, :, None] + offsets
+                    assert np.array_equal(index.take(places, axis=0), old)
+                    windows += 1
+        # the larger qudit subsets split into windows of pair choices
+        assert windows > checked
+
+    @pytest.mark.parametrize("budget", [None, 4000])
     def test_evaluators_equal_reference(self, monkeypatch, budget):
         if budget is not None:
             monkeypatch.setattr(tensor_module, "GATHER_BUDGET_BYTES", budget)
@@ -817,6 +872,22 @@ class TestStackEvaluator:
                     value = evaluate(tensor)
                     assert type(value) is float and value == got[-1]
 
+    @pytest.mark.parametrize("tensor, size", [
+        (np.ones((2, 2)) / 2, 4),
+        (np.ones(4) / 2, 4),
+        (np.ones(16) / 4, 16),
+        (np.ones((3, 2, 2)) / 2, 12),
+    ], ids=["single", "flat-short", "flat-long", "stack"])
+    def test_wrong_sizes_are_refused(self, monkeypatch, tensor, size):
+        # the gathers wrap around, so these used to read wrapped amplitudes
+        passes = _count_calls(monkeypatch, "_evaluate_pass")
+        evaluate = component_evaluator(PartyStructure((2, 2, 2)),
+                                       SubsetSelector((0, 1)))
+        with pytest.raises(ValueError, match=(
+                rf"of {size} amplitudes, but dims \(2, 2, 2\) have 8")):
+            evaluate(tensor)
+        assert passes == []
+
     def test_stack_over_one_pass_is_cut(self, monkeypatch):
         budget = 4000
         monkeypatch.setattr(tensor_module, "GATHER_BUDGET_BYTES", budget)
@@ -826,7 +897,7 @@ class TestStackEvaluator:
             structure = state.structure
             for subset in self.subsets(structure):
                 batch = kernel_module._probe_term(
-                    structure.dims, subset.parties, 1, budget)[3].batch
+                    structure.dims, subset.parties, 1, budget)[1].batch
                 stack = _probe_stack(state, batch + 1, rng)
                 evaluate = component_evaluator(structure, subset)
                 single = component_evaluator(structure, subset)
@@ -841,7 +912,7 @@ class TestStackEvaluator:
 
         def counted(*args):
             term = probe_term(*args)
-            sizes.append(len(term[1]))
+            sizes.append(term[0].shape[1])
             return term
 
         monkeypatch.setattr(kernel_module, "_probe_term", counted)
@@ -888,12 +959,11 @@ class TestWorkspace:
         kept = dict(first)
         full_tensor(second_state)
         assert first == kept
-        selected, index, offsets, layout = kernel_module._probe_term(
+        index, layout = kernel_module._probe_term(
             (2, 2), (0, 1), 1, tensor_module.GATHER_BUDGET_BYTES)
         amplitudes = ghz_state(2).amplitudes
         values = kernel_module._evaluate_pass(
-            selected, index, offsets, amplitudes,
-            kernel_module._squares(amplitudes), layout, 4.0)
+            index, amplitudes, kernel_module._squares(amplitudes), layout, 4.0)
         assert not np.shares_memory(values, kernel_module._thread.workspace[0])
 
     def test_threads_give_single_thread_values(self):
@@ -937,6 +1007,19 @@ class TestWorkspace:
         assert full_tensor(state).components == first
         assert kernel_module._thread.workspace[0] is buffer
         assert all(carved[key] is kept for key, kept in views.items())
+
+    @pytest.mark.parametrize("budget", [1 << 20, 4000])
+    def test_passes_fit_the_budget(self, budget):
+        # only a pass of one subset and one pair choice may need more
+        for dims in KERNEL_DIMS + [(4,) * 5]:
+            for size in range(2, len(dims) + 1):
+                for *_, layout in tensor_module._plan(dims, size, budget)[1]:
+                    regions = kernel_module._regions(
+                        layout.batch, layout.lattice, layout.choices,
+                        layout.window, layout.positions,
+                        math.prod(dims) // layout.positions)
+                    assert (kernel_module._pass_bytes(*regions) <= budget
+                            or layout.window == 1)
 
     def test_kept_workspace_stays_within_the_budget(self, monkeypatch):
         budget = 4000
