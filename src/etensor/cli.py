@@ -195,8 +195,8 @@ def _cmd_compute(args: argparse.Namespace, out: TextIO) -> int:
         ]
     if args.table:
         # {:.15g} of a value and of its 15-digit rounding are the same text
-        width = max(len("subset"), *(len(",".join(map(str, c["subset"])))
-                                     for c in doc["components"]))
+        width = max([len("subset"), *(len(",".join(map(str, c["subset"])))
+                                      for c in doc["components"])])
         print(f"{'subset':<{width}}  value", file=out)
         for entry in doc["components"]:
             label = ",".join(map(str, entry["subset"]))

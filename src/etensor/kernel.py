@@ -28,16 +28,19 @@ selected positions, and S sectors of the other parties per entry.
   are the two contiguous halves of the leading axis multiplied, each
   nested reduction is the difference of the two halves of what is left,
   and the sector sum runs on the contiguous last axis.
-* Workspace.  The row-major index, both gathers, the kernel-order index,
-  the products and the reductions of a pass are written with ``out=`` into
-  one workspace per thread, which the thread keeps between calls.  The
-  windows reuse the bytes of the dead probability gather, and a pass of
-  one window also those of the row-major index once it has taken its
-  rows.  It holds the budget the layout was made for; a pass over it gets
-  a buffer of its own, dropped with the pass.  Results are new arrays.  An evaluator keeps
-  the row-major index of its one subset over up to one pass of probe
-  tensors, which never changes; a shorter stack copies the leading probes
-  of it into the workspace.
+* Workspace.  Both gathers, the kernel-order index, the products and the
+  reductions of a pass are written with ``out=`` into one workspace per
+  thread, which the thread keeps between calls, and so is the row-major
+  index when the caller builds one per pass.  The windows reuse the bytes
+  of the dead probability gather, and a pass of one window also those of
+  the row-major index once it has taken its rows.  It holds the budget
+  the layout was made for; a pass over it gets a buffer of its own,
+  dropped with the pass.  Results are new arrays.  The row-major index
+  depends only on the dims, so it is kept where it never changes: a
+  ``full_tensor`` plan keeps it, read-only, for each group of subsets
+  that runs in one pass, and an evaluator for its one subset over up to
+  one pass of probe tensors; a shorter stack copies the leading probes of
+  it into the workspace.
 
 The bits do not change: every gather reads the same places as in the
 stacked kernel (entry r of a window reads selected position ``places[r]``

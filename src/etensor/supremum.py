@@ -63,6 +63,8 @@ from .tensor import (
 GRADIENT_STEP = 1e-6
 INITIAL_STEP = 0.5
 MAX_STEP = 4.0
+# Restarts one search may ask for; each spawns a seed stream up front.
+MAX_RESTARTS = 10_000
 
 
 @dataclass(frozen=True)
@@ -76,12 +78,14 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.restarts < 1:
-            raise ValueError("restarts must be positive")
+        if not 1 <= self.restarts <= MAX_RESTARTS:
+            raise ValueError(
+                f"restarts must be between 1 and {MAX_RESTARTS:,}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
-        if self.step_tol <= 0.0 or self.value_tol <= 0.0:
-            raise ValueError("tolerances must be positive")
+        if not all(math.isfinite(t) and t > 0.0
+                   for t in (self.step_tol, self.value_tol)):
+            raise ValueError("tolerances must be finite and positive")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
 

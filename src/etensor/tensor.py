@@ -37,14 +37,16 @@ dims, so it is built once as a plan and kept in an LRU cache of
 ``PLAN_CACHE_SIZE`` entries keyed on ``(dims, size, GATHER_BUDGET_BYTES)``,
 with the budget read at call time.  A plan holds the size's selectors in
 lexicographic order and groups them by transposed shape (selected dims,
-then the others in ascending party order).  Plans hold no amplitudes and
-no per-subset index tables: per subset one place, one selector and one
-stride per party, and per transposed shape two digit tables, of its
-selected positions and of its sectors (``D * L + (M - D) * S`` entries),
-and the kernel's layout, which maps each kernel-order entry to the
-selected position it reads.  The ``(L, B, S)`` index of a pass is rebuilt
-from them on each call, with two matmuls and one add, so a warm call makes
-a few numpy calls per pass and no Python loop over subsets.
+then the others in ascending party order), each with the kernel's layout,
+which maps each kernel-order entry to the selected position it reads.
+Plans hold no amplitudes.  A group that runs in one pass keeps its
+read-only ``(L, B, S)`` gather index, at most half the budget, and a warm
+call hands that same array to the kernel.  Any other group keeps, per
+subset, one stride per party, and per transposed shape two digit tables,
+of its selected positions and of its sectors (``D * L + (M - D) * S``
+entries); each of its passes builds its index from them in the workspace,
+with two matmuls and one add.  So a warm call makes a few numpy calls per
+pass and no Python loop over subsets.
 """
 
 from __future__ import annotations
@@ -263,6 +265,8 @@ def _make_evaluator(
             raise ValueError(
                 f"an input tensor of {stack.size} amplitudes, but dims {dims} "
                 f"have {total}")
+        if not len(stack):
+            return np.empty(0)
         stack = stack.reshape(1 if single else len(stack), total)
         # built on first use, so compiling stays cheap, and again for a
         # larger stack, up to one pass
@@ -288,21 +292,22 @@ def _plan(dims: tuple[int, ...], size: int, budget: int) -> tuple:
     Returns the size's selectors in lexicographic order and a tuple of
     groups, one per transposed shape ``T``: the selected dims, then the
     other parties' dims in ascending party order.  A group is ``(places,
-    selected, others, positions, sectors, layout)``.  ``places`` are its
-    subsets' places in lexicographic order, and ``layout`` comes from
-    :func:`etensor.kernel._layout`.  ``selected`` and ``others`` hold, one
-    row per subset, the flat strides of its selected and of its other
-    parties in transposed order; ``positions`` ``(L, D)`` lists every
-    selected position of ``T`` and ``sectors`` ``(M - D, S)`` every sector.
-    So the flat amplitude index of selected position l and sector s of
-    subset b is ``(positions @ selected.T)[l, b] + (others @ sectors)[b,
-    s]``, which is the ``(L, B, S)`` gather index of a pass.
+    index, tables, layout)``.  ``places`` are its subsets' places in
+    lexicographic order, and ``layout`` comes from
+    :func:`etensor.kernel._layout`.  ``tables`` is ``(selected, others,
+    positions, sectors)``: ``selected`` and ``others`` hold, one row per
+    subset, the flat strides of its selected and of its other parties in
+    transposed order; ``positions`` ``(L, D)`` lists every selected
+    position of ``T`` and ``sectors`` ``(M - D, S)`` every sector.  So the
+    flat amplitude index of selected position l and sector s of subset b
+    is ``(positions @ selected.T)[l, b] + (others @ sectors)[b, s]``,
+    which is the ``(L, B, S)`` gather index of :func:`_gather_index`.
 
-    Built once per key, with no Python loop per subset beyond creating the
-    selectors.  A plan holds no amplitudes: per subset it keeps its place,
-    its selector and one stride per party, and per transposed shape its
-    two digit tables and its layout.  The gather indexes are rebuilt in
-    each pass, in the workspace.
+    A group whose subsets fit one pass, with an index of at most half the
+    budget, keeps that index, read-only, and ``tables`` is None; otherwise
+    ``index`` is None and each pass builds its rows of the index from
+    ``tables`` in the workspace.  Built once per key, with no Python loop
+    per subset beyond creating the selectors.  A plan holds no amplitudes.
     """
     num = len(dims)
     combos = list(itertools.combinations(range(num), size))
@@ -322,16 +327,35 @@ def _plan(dims: tuple[int, ...], size: int, budget: int) -> tuple:
     groups = []
     for first, end in zip([0, *ends.tolist()], [*ends.tolist(), len(combos)]):
         transposed = tuple(shapes[first].tolist())
-        groups.append((
-            by_shape[first:end],
-            stacked[first:end, :size],
-            stacked[first:end, size:],
-            kernel._digits(transposed[:size]).T,
-            kernel._digits(transposed[size:]),
-            kernel._layout(transposed[:size], math.prod(transposed[size:]),
-                           budget),
-        ))
+        layout = kernel._layout(transposed[:size], math.prod(transposed[size:]),
+                                budget)
+        tables = (stacked[first:end, :size], stacked[first:end, size:],
+                  kernel._digits(transposed[:size]).T,
+                  kernel._digits(transposed[size:]))
+        index = None
+        # one pass whose index, half of its probability phase, fits the budget
+        kept = (end - first) * math.prod(dims) * np.dtype(np.intp).itemsize
+        if end - first <= layout.batch and 2 * kept <= budget:
+            index, tables = _gather_index(*tables), None
+            index.flags.writeable = False
+        groups.append((by_shape[first:end], index, tables, layout))
     return tuple(map(SubsetSelector, combos)), tuple(groups)
+
+
+def _gather_index(
+    selected: np.ndarray,
+    others: np.ndarray,
+    positions: np.ndarray,
+    sectors: np.ndarray,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """The ``(L, B, S)`` gather index of a stack of B subsets of one group.
+
+    The arguments are a plan group's tables (see :func:`_plan`), with
+    ``selected`` and ``others`` cut to the stack's rows.
+    """
+    return np.add((positions @ selected.T)[:, :, None],
+                  (others @ sectors)[None], out=out)
 
 
 def component(
@@ -375,14 +399,14 @@ def full_tensor(
 
     Each size runs the passes of its plan, cached under ``(dims, size,
     GATHER_BUDGET_BYTES)`` with the budget read at call time; the last
-    ``PLAN_CACHE_SIZE`` plans are kept.  A pass builds the gather index of
-    a stack of subsets that share their transposed shape in the workspace
-    and evaluates them with the batched kernel off ``state.amplitudes``,
-    so a call on dims seen before does no Python work per subset.  The
-    first call on new dims builds the plan, with numpy work per group of
-    subsets rather than per subset.  A plan holds no amplitudes: per
-    subset, its selector and ``M + 1`` integers, and per transposed shape
-    two small digit tables and the kernel's layout.
+    ``PLAN_CACHE_SIZE`` plans are kept.  A pass evaluates a stack of
+    subsets that share their transposed shape with the batched kernel off
+    ``state.amplitudes``, through the gather index that a group of one
+    pass keeps in the plan, or that the pass builds in the workspace.  So
+    a call on dims seen before does no Python work per subset.  The first
+    call on new dims builds the plan, with numpy work per group of subsets
+    rather than per subset.  A plan holds no amplitudes; see
+    :func:`_plan` for what it holds.
     Components come out by size, then in lexicographic order within a
     size.
     """
@@ -407,16 +431,20 @@ def full_tensor(
         subsets, groups = _plan(structure.dims, size, GATHER_BUDGET_BYTES)
         values = np.empty(len(subsets))
         constant = scheme.constant(size)
-        for places, selected, others, positions, sectors, layout in groups:
+        for places, index, tables, layout in groups:
+            if tables is None:
+                values[places] = kernel._evaluate_pass(
+                    index, amplitudes, squares, layout, constant)
+                continue
+            selected, others, positions, sectors = tables
             for start in range(0, len(places), layout.batch):
                 rows = slice(start, start + layout.batch)
                 views = kernel._pass_views(
                     layout, len(places[rows]), sectors.shape[1])
-                index = views[1][0]
-                np.add((positions @ selected[rows].T)[:, :, None],
-                       (others[rows] @ sectors)[None], out=index)
                 values[places[rows]] = kernel._evaluate_pass(
-                    index, amplitudes, squares, layout, constant, views)
+                    _gather_index(selected[rows], others[rows], positions,
+                                  sectors, out=views[1][0]),
+                    amplitudes, squares, layout, constant, views)
         components.update(zip(subsets, values.tolist()))
     return TensorReport(structure=structure, scheme=scheme, components=components)
 

@@ -7,14 +7,14 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from etensor import cli as cli_module
 from etensor import golden
 from etensor import states as states_module
 from etensor.cli import main
-from etensor.ketparse import parse_ket, save_ket_json, state_from_dict
+from etensor.ketparse import parse_ket, save_ket_json, state_from_dict, state_to_dict
 from etensor.states import ghz_state
 
 EPR_EXPR = "(|0,0> + |1,1>)/sqrt(2)"
@@ -311,6 +311,221 @@ class TestFuzzedBoundary:
     def test_apply(self, text, normalize):
         self.check(["apply", "--expr", text, "--party", "1", "--gate", "H"]
                    + ["--normalize"] * normalize)
+
+
+# Generated argv: a subcommand, its flags, and a state or gate file written
+# for the call.  Each value has a valid strategy and a junk one.  A clean
+# call draws only valid values, so that it reaches the computation; a
+# hostile call draws each value from either.  States have at most four
+# parties of dimension 3, optimize runs at most four restarts of 22
+# iterations (a 30-digit count must be refused before any work), and no
+# value asks for threads or large memory.
+_FILE_STATES = [
+    ghz_state(3), golden.fixtures()("w3"), parse_ket(NESTED_EXPR),
+    parse_ket("(|0,0,0> + |1,1,1> + |2,2,1>)/sqrt(3)"),
+]
+_KET_TEXTS = [EPR_EXPR, W3_EXPR, GHZ_EXPR, HGHZ_EXPR, "0.6|0,0> + 0.8|1,1>",
+              "(|0,0,0> + |1,1,1> + |2,2,1>)/sqrt(3)", "|0,1,2,0>"]
+
+
+def _joined(values):
+    return ",".join(map(str, values))
+
+
+def _ints(low, high):
+    return (st.integers(low, high).map(str),
+            st.integers(low - 2, high + 2).map(str)
+            | st.sampled_from(["", "x", "1.5", "-0", "9" * 30, "0x10"]))
+
+
+_FLOATS = (st.floats(1e-12, 10).map(repr),
+           st.floats(-10, 10).map(repr) | st.sampled_from(
+               ["nan", "inf", "-inf", "1e999", "0", "1e-300", "", "x"]))
+_PARTIES = (st.lists(st.integers(1, 3), min_size=2, max_size=3, unique=True).map(
+                _joined),
+            st.lists(st.integers(-1, 5), max_size=4).map(_joined)
+            | st.sampled_from(["", ",", "1,,2", "a,b", "1;2", " 1, 2"]))
+_NORM_CONSTS = (st.builds("{}={!r}".format, st.integers(2, 4),
+                          st.floats(1e-3, 1e3)),
+                _norm_const_texts)
+
+
+@st.composite
+def _groupings(draw):
+    """Every party of 2 to 4 once, in blocks: ``2|1,3``."""
+    parties = draw(st.permutations(range(1, draw(st.integers(2, 4)) + 1)))
+    cuts = sorted(draw(st.sets(st.integers(1, len(parties) - 1))))
+    return "|".join(_joined(parties[a:b]) for a, b in
+                    zip([0, *cuts], [*cuts, len(parties)]))
+
+
+_GROUPS = (_groupings(),
+           st.lists(_PARTIES[1], min_size=1, max_size=3).map("|".join)
+           | st.sampled_from(["|", "1|1", "1,2|x"]))
+_STATE_FILES = (
+    st.sampled_from(_FILE_STATES).map(state_to_dict).map(json.dumps),
+    st.fixed_dictionaries(
+        {"dims": st.lists(st.integers(0, 3), max_size=4)},
+        optional={"amplitudes": st.lists(st.fixed_dictionaries(
+            {"index": st.lists(st.integers(-1, 3), max_size=4)},
+            optional={"re": st.floats(-1, 1) | st.sampled_from(["", "x", "1e"]),
+                      "im": st.floats(-1, 1)}), max_size=6)}).map(json.dumps)
+    | st.sampled_from(["", "{", "[1, 2", "{}", "[]", '{"dims": "x"}',
+                       '{"dims": [2], "amplitudes": 3}']))
+_KET_FILES = (st.sampled_from(_KET_TEXTS), fuzz_texts | _STATE_FILES[0])
+_matrices = st.lists(
+    st.lists(st.integers(-2, 2) | st.floats(-2, 2) | st.just(1e400),
+             min_size=1, max_size=3),
+    min_size=1, max_size=3)
+_GATE_FILES = (
+    st.sampled_from([{"re": [[0, 1], [1, 0]]},
+                     {"re": [[0, 0, 1], [0, 1, 0], [1, 0, 0]]},
+                     {"re": [[1, 0], [0, 0]], "im": [[0, 0], [0, 1]]}]).map(
+        json.dumps),
+    st.fixed_dictionaries({"re": _matrices}, optional={"im": _matrices}).map(
+        json.dumps)
+    | st.sampled_from(["", "{", "not json", "[]", '{"re": "x"}', '{"im": [[1]]}',
+                       '{"re": [[1' + "0" * 5000 + "]]}"]))
+
+
+@st.composite
+def _cli_calls(draw):
+    """``(argv, files)``; argv names each file as ``{dir}/NAME``."""
+    files = {}
+    hostile = draw(st.booleans())
+
+    def value(strategies):
+        valid, junk = strategies
+        return draw(junk if hostile and draw(st.booleans()) else valid)
+
+    def flag(name, strategies):
+        """``[name, value]``; a hostile call may leave it out."""
+        return [name, value(strategies)] if value(
+            (st.just(True), st.booleans())) else []
+
+    command = draw(st.sampled_from(
+        ["compute", "optimize", "measure", "apply", "regroup", "oracle",
+         "paper-suite"]))
+    if command == "paper-suite":
+        return [command], files
+    argv = [command]
+    source = value((st.sampled_from(["expr", "state.ket", "state.ket.json",
+                                     "state.txt"]),
+                    st.sampled_from(["absent.ket", None])))
+    if source == "expr":
+        argv += ["--expr", value(_KET_FILES)]
+    elif source is not None:
+        if source != "absent.ket":
+            files[source] = value(
+                _STATE_FILES if source == "state.ket.json" else draw(
+                    st.sampled_from([_STATE_FILES, _KET_FILES])))
+        argv += ["--state", "{dir}/" + source]
+    argv += ["--normalize"] * draw(st.booleans())
+    norm_consts = [entry for _ in range(draw(st.integers(0, 2)))
+                   for entry in ["--norm-const", value(_NORM_CONSTS)]]
+    if command == "compute":
+        argv += ["--all"] * draw(st.booleans())
+        if draw(st.booleans()):
+            argv += ["--sizes", value((
+                st.lists(st.integers(2, 4), min_size=1, max_size=3).map(_joined),
+                _PARTIES[1]))]
+        for _ in range(draw(st.integers(0, 2))):
+            argv += ["--subset", value(_PARTIES)]
+        argv += norm_consts
+        argv += ["--table"] * draw(st.booleans())
+        argv += ["--detached"] * draw(st.booleans())
+    elif command == "optimize":
+        if draw(st.booleans()):
+            argv += ["--subset", value(_PARTIES)]
+        else:
+            argv += ["--subsets", value((
+                st.lists(_PARTIES[0], min_size=1, max_size=3).map(";".join),
+                st.lists(_PARTIES[1], max_size=3).map(";".join)))]
+        if draw(st.booleans()):
+            argv += ["--objective", value((st.sampled_from(["min", "mean"]),
+                                           st.just("max")))]
+        argv += ["--restarts", value(_ints(1, 2)), "--iters", value(_ints(1, 20))]
+        for name in ("--step-tol", "--value-tol", "--seed"):
+            if draw(st.booleans()):
+                argv += [name, value(_ints(0, 2**40) if name == "--seed"
+                                     else _FLOATS)]
+        argv += norm_consts
+        argv += ["--diagnostics"] * draw(st.booleans())
+    elif command == "measure":
+        argv += flag("--party", _ints(1, 4)) + flag("--outcome", _ints(0, 2))
+    elif command == "apply":
+        gate = value((
+            st.sampled_from(["H", "U({dir}/gate.json)"]) | st.lists(
+                _FLOATS[0], min_size=2, max_size=3).map(
+                    lambda angles: f"PHASE({_joined(angles)})"),
+            st.sampled_from(["X", "PHASE(", "U()", "U({dir}/absent.json)"])
+            | st.lists(_FLOATS[1], max_size=4).map(
+                lambda angles: f"PHASE({_joined(angles)})")))
+        if "gate.json" in gate:
+            files["gate.json"] = value(_GATE_FILES)
+        argv += flag("--party", _ints(1, 4)) + flag("--gate", (st.just(gate),) * 2)
+    elif command == "regroup":
+        argv += flag("--groups", _GROUPS)
+    else:
+        kind = value((st.sampled_from(["concurrence", "purity", "wootters",
+                                       "dur"]), st.just("other")))
+        argv += flag("--kind", (st.just(kind),) * 2)
+        if kind == "purity":
+            argv += flag("--split", _GROUPS)
+        elif kind == "wootters":
+            argv += flag("--pair", _PARTIES)
+        elif kind == "dur":
+            argv += flag("--m", _ints(3, 10))
+    return argv, files
+
+
+class TestFuzzedArgv:
+    """Generated argv and files end in exit 0, 1 or 2, never a traceback."""
+
+    @given(_cli_calls())
+    @settings(max_examples=120, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_cli_calls(self, tmp_path, call):
+        argv, files = call
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        argv = [arg.replace("{dir}", str(tmp_path)) for arg in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        assert "NaN" not in out and "Infinity" not in out
+        if code == 0 and argv[0] != "paper-suite" and "--table" not in argv:
+            json.loads(out)
+        elif code:
+            assert out == ""
+
+    def test_table_of_one_party(self, capsys):
+        # an example test_cli_calls found: a state of one party has no
+        # components, and the table's width took max() of one number
+        code, out, err = run_cli(capsys, "compute", "--expr", "|0>", "--table")
+        assert (code, err) == (0, "")
+        assert out.splitlines() == ["subset  value", "norm    0"]
+
+    def test_restarts_past_the_limit_are_refused(self, capsys):
+        # an example test_cli_calls found: a 30-digit count overflowed while
+        # spawning the seed streams, a traceback out of main
+        code, out, err = run_cli(capsys, "optimize", "--expr", EPR_EXPR,
+                                 "--subset", "1,2", "--restarts", "9" * 30,
+                                 "--iters", "1")
+        assert (code, out) == (1, "")
+        assert err == "error: restarts must be between 1 and 10,000\n"
+
+    @pytest.mark.parametrize("flag", ["--step-tol", "--value-tol"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e999"])
+    def test_non_finite_tolerance_is_refused(self, capsys, flag, value):
+        # NaN and infinite tolerances used to run and exit 0
+        code, out, err = run_cli(capsys, "optimize", "--expr", W3_EXPR,
+                                 "--subset", "1,2", "--restarts", "1", flag, value)
+        assert (code, out) == (1, "")
+        assert err == "error: tolerances must be finite and positive\n"
 
 
 class TestParserReuse:

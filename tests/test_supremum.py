@@ -18,6 +18,7 @@ from etensor.states import (
 )
 from etensor.supremum import (
     GRADIENT_STEP,
+    MAX_RESTARTS,
     OptimizerConfig,
     haar_unitary,
     maximize_component,
@@ -48,6 +49,20 @@ class TestConfig:
             OptimizerConfig(step_tol=0.0)
         with pytest.raises(ValueError):
             OptimizerConfig(seed=-1)
+
+    def test_restarts_are_bounded(self):
+        # a 30-digit count used to overflow while spawning the seed streams
+        OptimizerConfig(restarts=MAX_RESTARTS)
+        for restarts in (MAX_RESTARTS + 1, 10**30):
+            with pytest.raises(ValueError, match="between 1 and 10,000"):
+                OptimizerConfig(restarts=restarts)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
+    def test_non_finite_tolerances_are_refused(self, tol):
+        # NaN used to pass the `tol <= 0.0` check, and so did +inf
+        for field in ("step_tol", "value_tol"):
+            with pytest.raises(ValueError, match="finite and positive"):
+                OptimizerConfig(**{field: tol})
 
 
 class TestHaarSampling:

@@ -888,6 +888,19 @@ class TestStackEvaluator:
             evaluate(tensor)
         assert passes == []
 
+    def test_empty_stack_gives_no_values(self, monkeypatch):
+        # the gather index of an empty stack used to fail to reshape
+        passes = _count_calls(monkeypatch, "_evaluate_pass")
+        terms, probe_term = [], kernel_module._probe_term
+        monkeypatch.setattr(kernel_module, "_probe_term",
+                            lambda *args: terms.append(args) or probe_term(*args))
+        structure = PartyStructure((2, 3, 2))
+        for parties in [(0, 1), (0, 1, 2)]:
+            got = component_evaluator(structure, SubsetSelector(parties))(
+                np.empty((0, 2, 3, 2), complex))
+            assert isinstance(got, np.ndarray) and got.shape == (0,)
+        assert passes == [] and terms == []
+
     def test_stack_over_one_pass_is_cut(self, monkeypatch):
         budget = 4000
         monkeypatch.setattr(tensor_module, "GATHER_BUDGET_BYTES", budget)
@@ -1108,6 +1121,72 @@ class TestKernelWorkLimit:
         structure = PartyStructure((16,) * 6)
         with pytest.raises(WorkLimitError, match=r"subset \(0, 1, 2, 3, 4, 5\)"):
             component_evaluator(structure, SubsetSelector(tuple(range(6))))
+
+
+class TestKeptIndex:
+    """A group that runs in one pass keeps its gather index in its plan."""
+
+    @pytest.mark.parametrize("budget", [1 << 20, 4000])
+    def test_one_pass_groups_keep_their_index(self, budget):
+        for dims in KERNEL_DIMS + [(4,) * 5]:
+            total = math.prod(dims)
+            flat = np.arange(total).reshape((1,) + dims)
+            for size in range(2, len(dims) + 1):
+                subsets, groups = tensor_module._plan(dims, size, budget)
+                # in one byte no group keeps its index, and the groups are
+                # the same, so these are the tables each pass builds from
+                rebuilt = tensor_module._plan(dims, size, 1)[1]
+                for (places, index, tables, layout), (_, none, whole, _) in zip(
+                        groups, rebuilt):
+                    assert none is None
+                    one_pass = (len(places) <= layout.batch
+                                and 2 * 8 * len(places) * total <= budget)
+                    # the plan holds either the index or the tables
+                    assert (index is None) == (tables is not None) == (
+                        not one_pass)
+                    if index is None:
+                        continue
+                    assert np.array_equal(
+                        index, tensor_module._gather_index(*whole))
+                    want = np.stack([
+                        _reference_stack(flat, dims, subsets[p].parties)[0]
+                        .reshape(layout.positions, -1) for p in places], axis=1)
+                    assert np.array_equal(index, want)
+                    assert index.flags.c_contiguous and not index.flags.writeable
+                    assert 2 * index.nbytes <= budget
+
+    def test_kept_bytes(self):
+        # every size of 8 qubits runs in one pass; of the qudit dims only
+        # the subset of every party does, over several windows
+        def kept_bytes(dims):
+            return sum(index.nbytes for size in range(2, len(dims) + 1)
+                       for _, index, _, _ in tensor_module._plan(
+                           dims, size, 1 << 20)[1] if index is not None)
+
+        assert kept_bytes((2,) * 8) == 247 * 256 * 8
+        assert kept_bytes((2,) * 12) == 4096 * 8
+        assert kept_bytes((4,) * 5) == 4**5 * 8
+        assert kept_bytes((3,) * 6) == 3**6 * 8
+
+    def test_warm_calls_hand_the_kernel_one_index(self, monkeypatch):
+        rng = np.random.default_rng(35)
+        states = [random_state(PartyStructure((2,) * 8), rng) for _ in range(2)]
+        full_tensor(states[0])
+        handed = []
+        evaluate_pass = kernel_module._evaluate_pass
+
+        def recorded(index, *args):
+            handed.append(index)
+            return evaluate_pass(index, *args)
+
+        monkeypatch.setattr(kernel_module, "_evaluate_pass", recorded)
+        reports = [full_tensor(state).components for state in states]
+        assert len(handed) == 2 * 7
+        for first, second in zip(handed[:7], handed[7:]):
+            assert first is second
+            assert not np.shares_memory(first, kernel_module._thread.workspace[0])
+        for state, components in zip(states, reports):
+            _assert_matches_reference(state, components)
 
 
 class TestPlanCache:
