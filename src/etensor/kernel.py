@@ -66,13 +66,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-# Plans, layouts and digit tables kept; the CLI alone can touch dozens of keys.
+# Plans and layouts kept; the CLI alone can touch dozens of keys.
 PLAN_CACHE_SIZE = 128
 
 
-@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _digits(shape: tuple[int, ...]) -> np.ndarray:
-    """Every position of ``shape`` in row-major order, one row per axis."""
+    """Every position of ``shape`` in row-major order, one row per axis.
+
+    Not cached: its callers are, and a plan group that keeps its gather
+    index drops the tables it was built from.
+    """
     table = np.indices(shape).reshape(len(shape), math.prod(shape))
     table.flags.writeable = False
     return table

@@ -174,50 +174,93 @@ def ungroup(
     return StateVector(original, data)
 
 
-def reduced_density(state: StateVector, keep: Sequence[int]) -> np.ndarray:
-    """Reduced density matrix of the kept parties (in the order given)."""
+def _kept_block(state: StateVector, keep: list[int]) -> np.ndarray:
+    """The amplitudes as a (kept dim, rest dim) matrix, kept parties first."""
     structure = state.structure
-    keep = [structure.check_party(p) for p in keep]
-    if len(set(keep)) != len(keep):
-        raise ValueError(f"kept parties must be distinct, got {keep}")
     rest = [i for i in range(structure.num_parties) if i not in keep]
     kept_dim = math.prod(structure.dims[p] for p in keep)
-    block = state.tensor.transpose(keep + rest).reshape(kept_dim, -1)
+    return state.tensor.transpose(keep + rest).reshape(kept_dim, -1)
+
+
+def reduced_density(state: StateVector, keep: Sequence[int]) -> np.ndarray:
+    """Reduced density matrix of the kept parties (in the order given)."""
+    keep = [state.structure.check_party(p) for p in keep]
+    if len(set(keep)) != len(keep):
+        raise ValueError(f"kept parties must be distinct, got {keep}")
+    block = _kept_block(state, keep)
     return block @ block.conj().T
 
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Two-qubit density operator, validated on entry."""
+    """Two-qubit density operator, or a stack of them, validated on entry.
+
+    ``entries`` is one ``(4, 4)`` matrix or a ``(P, 4, 4)`` stack; a single
+    matrix is checked as a stack of one.  Every matrix must be finite,
+    Hermitian and of unit trace, with no eigenvalue below
+    ``EIGENVALUE_FLOOR``.  Each check runs once over the whole stack, in
+    that order, and a matrix that fails one raises the message it would
+    raise alone.
+    """
 
     entries: np.ndarray
 
     def __post_init__(self) -> None:
         mat = np.array(self.entries, dtype=np.complex128)
-        if mat.shape != (4, 4):
+        if mat.ndim not in (2, 3) or mat.shape[-2:] != (4, 4):
             raise ValueError(f"expected a 4x4 matrix, got shape {mat.shape}")
-        if np.max(np.abs(mat - mat.conj().T)) > HERMITIAN_TOL:
+        stack = mat.reshape(-1, 4, 4)
+        if not np.isfinite(stack).all():
+            raise ValueError("density matrix must be finite (got NaN or inf)")
+        if (np.abs(stack - stack.conj().transpose(0, 2, 1)) > HERMITIAN_TOL).any():
             raise ValueError("density matrix must be Hermitian")
-        if abs(np.trace(mat).real - 1.0) > TRACE_TOL:
-            raise ValueError(
-                f"density matrix trace is {np.trace(mat).real:.12g}, not 1"
-            )
-        if np.min(np.linalg.eigvalsh(mat)) < EIGENVALUE_FLOOR:
+        bad = np.abs(stack.trace(axis1=1, axis2=2).real - 1.0) > TRACE_TOL
+        if bad.any():
+            trace = np.trace(stack[bad.argmax()]).real
+            raise ValueError(f"density matrix trace is {trace:.12g}, not 1")
+        if (np.linalg.eigvalsh(stack) < EIGENVALUE_FLOOR).any():
             raise ValueError("density matrix has a significantly negative eigenvalue")
         mat.flags.writeable = False
         object.__setattr__(self, "entries", mat)
 
 
+def _pair_densities(state: StateVector, pairs: Sequence[Sequence[int]]) -> np.ndarray:
+    """The unvalidated ``(P, 4, 4)`` reduced densities of qubit pairs.
+
+    The kept blocks of every pair are stacked ``(P, 4, K)`` and multiplied
+    by their adjoints in one matmul.
+    """
+    structure = state.structure
+    if not pairs:
+        raise ValueError("at least one pair of parties must be kept")
+    blocks = np.empty((len(pairs), 4, structure.total_dim // 4), np.complex128)
+    for block, keep in zip(blocks, pairs):
+        keep = list(keep)
+        if len(keep) != 2:
+            raise ValueError(f"exactly two parties must be kept, got {keep}")
+        keep = [structure.check_party(p) for p in keep]
+        for p in keep:
+            if structure.dims[p] != 2:
+                raise ValueError(
+                    f"kept party {p} has dimension {structure.dims[p]}, "
+                    "but the two-qubit reduction requires qubits"
+                )
+        if keep[0] == keep[1]:
+            raise ValueError(f"kept parties must be distinct, got {keep}")
+        block[...] = _kept_block(state, keep)
+    return blocks @ blocks.conj().transpose(0, 2, 1)
+
+
+def trace_to_pairs(
+    state: StateVector, pairs: Sequence[Sequence[int]]
+) -> DensityMatrix:
+    """Partial traces down to each of several pairs of kept qubit parties.
+
+    Returns one validated ``(P, 4, 4)`` stack, in the order of ``pairs``.
+    """
+    return DensityMatrix(_pair_densities(state, pairs))
+
+
 def trace_to_pair(state: StateVector, keep: Sequence[int]) -> DensityMatrix:
-    """Partial trace down to two kept qubit parties."""
-    keep = list(keep)
-    if len(keep) != 2:
-        raise ValueError(f"exactly two parties must be kept, got {keep}")
-    for p in keep:
-        state.structure.check_party(p)
-        if state.structure.dims[p] != 2:
-            raise ValueError(
-                f"kept party {p} has dimension {state.structure.dims[p]}, "
-                "but the two-qubit reduction requires qubits"
-            )
-    return DensityMatrix(reduced_density(state, keep))
+    """Partial trace down to two kept qubit parties: a stack of one pair."""
+    return DensityMatrix(_pair_densities(state, [keep])[0])

@@ -4,15 +4,22 @@ None of these functions call into :mod:`etensor.tensor`; they go through
 the spin-flip construction, reduced-state purity, or the mixed-state
 eigenvalue formula, so agreement with the tensor components is a genuine
 two-path check rather than a tautology.
+
+The mixed-state oracles take a :class:`~etensor.localops.DensityMatrix`
+that holds one 4x4 matrix or a ``(P, 4, 4)`` stack, and score a stack with
+one stacked ``eigh``, matmul and ``svd``: :func:`dur_average` traces and
+scores all C(M, 2) pairs of W_M that way.  A single matrix is a stack of
+one and gives a float.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 
-from .localops import DensityMatrix, PartyGrouping, reduced_density, trace_to_pair
+from .localops import DensityMatrix, PartyGrouping, reduced_density, trace_to_pairs
 from .states import StateVector, w_state
 
 SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]])
@@ -67,22 +74,52 @@ def concurrence_purity(state: StateVector, bipartition: PartyGrouping) -> float:
     return math.sqrt(max(0.0, 2.0 * (1.0 - purity)))
 
 
-def concurrence_mixed_2qubit(rho: DensityMatrix) -> float:
+def _flip_singular_values(rho: DensityMatrix) -> np.ndarray:
+    """The decreasing l's of every matrix of ``rho``, one row of four each.
+
+    They are the square roots of the eigenvalues of rho * flip(rho),
+    evaluated as the singular values of sqrt(rho) F conj(sqrt(rho)), which
+    has the same spectrum but stays accurate on rank-deficient inputs where
+    a general eigensolver loses half its digits.  Round-off negatives in
+    rho's own spectrum are clamped to zero before the square root.
+    """
+    stack = rho.entries.reshape(-1, 4, 4)
+    eigenvalues, eigenvectors = np.linalg.eigh(stack)
+    root = (eigenvectors * np.sqrt(np.clip(eigenvalues, 0.0, None))[:, None, :]) \
+        @ eigenvectors.conj().transpose(0, 2, 1)
+    bridge = root @ FLIP_2Q @ np.conj(root)
+    return np.linalg.svd(bridge, compute_uv=False)
+
+
+def _per_matrix(rho: DensityMatrix, values: np.ndarray) -> float | np.ndarray:
+    """A float for a single matrix, the array of P values for a stack."""
+    return float(values[0]) if rho.entries.ndim == 2 else values
+
+
+def concurrence_mixed_2qubit(rho: DensityMatrix) -> float | np.ndarray:
     """Mixed-state two-qubit concurrence from the flip-product eigenvalues.
 
-    max(0, l1 - l2 - l3 - l4) where the l's are the decreasing square roots
-    of the eigenvalues of rho * flip(rho).  They are evaluated as the
-    singular values of sqrt(rho) F conj(sqrt(rho)), which has the same
-    spectrum but stays accurate on rank-deficient inputs where a general
-    eigensolver loses half its digits.  Round-off negatives in rho's own
-    spectrum are clamped to zero before the square root.
+    max(0, l1 - l2 - l3 - l4), with the l's of :func:`_flip_singular_values`.
+    A single matrix gives a float; a ``(P, 4, 4)`` stack gives P values
+    from one stacked ``eigh`` and one stacked ``svd``.
     """
-    eigenvalues, eigenvectors = np.linalg.eigh(rho.entries)
-    root = (eigenvectors * np.sqrt(np.clip(eigenvalues, 0.0, None))) \
-        @ eigenvectors.conj().T
-    bridge = root @ FLIP_2Q @ np.conj(root)
-    lams = np.linalg.svd(bridge, compute_uv=False)
-    return float(max(0.0, lams[0] - lams[1] - lams[2] - lams[3]))
+    lams = _flip_singular_values(rho)
+    excess = lams[:, 0] - lams[:, 1] - lams[:, 2] - lams[:, 3]
+    # as max(0.0, x): np.maximum(0.0, -0.0) would keep the sign of -0.0
+    return _per_matrix(rho, np.where(excess > 0.0, excess, 0.0))
+
+
+def concurrence_of_assistance(rho: DensityMatrix) -> float | np.ndarray:
+    """Concurrence of assistance l1 + l2 + l3 + l4 of a two-qubit state.
+
+    The largest mean concurrence over the pure-state ensembles of rho
+    (Laustsen, Verstraete & van Enk 2003), with the same l's as
+    :func:`concurrence_mixed_2qubit`, which it bounds from above.  Every
+    qubit pair component of a pure state whose pair reduces to rho is at
+    most its square root.  A single matrix gives a float; a stack gives P
+    values.
+    """
+    return _per_matrix(rho, _flip_singular_values(rho).sum(axis=1))
 
 
 def dur_average(num_parties: int) -> float:
@@ -90,17 +127,14 @@ def dur_average(num_parties: int) -> float:
 
     Every pair of parties is traced out of the others and scored with the
     mixed-state concurrence; the closed form of the average is 4/M^2.
-    This is the discard scenario: the other M-2 parties are lost, not
-    measured, which is why it sits below the pair components of the intact
-    state.
+    All C(M, 2) pairs are traced into one ``(P, 4, 4)`` stack, validated
+    and scored together.  This is the discard scenario: the other M-2
+    parties are lost, not measured, which is why it sits below the pair
+    components of the intact state.
     """
     m = int(num_parties)
     if not 3 <= m <= 10:
         raise ValueError(f"party count must be between 3 and 10, got {m}")
-    state = w_state(m)
-    squares = [
-        concurrence_mixed_2qubit(trace_to_pair(state, (i, j))) ** 2
-        for i in range(m)
-        for j in range(i + 1, m)
-    ]
-    return float(np.mean(squares))
+    pairs = list(itertools.combinations(range(m), 2))
+    values = concurrence_mixed_2qubit(trace_to_pairs(w_state(m), pairs))
+    return float(np.mean(values**2))

@@ -18,6 +18,7 @@ from etensor.localops import (
     reduced_density,
     regroup,
     trace_to_pair,
+    trace_to_pairs,
     ungroup,
 )
 from etensor.oracles import concurrence_pure_2qubit
@@ -217,17 +218,78 @@ class TestDensityMatrix:
         with pytest.raises(ValueError, match="4x4"):
             DensityMatrix(np.eye(2))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_are_refused(self, value):
+        # NaN used to pass the Hermitian and trace checks and reach eigvalsh
+        full = np.full((4, 4), value, dtype=complex)
+        one = (np.eye(4) / 4).astype(complex)
+        one[1, 2] = value
+        imaginary = np.eye(4) / 4 + 0j
+        imaginary[3, 3] = complex(0.25, value)
+        for mat in (full, one, imaginary):
+            with pytest.raises(ValueError, match="must be finite"):
+                DensityMatrix(mat)
+            with pytest.raises(ValueError, match="must be finite"):
+                DensityMatrix(np.stack([np.eye(4) / 4, mat]))
+
     def test_trace_to_pair_requires_qubits(self):
         state = random_state(PartyStructure((2, 3, 2)), np.random.default_rng(1))
         with pytest.raises(ValueError, match="qubit"):
             trace_to_pair(state, (0, 1))
         with pytest.raises(ValueError, match="two parties"):
             trace_to_pair(state, (0,))
+        with pytest.raises(ValueError, match="distinct"):
+            trace_to_pair(state, (2, 2))
+        with pytest.raises(ValueError, match="qubit"):
+            trace_to_pairs(state, [(0, 2), (1, 2)])
+        with pytest.raises(ValueError, match="at least one pair"):
+            trace_to_pairs(state, [])
 
     def test_ghz_pair_reduction_is_classical_mixture(self):
         rho = trace_to_pair(ghz_state(3), (0, 1))
         expected = np.diag([0.5, 0.0, 0.0, 0.5])
         assert np.max(np.abs(rho.entries - expected)) < 1e-12
+
+
+BAD_DENSITIES = {
+    "Hermitian": np.triu(np.ones((4, 4))) / 4,
+    "trace": np.eye(4) / 2,
+    "negative eigenvalue": np.diag([1.5, -0.5, 0.0, 0.0]),
+    "NaN": np.full((4, 4), np.nan),
+    "inf": np.diag([np.inf, 0.0, 0.0, 0.0]),
+}
+
+
+class TestDensityStack:
+    """A ``(P, 4, 4)`` stack: the pair reductions of one state, checked at once."""
+
+    def test_stack_equals_single_pairs(self):
+        state = random_state(PartyStructure((2, 2, 3, 2)), np.random.default_rng(5))
+        pairs = [(0, 1), (3, 0), (1, 3), (0, 3)]
+        stack = trace_to_pairs(state, pairs).entries
+        assert stack.shape == (4, 4, 4) and not stack.flags.writeable
+        for keep, rho in zip(pairs, stack):
+            single = trace_to_pair(state, keep).entries
+            assert single.shape == (4, 4)
+            assert np.array_equal(rho, single)
+            assert np.array_equal(rho, reduced_density(state, keep))
+
+    @pytest.mark.parametrize("kind", BAD_DENSITIES)
+    @pytest.mark.parametrize("position", range(4))
+    def test_one_bad_matrix_anywhere_gives_its_own_message(self, kind, position):
+        good = trace_to_pairs(w_state(4), [(0, 1), (0, 2), (1, 3), (2, 3)]).entries
+        stack = good.copy()
+        stack[position] = BAD_DENSITIES[kind]
+        with pytest.raises(ValueError) as alone:
+            DensityMatrix(BAD_DENSITIES[kind])
+        with pytest.raises(ValueError) as stacked:
+            DensityMatrix(stack)
+        assert str(stacked.value) == str(alone.value)
+
+    def test_shapes(self):
+        for shape in [(4,), (3, 3), (2, 4, 4, 4), (2, 4, 3)]:
+            with pytest.raises(ValueError, match="4x4"):
+                DensityMatrix(np.zeros(shape))
 
 
 class TestPhaseGates:

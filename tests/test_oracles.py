@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from etensor.localops import DensityMatrix, PartyGrouping, trace_to_pair
+from etensor.localops import DensityMatrix, PartyGrouping, trace_to_pair, trace_to_pairs
 from etensor.oracles import (
     FLIP_2Q,
     concurrence_mixed_2qubit,
+    concurrence_of_assistance,
     concurrence_pure_2qubit,
     concurrence_purity,
     dur_average,
@@ -24,7 +26,7 @@ from etensor.states import (
     random_state,
     w_state,
 )
-from etensor.tensor import SubsetSelector, component, component_evaluator
+from etensor.tensor import SubsetSelector, component, component_evaluator, full_tensor
 
 seed_strategy = st.integers(0, 2**32 - 1)
 PAIR = SubsetSelector((0, 1))
@@ -138,7 +140,64 @@ class TestMixedConcurrence:
         assert concurrence_mixed_2qubit(rho) == pytest.approx(0.0, abs=1e-9)
 
 
+class TestStackedConcurrence:
+    """A stack of pair densities scored at once, against one call per pair."""
+
+    @given(seed_strategy, st.integers(3, 6))
+    @settings(max_examples=40, deadline=None)
+    def test_stack_equals_single_calls(self, seed, num):
+        state = random_state(PartyStructure((2,) * num), np.random.default_rng(seed))
+        pairs = list(itertools.combinations(range(num), 2))
+        stacked = concurrence_mixed_2qubit(trace_to_pairs(state, pairs))
+        assert isinstance(stacked, np.ndarray) and stacked.shape == (len(pairs),)
+        single = [concurrence_mixed_2qubit(trace_to_pair(state, keep))
+                  for keep in pairs]
+        assert all(type(value) is float for value in single)
+        assert stacked.tolist() == single
+
+    def test_stack_of_one_gives_an_array(self):
+        rho = trace_to_pairs(w_state(3), [(0, 2)])
+        assert concurrence_mixed_2qubit(rho).shape == (1,)
+        assert concurrence_of_assistance(rho).shape == (1,)
+
+
+class TestConcurrenceOfAssistance:
+    @pytest.mark.parametrize("m", range(3, 11))
+    def test_w_state_pairs(self, m):
+        pairs = list(itertools.combinations(range(m), 2))
+        values = concurrence_of_assistance(trace_to_pairs(w_state(m), pairs))
+        assert np.max(np.abs(values - 2 / m)) < 1e-12
+        single = concurrence_of_assistance(trace_to_pair(w_state(m), (0, 1)))
+        assert type(single) is float and abs(single - 2 / m) < 1e-12
+
+    def test_ghz_pair(self):
+        rho = trace_to_pair(ghz_state(3), (0, 1))
+        assert abs(concurrence_of_assistance(rho) - 1.0) < 1e-12
+
+    @given(seed_strategy, st.integers(3, 5))
+    @settings(max_examples=30, deadline=None)
+    def test_bounds_wootters_and_pair_components(self, seed, num):
+        state = random_state(PartyStructure((2,) * num), np.random.default_rng(seed))
+        pairs = list(itertools.combinations(range(num), 2))
+        rho = trace_to_pairs(state, pairs)
+        assistance = concurrence_of_assistance(rho)
+        assert np.all(assistance >= concurrence_mixed_2qubit(rho))
+        components = full_tensor(state).components
+        for keep, bound in zip(pairs, np.sqrt(assistance)):
+            assert components[SubsetSelector(keep)] <= bound + 1e-12
+
+
 class TestWFamilyAverages:
+    @pytest.mark.parametrize("m", range(3, 11))
+    def test_equals_one_pair_at_a_time(self, m):
+        state = w_state(m)
+        squares = [
+            concurrence_mixed_2qubit(trace_to_pair(state, (i, j))) ** 2
+            for i in range(m)
+            for j in range(i + 1, m)
+        ]
+        assert dur_average(m) == float(np.mean(squares))
+
     @pytest.mark.parametrize("m,expected", [(3, 4 / 9), (4, 1 / 4), (6, 1 / 9)])
     def test_closed_form_examples(self, m, expected):
         assert dur_average(m) == pytest.approx(expected, abs=1e-9)

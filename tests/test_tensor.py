@@ -1,10 +1,12 @@
 import copy
+import gc
 import itertools
 import math
 import pickle
 import sys
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -499,7 +501,7 @@ def _count_calls(monkeypatch, name):
     original = getattr(kernel_module, name)
 
     def counted(first, *args):
-        calls.append(first.shape[1] if first.ndim == 3 else len(first))
+        calls.append(first.shape[1] if name == "_evaluate_pass" else len(first))
         return original(first, *args)
 
     monkeypatch.setattr(kernel_module, name, counted)
@@ -891,9 +893,7 @@ class TestStackEvaluator:
     def test_empty_stack_gives_no_values(self, monkeypatch):
         # the gather index of an empty stack used to fail to reshape
         passes = _count_calls(monkeypatch, "_evaluate_pass")
-        terms, probe_term = [], kernel_module._probe_term
-        monkeypatch.setattr(kernel_module, "_probe_term",
-                            lambda *args: terms.append(args) or probe_term(*args))
+        terms = _count_calls(monkeypatch, "_probe_term")
         structure = PartyStructure((2, 3, 2))
         for parties in [(0, 1), (0, 1, 2)]:
             got = component_evaluator(structure, SubsetSelector(parties))(
@@ -1167,6 +1167,34 @@ class TestKeptIndex:
         assert kept_bytes((2,) * 12) == 4096 * 8
         assert kept_bytes((4,) * 5) == 4**5 * 8
         assert kept_bytes((3,) * 6) == 3**6 * 8
+
+    def test_no_digit_table_outlives_its_use(self, monkeypatch):
+        # a kept group drops its tables, so no cache may keep them alive:
+        # a table of (2,)*12 is 393 KB, for a kept index of 32 KB
+        built, digits = [], kernel_module._digits
+
+        def owner(table):  # the array whose memory a table or its view is
+            return table if table.base is None else table.base
+
+        def recorded(shape):
+            table = digits(shape)
+            built.append(weakref.ref(owner(table)))
+            return table
+
+        monkeypatch.setattr(kernel_module, "_digits", recorded)
+        budget = (1 << 20) + 8  # a key no other test builds plans for
+        plans = [tensor_module._plan(dims, size, budget)
+                 for dims in [(2,) * 8, (2,) * 12, (3, 3, 2, 2, 2, 2)]
+                 for size in range(2, len(dims) + 1)]
+        held = {id(owner(table)) for _, groups in plans
+                for _, _, tables, _ in groups if tables is not None
+                for table in tables[2:]}
+        kept = sum(index is not None for _, groups in plans
+                   for _, index, _, _ in groups)
+        gc.collect()
+        alive = [ref() for ref in built if ref() is not None]
+        assert kept >= 8 and len(built) > len(alive)
+        assert all(id(table) in held for table in alive)
 
     def test_warm_calls_hand_the_kernel_one_index(self, monkeypatch):
         rng = np.random.default_rng(35)
