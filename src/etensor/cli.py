@@ -59,7 +59,7 @@ from .tensor import (
     component,
     component_evaluator,  # noqa: F401 - a name perfbench's traced runs wrap
     full_tensor,
-    report_to_dict,
+    report_document,
     separability_scan,
 )
 
@@ -188,20 +188,19 @@ def _cmd_compute(args: argparse.Namespace, out: TextIO) -> int:
         report = full_tensor(state, scheme, sizes=sizes)
     else:
         report = full_tensor(state, scheme)
-    doc = report_to_dict(report)
+    doc = report_document(report)
     if args.detached:
         doc["detached_parties"] = [
             i + 1 for i, flag in enumerate(separability_scan(state)) if flag
         ]
     if args.table:
-        # {:.15g} of a value and of its 15-digit rounding are the same text
-        width = max([len("subset"), *(len(",".join(map(str, c["subset"])))
-                                      for c in doc["components"])])
-        print(f"{'subset':<{width}}  value", file=out)
-        for entry in doc["components"]:
-            label = ",".join(map(str, entry["subset"]))
-            print(f"{label:<{width}}  {entry['value']:.15g}", file=out)
-        print(f"{'norm':<{width}}  {doc['tensor_norm']:.15g}", file=out)
+        components = doc["components"]
+        labels = components.labels()
+        width = max(map(len, ["subset", *labels]))
+        row = f"%-{width}s  %.15g\n"
+        out.write(f"{'subset':<{width}}  value\n"
+                  + "".join(map(row.__mod__, zip(labels, components.values)))
+                  + row % ("norm", doc["tensor_norm"]))
     else:
         write_json(doc, out, round_floats=True)
     return 0

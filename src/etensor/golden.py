@@ -14,7 +14,8 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 from .ketparse import parse_ket
 from .localops import (PartyGrouping, apply_local, hadamard, measure_party, regroup,
                        trace_to_pair)
-from .oracles import concurrence_mixed_2qubit, concurrence_pure_2qubit, dur_average
+from .oracles import (concurrence_mixed_2qubit, concurrence_pure_2qubit,
+                      mean_traced_concurrence_squared)
 from .states import (PartyStructure, StateVector, ghz_state, projection_probability,
                      w_state)
 from .tensor import SubsetSelector, component, separability_scan
@@ -101,8 +102,8 @@ CHECKS: tuple[Check, ...] = (
     _component("w4 max higher component", *combinations(range(4), 3), (0, 1, 2, 3)),
     *(check for m in W_PARTIES for check in (
         _component(f"w{m} pair 12", (0, 1)),
-        Check(f"w{m} mean traced concurrence^2",
-              lambda state: dur_average(state.num_parties), 4.0 / m**2, 1e-9),
+        Check(f"w{m} mean traced concurrence^2", mean_traced_concurrence_squared,
+              4.0 / m**2, 1e-9),
         Check(f"w{m} component^2 / traced^2",
               lambda state: component(state, _PAIR_12) ** 2
               / concurrence_mixed_2qubit(trace_to_pair(state, (0, 1))) ** 2,

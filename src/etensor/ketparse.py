@@ -23,14 +23,31 @@ The JSON format stores the same data sparsely::
 
 Indices absent from the list are zero.  The canonical file extension is
 ``.ket.json``; plain ``.ket`` files hold an expression in the grammar above.
+
+:func:`state_from_dict` reads the decoded entry list one column at a time,
+with no Python step per entry: the ``"index"`` lists by one
+``itemgetter`` map, their lengths by one ``len`` map, their components
+chained into one ``np.fromiter`` (which converts each as ``int()`` does),
+and ``"re"`` and ``"im"`` by ``np.fromiter(map(float, ...))``.  A column
+that cannot convert an entry stops there, and how far its list iterator got
+names the entry; the later columns read only the entries before it.  Array
+checks then find the first entry of wrong arity, out of range or repeated,
+and the error of the first refused entry in document order is raised, from
+the per-entry check run on that entry alone.  So the errors are those of a
+per-entry reader.  On the write side, :func:`write_json` writes a
+:class:`JsonText` (a state's amplitude list, a report's component list)
+from ``%`` templates, one per entry shape.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 import re
-from typing import Any, Iterable, NamedTuple, TextIO
+from itertools import chain
+from typing import (Any, Callable, Iterable, Iterator, NamedTuple, NoReturn,
+                    Sequence, TextIO)
 
 import numpy as np
 
@@ -373,7 +390,50 @@ def state_document(state: StateVector) -> dict[str, Any]:
             "amplitudes": _SparseAmplitudes(state.tensor)}
 
 
-class _SparseAmplitudes:
+class JsonText:
+    """A list of dicts that :func:`write_json` writes from its own :meth:`text`.
+
+    :meth:`entry_template` and :meth:`list_text` hold the layout of
+    ``indent=1``, so a subclass only fills in ``%`` templates.
+    """
+
+    __slots__ = ()
+
+    def text(self, newline: str, round_floats: bool) -> str:
+        """The value as ``json.dump(..., indent=1)`` writes it.
+
+        ``newline`` is the line break and indent of the line holding the
+        value; ``round_floats`` is :func:`write_json`'s.
+        """
+        raise NotImplementedError
+
+    @staticmethod
+    def entry_template(newline: str, fields: dict[str, str | int]) -> str:
+        """The ``%`` template of one dict of the list held at ``newline``.
+
+        It starts with the dict's own line break.  Keys are written as they
+        are, so they must be plain ASCII names.  A str field is the
+        placeholder of one leaf, an int ``n`` a list of ``n`` ``%d``
+        placeholders: ``%d`` writes a Python int as ``int.__repr__`` does
+        and ``%r`` a finite Python float as ``float.__repr__`` does, which
+        are the encoder's leaves.
+        """
+        entry = newline + " "
+        field = entry + " "
+        body = ",".join(
+            f'{field}"{key}": '
+            + ("[" + ",".join([field + " %d"] * spec) + field + "]"
+               if isinstance(spec, int) else spec)
+            for key, spec in fields.items())
+        return f"{entry}{{{body}{entry}}}"
+
+    @staticmethod
+    def list_text(entries: list[str], newline: str) -> str:
+        """The list held at ``newline`` of entries from :meth:`entry_template`."""
+        return "[" + ",".join(entries) + newline + "]" if entries else "[]"
+
+
+class _SparseAmplitudes(JsonText):
     """The nonzero amplitudes of a tensor, written as a state's entry list."""
 
     __slots__ = ("tensor",)
@@ -381,30 +441,47 @@ class _SparseAmplitudes:
     def __init__(self, tensor: np.ndarray):
         self.tensor = tensor
 
-    def text(self, newline: str) -> str:
-        """The entry list as ``json.dump(..., indent=1)`` writes it.
-
-        ``newline`` is the line break and indent of the line holding the
-        list.  Each entry comes from one ``%`` template: ``%d`` writes a
-        Python int as ``int.__repr__`` does and ``%r`` a finite Python
-        float as ``float.__repr__`` does, which are the encoder's leaves.
-        """
+    def text(self, newline: str, round_floats: bool) -> str:
+        """The entry list, from one template; amplitudes are never rounded."""
         index = np.nonzero(self.tensor)
         values = self.tensor[index]
-        entry = newline + " "
-        field = entry + " "
-        component = ",".join([field + " %d"] * len(index))
-        template = (f'{entry}{{{field}"index": [{component}{field}],'
-                    f'{field}"re": %r,{field}"im": %r{entry}}}')
+        template = self.entry_template(
+            newline, {"index": len(index), "re": "%r", "im": "%r"})
         rows = zip(*[i.tolist() for i in index],
                    values.real.tolist(), values.imag.tolist())
-        return "[" + ",".join(map(template.__mod__, rows)) + newline + "]"
+        return self.list_text(list(map(template.__mod__, rows)), newline)
 
 
 _encode_str = json.encoder.encode_basestring_ascii
 _float_repr = float.__repr__
 _int_repr = int.__repr__
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_DISPLAY = "%.15g".__mod__
+
+
+def float_text(value: float, round_floats: bool = False) -> str:
+    """One float as :func:`write_json` writes it."""
+    if round_floats:
+        rounded = float(_DISPLAY(value))
+        # near the largest double, 15 digits round past it to inf
+        if math.isfinite(rounded):
+            value = rounded
+    text = _float_repr(value)
+    return _NON_FINITE.get(text, text)
+
+
+def float_texts(values: Sequence[float], round_floats: bool = False) -> list[str]:
+    """Each float as :func:`float_text` writes it, converted by C maps.
+
+    Only a list holding ``nan`` or an infinity after the conversion, which
+    the maps cannot tell apart from a rounding past the largest double, is
+    written again one float at a time.
+    """
+    floats = map(float, map(_DISPLAY, values)) if round_floats else values
+    texts = list(map(_float_repr, floats))
+    if _NON_FINITE.keys().isdisjoint(texts):
+        return texts
+    return [float_text(value, round_floats) for value in values]
 
 
 def write_json(doc: Any, out: TextIO, round_floats: bool = False) -> None:
@@ -415,11 +492,12 @@ def write_json(doc: Any, out: TextIO, round_floats: bool = False) -> None:
     from ``int.__repr__``, floats from ``float.__repr__`` (numpy floats
     included), and ``true``, ``false`` and ``null``.  Lists, tuples and
     dicts with str keys nest; any other value raises ``TypeError``, as
-    ``json.dump`` does, except the amplitude list of a
-    :func:`state_document`.  With ``round_floats``, each float is first
-    rounded to 15 significant digits, as the CLI displays them, unless the
-    rounding is not finite: a float within 15 digits of the largest double
-    is written as it is.
+    ``json.dump`` does, except a :class:`JsonText`
+    (the amplitude list of a :func:`state_document`, the component list of
+    a :func:`~etensor.tensor.report_document`), which writes itself.  With
+    ``round_floats``, each float is first rounded to 15 significant digits,
+    as the CLI displays them, unless the rounding is not finite: a float
+    within 15 digits of the largest double is written as it is.
     """
     chunks: list[str] = []
     _encode(doc, "\n", chunks, round_floats)
@@ -439,13 +517,7 @@ def _encode(obj: Any, newline: str, chunks: list[str], round_floats: bool) -> No
     elif isinstance(obj, int):
         chunks.append(_int_repr(obj))
     elif isinstance(obj, float):
-        if round_floats:
-            rounded = float(f"{obj:.15g}")
-            # near the largest double, 15 digits round past it to inf
-            if math.isfinite(rounded):
-                obj = rounded
-        text = _float_repr(obj)
-        chunks.append(_NON_FINITE.get(text, text))
+        chunks.append(float_text(obj, round_floats))
     elif isinstance(obj, (list, tuple)):
         if not obj:
             chunks.append("[]")
@@ -470,8 +542,8 @@ def _encode(obj: Any, newline: str, chunks: list[str], round_floats: bool) -> No
             _encode(value, inner, chunks, round_floats)
             separator = "," + inner
         chunks.append(newline + "}")
-    elif isinstance(obj, _SparseAmplitudes):
-        chunks.append(obj.text(newline))
+    elif isinstance(obj, JsonText):
+        chunks.append(obj.text(newline, round_floats))
     else:
         raise TypeError(
             f"Object of type {type(obj).__name__} is not JSON serializable"
@@ -481,11 +553,18 @@ def _encode(obj: Any, newline: str, chunks: list[str], round_floats: bool) -> No
 def state_from_dict(data: Any, normalize: bool = False) -> StateVector:
     """Inverse of :func:`state_to_dict`; raises :class:`KetFormatError`.
 
-    Vectorized: one light loop parses the entries, then whole arrays do the
-    arity, range and duplicate checks and the scatter.  The errors are
-    those of a per-entry check: the first offending entry in document order
-    is reported, with the same message.  A number too large to convert is
-    an invalid entry or dims field.
+    ``"amplitudes"`` may be any iterable of entries.  It is read one column
+    at a time, each by one chain of C iterators (see the module notes): the
+    index lists, their lengths, their components chained into one integer
+    array, then the ``"re"`` and ``"im"`` values.  A column stops at the
+    first entry it cannot convert, found from how far its list iterator
+    got, and the columns after it read only the entries before that one;
+    a component past int64 stops the component column too.  Whole arrays
+    then do the arity, range and duplicate checks on what every column
+    read, and the scatter.  The errors are those of a per-entry check: the
+    first offending entry in document order is reported, with the message
+    the per-entry check gives for it.  A number too large to convert is an
+    invalid entry or dims field.
     """
     if not isinstance(data, dict):
         raise KetFormatError("coefficient document must be a JSON object")
@@ -498,50 +577,87 @@ def state_from_dict(data: Any, normalize: bool = False) -> StateVector:
     except ValueError as exc:
         raise KetFormatError(str(exc)) from exc
     amps = _zero_amplitudes(structure)
-    indices: list[tuple[int, ...]] = []
-    values: list[complex] = []
-    unparsed: KetFormatError | None = None
-    if not isinstance(data.get("amplitudes", []), Iterable):
+    entries = data.get("amplitudes", [])
+    if not isinstance(entries, Iterable):
         raise KetFormatError("missing or invalid 'amplitudes' field")
-    for entry in data.get("amplitudes", []):
-        try:
-            index = tuple(map(int, entry["index"]))
-            value = complex(float(entry.get("re", 0.0)),
-                            float(entry.get("im", 0.0)))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            unparsed = KetFormatError(f"invalid amplitude entry {entry!r}")
-            unparsed.__cause__ = exc
-            break
-        indices.append(index)
-        values.append(value)
+    if not isinstance(entries, list):
+        entries = list(entries)
 
-    # Each check below looks only at the entries before the first one an
-    # earlier check refused, so the error raised is the first in the document.
-    valid = len(indices)
-    arity = np.fromiter(map(len, indices), dtype=np.intp, count=valid)
-    valid = _first(arity != len(dims), valid)
-    # components past int64 make this a float or object array; they are
-    # out of range either way
-    index = np.array(indices[:valid]).reshape(valid, len(dims))
-    valid = _first(((index < 0) | (index >= dims)).any(axis=1), valid)
-    flat = np.ravel_multi_index(index[:valid].T.astype(np.intp), dims)
-    _, first_seen = np.unique(flat, return_index=True)
-    if first_seen.size < valid:
+    # Each column reads the entries before the first one an earlier column
+    # refused, and each check the entries before the first one an earlier
+    # check refused, so the error raised is the first in the document.
+    lists, valid = _column(lambda items, n: list(map(_INDEX, items)), entries)
+    arity, valid = _column(
+        lambda items, n: np.fromiter(map(len, items), np.intp, n), lists[:valid])
+    # numpy converts each component as int() does; one past int64 stops the
+    # column too, and its entry is out of range
+    components, valid = _column(
+        lambda items, n: np.fromiter(chain.from_iterable(items), np.intp,
+                                     int(arity[:n].sum())),
+        lists[:valid])
+    real, valid = _column(
+        lambda items, n: np.fromiter(map(float, map(_RE, items)), np.float64, n),
+        entries[:valid])
+    imag, valid = _column(
+        lambda items, n: np.fromiter(map(float, map(_IM, items)), np.float64, n),
+        entries[:valid])
+    valid = _first(arity[:valid] != len(dims), valid)
+    index = components[:valid * len(dims)].reshape(valid, len(dims))
+    if index.size and (index.min() < 0 or (index.max(axis=0) >= dims).any()):
+        valid = _first(((index < 0) | (index >= dims)).any(axis=1), valid)
+        index = index[:valid]
+    flat = np.ravel_multi_index(index.T, dims)
+    ordered = np.sort(flat)
+    if (ordered[1:] == ordered[:-1]).any():
+        _, first_seen = np.unique(flat, return_index=True)
         repeated = np.ones(valid, dtype=bool)
         repeated[first_seen] = False
-        duplicate = indices[int(np.argmax(repeated))]
-        raise KetFormatError(f"duplicate amplitude index {list(duplicate)}")
-    if valid < len(indices):
-        try:  # the per-entry check on the refused entry, for its message
-            flat_index(structure, indices[valid])
-        except ValueError as exc:
-            raise KetFormatError(str(exc)) from exc
-    if unparsed is not None:
-        raise unparsed
-    amps[flat] = values
+        duplicate = index[int(np.argmax(repeated))].tolist()
+        raise KetFormatError(f"duplicate amplitude index {duplicate}")
+    if valid < len(entries):
+        _refuse(structure, entries[valid])
+    amps.real[flat] = real[:valid]
+    amps.imag[flat] = imag[:valid]
     if not np.any(amps):
         raise KetFormatError("document holds the zero vector")
     return StateVector(structure, amps, normalize=normalize)
+
+
+_INDEX = operator.itemgetter("index")
+_RE = operator.methodcaller("get", "re", 0.0)
+_IM = operator.methodcaller("get", "im", 0.0)
+# what converting a malformed entry raises
+_INVALID = (KeyError, TypeError, ValueError, OverflowError)
+
+
+def _column(convert: Callable[[Iterator, int], Any], items: list) -> tuple[Any, int]:
+    """``convert(iterator, count)`` over ``items``, and the count it took.
+
+    If ``convert`` raises on an item, the list iterator has passed that
+    item and no further, so the item is the one before where it stopped;
+    ``convert`` then runs again on the items before it.
+    """
+    source = iter(items)
+    try:
+        return convert(source, len(items)), len(items)
+    except _INVALID:
+        stop = len(items) - operator.length_hint(source) - 1
+        return convert(iter(items[:stop]), stop), stop
+
+
+def _refuse(structure: PartyStructure, entry: Any) -> NoReturn:
+    """Raise the per-entry check's error for an entry a column or check refused."""
+    try:
+        index = tuple(map(int, entry["index"]))
+        float(entry.get("re", 0.0))
+        float(entry.get("im", 0.0))
+    except _INVALID as exc:
+        raise KetFormatError(f"invalid amplitude entry {entry!r}") from exc
+    try:
+        flat_index(structure, index)
+    except ValueError as exc:
+        raise KetFormatError(str(exc)) from exc
+    raise AssertionError(f"entry {entry!r} was refused but passes its check")
 
 
 def _first(flags: np.ndarray, default: int) -> int:

@@ -7,9 +7,10 @@ two-path check rather than a tautology.
 
 The mixed-state oracles take a :class:`~etensor.localops.DensityMatrix`
 that holds one 4x4 matrix or a ``(P, 4, 4)`` stack, and score a stack with
-one stacked ``eigh``, matmul and ``svd``: :func:`dur_average` traces and
-scores all C(M, 2) pairs of W_M that way.  A single matrix is a stack of
-one and gives a float.
+one stacked ``eigh``, matmul and ``svd``:
+:func:`mean_traced_concurrence_squared` traces and scores all C(M, 2)
+qubit pairs of a state that way, and :func:`dur_average` is its value on
+W_M.  A single matrix is a stack of one and gives a float.
 """
 
 from __future__ import annotations
@@ -122,19 +123,27 @@ def concurrence_of_assistance(rho: DensityMatrix) -> float | np.ndarray:
     return _per_matrix(rho, _flip_singular_values(rho).sum(axis=1))
 
 
+def mean_traced_concurrence_squared(state: StateVector) -> float:
+    """Mean squared mixed-state concurrence over every qubit pair of ``state``.
+
+    Each pair is traced out of the others and scored with
+    :func:`concurrence_mixed_2qubit`.  All C(M, 2) pairs are traced into
+    one ``(P, 4, 4)`` stack, validated and scored together.
+    """
+    pairs = list(itertools.combinations(range(state.num_parties), 2))
+    values = concurrence_mixed_2qubit(trace_to_pairs(state, pairs))
+    return float(np.mean(values**2))
+
+
 def dur_average(num_parties: int) -> float:
     """Mean squared pairwise concurrence of the single-excitation W state.
 
-    Every pair of parties is traced out of the others and scored with the
-    mixed-state concurrence; the closed form of the average is 4/M^2.
-    All C(M, 2) pairs are traced into one ``(P, 4, 4)`` stack, validated
-    and scored together.  This is the discard scenario: the other M-2
-    parties are lost, not measured, which is why it sits below the pair
-    components of the intact state.
+    :func:`mean_traced_concurrence_squared` of W_M; the closed form of the
+    average is 4/M^2.  This is the discard scenario: the other M-2 parties
+    are lost, not measured, which is why it sits below the pair components
+    of the intact state.
     """
     m = int(num_parties)
     if not 3 <= m <= 10:
         raise ValueError(f"party count must be between 3 and 10, got {m}")
-    pairs = list(itertools.combinations(range(m), 2))
-    values = concurrence_mixed_2qubit(trace_to_pairs(w_state(m), pairs))
-    return float(np.mean(values**2))
+    return mean_traced_concurrence_squared(w_state(m))

@@ -55,12 +55,13 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from . import kernel
 from .kernel import PLAN_CACHE_SIZE
+from .ketparse import JsonText, float_texts
 from .states import PartyStructure, StateVector
 
 DEFAULT_NORM_CONSTANT = 4.0
@@ -481,17 +482,72 @@ def tensor_norm(report: TensorReport) -> float:
 
 
 def report_to_dict(report: TensorReport) -> dict:
-    """JSON-ready form of a report; subsets are 1-based in the output."""
+    """JSON-ready form of a report; subsets are 1-based in the output.
+
+    Components come by size, then in lexicographic order within a size.
+    To write the document as text, pass :func:`report_document` to
+    :func:`~etensor.ketparse.write_json`: it writes the same text without
+    building a dict per component.
+    """
+    doc = report_document(report)
+    components = doc["components"]
+    doc["components"] = [
+        {"subset": [p + 1 for p in subset.parties], "value": value}
+        for subset, value in zip(components.subsets, components.values)
+    ]
+    return doc
+
+
+def report_document(report: TensorReport) -> dict:
+    """The document of :func:`report_to_dict`, for ``write_json`` only.
+
+    Its ``"components"`` value is a :class:`ReportComponents`, which
+    ``write_json`` writes as the list :func:`report_to_dict` would build.
+    """
     sizes = sorted({s.size for s in report.components})
     return {
         "dims": list(report.structure.dims),
         "norm_constants": {str(d): report.scheme.constant(d) for d in sizes},
-        "components": [
-            {"subset": [p + 1 for p in subset.parties], "value": value}
-            for subset, value in sorted(
-                report.components.items(), key=lambda kv: (kv[0].size, kv[0].parties)
-            )
-        ],
+        "components": ReportComponents(sorted(
+            report.components.items(), key=lambda kv: (kv[0].size, kv[0].parties))),
         "tensor_norm": tensor_norm(report),
         "basis_note": report.basis_note,
     }
+
+
+class ReportComponents(JsonText):
+    """A report's subsets and values, by size and then lexicographically.
+
+    ``write_json`` writes it as :func:`report_to_dict`'s component list,
+    the entries of one size from one ``%`` template, and :meth:`labels`
+    gives the row labels of ``compute --table``.
+    """
+
+    __slots__ = ("subsets", "values")
+
+    def __init__(self, items: list[tuple[SubsetSelector, float]]):
+        self.subsets, self.values = zip(*items) if items else ((), ())
+
+    def _by_size(self) -> Iterator[tuple[int, slice, list[list[int]]]]:
+        """Per subset size: its entries, and their 1-based parties as columns."""
+        parties = [subset.parties for subset in self.subsets]
+        sizes = list(map(len, parties))
+        for size in sorted(set(sizes)):
+            start = sizes.index(size)
+            rows = slice(start, start + sizes.count(size))
+            yield size, rows, (np.array(parties[rows]) + 1).T.tolist()
+
+    def labels(self) -> list[str]:
+        """Each subset as its comma-joined 1-based parties, like ``1,3``."""
+        labels: list[str] = []
+        for size, _, columns in self._by_size():
+            labels += map(",".join(["%d"] * size).__mod__, zip(*columns))
+        return labels
+
+    def text(self, newline: str, round_floats: bool) -> str:
+        texts = float_texts(self.values, round_floats)
+        rows: list[str] = []
+        for size, entries, columns in self._by_size():
+            template = self.entry_template(newline, {"subset": size, "value": "%s"})
+            rows += map(template.__mod__, zip(*columns, texts[entries]))
+        return self.list_text(rows, newline)

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
@@ -15,7 +16,10 @@ from etensor import golden
 from etensor import states as states_module
 from etensor.cli import main
 from etensor.ketparse import parse_ket, save_ket_json, state_from_dict, state_to_dict
-from etensor.states import ghz_state
+from etensor.states import PartyStructure, StateVector, ghz_state, random_state
+from etensor.tensor import (TensorReport, component, full_tensor, report_to_dict,
+                            separability_scan)
+from test_ketparse import reference_round_floats
 
 EPR_EXPR = "(|0,0> + |1,1>)/sqrt(2)"
 W3_EXPR = "(|1,0,0> + |0,1,0> + |0,0,1>)/sqrt(3)"
@@ -311,6 +315,123 @@ class TestFuzzedBoundary:
     def test_apply(self, text, normalize):
         self.check(["apply", "--expr", text, "--party", "1", "--gate", "H"]
                    + ["--normalize"] * normalize)
+
+
+def reference_table(doc: dict) -> str:
+    """``compute --table`` as one ``print`` per line of ``report_to_dict``."""
+    out = io.StringIO()
+    width = max([len("subset"), *(len(",".join(map(str, c["subset"])))
+                                  for c in doc["components"])])
+    print(f"{'subset':<{width}}  value", file=out)
+    for entry in doc["components"]:
+        label = ",".join(map(str, entry["subset"]))
+        print(f"{label:<{width}}  {entry['value']:.15g}", file=out)
+    print(f"{'norm':<{width}}  {doc['tensor_norm']:.15g}", file=out)
+    return out.getvalue()
+
+
+# constants whose 15-digit display rounds past the largest double, differs
+# from their repr, or is their repr
+_DISPLAY_CONSTANTS = ["1.7976931348623151e+308", "0.30000000000000004", "16",
+                      "1e-300", "2.5"]
+
+
+@st.composite
+def _compute_calls(draw):
+    """A Haar or sparse state of 2-6 parties of dims 2-4, and compute flags."""
+    dims = draw(st.lists(st.integers(2, 4), min_size=2, max_size=6)
+                .filter(lambda d: math.prod(d) <= 1024))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    amplitudes = random_state(PartyStructure(tuple(dims)), rng).amplitudes.copy()
+    if draw(st.booleans()):
+        amplitudes[rng.random(amplitudes.size) < 0.7] = 0.0
+        amplitudes[-1] = 1.0
+    state = StateVector(PartyStructure(tuple(dims)), amplitudes, normalize=True)
+    parties = range(1, len(dims) + 1)
+    kind = draw(st.sampled_from(["all", "sizes", "subset"]))
+    flags = []
+    if kind == "all":
+        flags += draw(st.sampled_from([[], ["--all"]]))
+    elif kind == "sizes":
+        sizes = draw(st.lists(st.integers(2, len(dims)), min_size=1, max_size=3))
+        flags += ["--sizes", ",".join(map(str, sizes))]
+    else:
+        subset = st.lists(st.sampled_from(parties), min_size=2, unique=True)
+        subsets = draw(st.lists(subset, min_size=1, max_size=4))
+        subsets.append(draw(st.sampled_from(subsets)))  # a repeat
+        for chosen in subsets:  # parties in the order drawn
+            flags += ["--subset", ",".join(map(str, chosen))]
+    for size in draw(st.lists(st.integers(2, len(dims)), max_size=2)):
+        flags += ["--norm-const", f"{size}={draw(st.sampled_from(_DISPLAY_CONSTANTS))}"]
+    flags += draw(st.sampled_from([[], ["--detached"]]))
+    return state, flags
+
+
+def _reference_report(state, flags):
+    """``report_to_dict`` of the report ``compute`` makes for ``flags``."""
+    args = cli_module._shared_parser().parse_args(["compute", *flags])
+    scheme = cli_module._parse_norm_consts(args.norm_const or [])
+    if args.subset:
+        values = {}
+        for text in args.subset:
+            selector = cli_module._parse_subset(text)
+            values[selector] = component(state, selector, scheme)
+        report = TensorReport(state.structure, scheme, values)
+    else:
+        sizes = [int(s) for s in args.sizes.split(",")] if args.sizes else None
+        report = full_tensor(state, scheme, sizes=sizes)
+    doc = report_to_dict(report)
+    if args.detached:
+        doc["detached_parties"] = [
+            i + 1 for i, flag in enumerate(separability_scan(state)) if flag]
+    return doc
+
+
+class TestReportWriters:
+    """``compute`` JSON and ``--table`` against ``report_to_dict``."""
+
+    @given(_compute_calls())
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_bytes_match_report_to_dict(self, call):
+        state, flags = call
+        doc = _reference_report(state, flags)
+        with tempfile.TemporaryDirectory() as directory:
+            path = f"{directory}/state.ket.json"
+            save_ket_json(state, path)
+            for table, want in ((False, json.dumps(reference_round_floats(doc),
+                                                   indent=1) + "\n"),
+                                (True, reference_table(doc))):
+                out, err = io.StringIO(), io.StringIO()
+                argv = ["compute", "--state", path, *flags] + ["--table"] * table
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main(argv)
+                assert (code, err.getvalue()) == (0, "")
+                assert out.getvalue() == want
+
+    @pytest.mark.parametrize("constant", _DISPLAY_CONSTANTS)
+    def test_display_constants(self, capsys, constant):
+        flags = ["--subset", "2,1", "--subset", "1,2,3", "--subset", "1,2",
+                 "--norm-const", f"2={constant}", "--norm-const", f"3={constant}"]
+        doc = _reference_report(parse_ket(W3_EXPR), flags)
+        code, out, _ = run_cli(capsys, "compute", "--expr", W3_EXPR, *flags)
+        assert (code, out) == (0, json.dumps(reference_round_floats(doc), indent=1)
+                               + "\n")
+        code, out, _ = run_cli(capsys, "compute", "--expr", W3_EXPR, *flags,
+                               "--table")
+        assert (code, out) == (0, reference_table(doc))
+
+    def test_table_is_one_write(self, monkeypatch):
+        class Recorder(io.StringIO):
+            calls = 0
+
+            def write(self, text):
+                Recorder.calls += 1
+                return super().write(text)
+
+        monkeypatch.setattr(sys, "stdout", Recorder())
+        assert main(["compute", "--expr", W3_EXPR, "--table"]) == 0
+        assert Recorder.calls == 1
 
 
 # Generated argv: a subcommand, its flags, and a state or gate file written

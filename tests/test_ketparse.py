@@ -1,6 +1,8 @@
 import io
 import json
 import math
+import sys
+import tracemalloc
 from dataclasses import dataclass
 from typing import Any
 
@@ -674,6 +676,83 @@ class TestJsonWriter:
 
         write_json({"a": [1, 2.5, None, "x"], "b": {}}, Recorder())
         assert Recorder.calls == 1
+
+
+class TestColumnReader:
+    """``state_from_dict`` reads whole columns and stops at the first refusal."""
+
+    @pytest.mark.parametrize("entries", [
+        # a component past int64 and a junk value in the same entry: the
+        # per-entry check refuses the value first
+        [{"index": [0, 0]}, {"index": [0, 2**63], "re": "x"}],
+        # a component past int64, then an unparsable entry
+        [{"index": [0, 1]}, {"index": [2**64, 0]}, "junk"],
+        # an unparsable entry, then a duplicate
+        [{"index": [0, 1]}, {"index": [0, "x"]}, {"index": [0, 1]}],
+        # the column of "im" stops after the others read on
+        [{"index": [1, 1], "re": 0.6}, {"index": [0, 0], "im": None},
+         {"index": [1, 0]}],
+        # index lists that are strings, dicts, floats or empty
+        [{"index": "01", "re": 0.6}, {"index": [1.7, 0.2], "re": 0.8}],
+        [{"index": {"1": 0, "0": 1}, "re": 1.0}],
+        [{"index": [], "re": 1.0}],
+        [{"index": [0, 0], "re": 1.0}, {"index": 5}],
+        [{"index": [0, 0], "re": 1.0}, {"re": 1.0}],
+    ])
+    def test_first_refusal_matches_reference(self, entries):
+        assert_same_as_reference({"dims": [2, 2], "amplitudes": entries})
+
+    def test_any_iterable_of_entries(self):
+        entries = [{"index": [0, 0], "re": 0.6}, {"index": [1, 1], "re": 0.8}]
+        for amplitudes in (tuple(entries), iter(entries)):
+            state = state_from_dict({"dims": [2, 2], "amplitudes": amplitudes})
+            assert state.amplitudes.tolist() == [0.6, 0, 0, 0.8]
+
+    @staticmethod
+    def _profiled_calls(doc: dict) -> int:
+        events = 0
+
+        def count(frame, event, arg):
+            nonlocal events
+            events += 1
+
+        sys.setprofile(count)
+        try:
+            state_from_dict(doc, normalize=True)
+        finally:
+            sys.setprofile(None)
+        return events
+
+    def test_no_python_step_per_entry(self):
+        # every call from Python code, to a Python or a builtin function, is
+        # a profiler event; converters called by C iterators are not
+        dense = state_to_dict(random_state(PartyStructure((2,) * 10),
+                                           np.random.default_rng(0)))
+        sparse = {**dense, "amplitudes": dense["amplitudes"][::256]}
+        assert len(sparse["amplitudes"]) == 4
+        assert self._profiled_calls(sparse) == self._profiled_calls(dense)
+
+    def test_peak_memory(self):
+        # 2^14 entries; the per-entry reader peaked at 7.15 MiB here
+        state = random_state(PartyStructure((2,) * 14), np.random.default_rng(0))
+        doc = json.loads(json.dumps(state_to_dict(state)))
+        tracemalloc.start()
+        try:
+            again = state_from_dict(doc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(again.amplitudes, state.amplitudes)
+        assert peak < 3.5 * 2**20
+
+    @pytest.mark.parametrize("round_floats", [False, True])
+    def test_float_texts_match_one_at_a_time(self, round_floats):
+        near_max = [1.7976931348623151e308, -1.7976931348623157e308]
+        for values in (EDGE_FLOATS, EDGE_FLOATS[:6] + near_max, [0.1, 1 / 3]):
+            assert ketparse.float_texts(values, round_floats) == [
+                ketparse.float_text(v, round_floats) for v in values]
+            assert _written(values, round_floats=round_floats) == "[\n " + \
+                ",\n ".join(ketparse.float_texts(values, round_floats)) + "\n]\n"
 
 
 class TestInputBudget:

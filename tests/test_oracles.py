@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from etensor import golden, oracles
 from etensor.localops import DensityMatrix, PartyGrouping, trace_to_pair, trace_to_pairs
 from etensor.oracles import (
     FLIP_2Q,
@@ -14,6 +15,7 @@ from etensor.oracles import (
     concurrence_pure_2qubit,
     concurrence_purity,
     dur_average,
+    mean_traced_concurrence_squared,
     spin_flip,
 )
 from etensor.states import (
@@ -205,6 +207,23 @@ class TestWFamilyAverages:
     @pytest.mark.parametrize("m", range(3, 11))
     def test_general_closed_form(self, m):
         assert dur_average(m) == pytest.approx(4 / m**2, abs=1e-9)
+
+    @pytest.mark.parametrize("m", range(3, 11))
+    def test_is_the_pair_average_of_w(self, m):
+        assert dur_average(m) == mean_traced_concurrence_squared(w_state(m))
+
+    def test_suite_builds_each_w_state_once(self, monkeypatch):
+        built = []
+
+        def counted(m):
+            built.append(m)
+            return w_state(m)
+
+        monkeypatch.setattr(golden, "w_state", counted)
+        monkeypatch.setattr(oracles, "w_state", counted)
+        for check, got in golden.results(golden.CHECKS):
+            assert abs(got - check.want) <= check.tol, check.name
+        assert built == list(golden.W_PARTIES)
 
     def test_range_check(self):
         with pytest.raises(ValueError):

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 from etensor import golden
 from etensor.ketparse import parse_ket
-from etensor.localops import LocalUnitary, PartyGrouping, apply_local, phase_gate
+from etensor.localops import (LocalUnitary, PartyGrouping, apply_local,
+                              measure_party, phase_gate)
 from etensor.oracles import concurrence_purity
 from etensor.states import (
     PartyStructure,
@@ -1082,6 +1083,49 @@ class TestPairBound:
         for subset, value in full_tensor(state, sizes=[2]).components.items():
             for party in subset.parties:
                 assert value**2 <= bounds[party] + 1e-12
+
+
+def _sector_purity_square(state, pair):
+    """sum_s p_s C_s^2 over the sectors of the parties outside ``pair``.
+
+    Each sector is measured one party at a time, the highest first so the
+    lower indices stay put, and C_s is the purity concurrence of the pair
+    that is left.  Sectors that ``measure_party`` finds empty add nothing.
+    """
+    dims = state.structure.dims
+    others = [k for k in reversed(range(len(dims))) if k not in pair]
+    total = 0.0
+    for outcomes in itertools.product(*(range(dims[k]) for k in others)):
+        prob, branch = 1.0, state
+        for party, outcome in zip(others, outcomes):
+            p, branch = measure_party(branch, party, outcome)
+            prob *= p
+            if branch is None:
+                break
+        else:
+            total += prob * concurrence_purity(
+                branch, PartyGrouping(((0,), (1,)))) ** 2
+    return total
+
+
+class TestSectorPurity:
+    """Every pair component is sqrt(sum_s p_s C_s^2) (Rungta et al. 2001).
+
+    The sum runs over the basis values s of the other parties, with p_s
+    the probability of s and C_s the concurrence of the pair left in it.
+    Near zero, 1 - Tr rho^2 keeps a rounding of about 1e-16, whose square
+    root is 1e-8; there the squares are compared instead.
+    """
+
+    @given(_pair_bound_states())
+    @settings(max_examples=25, deadline=None)
+    def test_pair_components(self, state):
+        for subset, value in full_tensor(state, sizes=[2]).components.items():
+            want = _sector_purity_square(state, subset.parties)
+            if want > 1e-12:
+                assert abs(value - math.sqrt(want)) <= 1e-10
+            else:
+                assert abs(value**2 - want) <= 1e-14
 
 
 def _assert_matches_reference(state, components):
