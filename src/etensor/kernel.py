@@ -1,46 +1,64 @@
-"""The batched component kernel: layouts, one workspace per thread, passes.
+"""The batched component kernel: layouts, passes, one workspace per thread.
 
-One pass evaluates the components of a batch of B subsets of one state,
-or of one subset over a stack of B probe tensors, that share their
-selected dims: D selected parties in nesting order (anchor first), L
-selected positions, and S sectors of the other parties per entry.
+A pass evaluates the components of one or more *groups*.  The B entries
+of a group are subsets of one state, or one subset over a stack of B probe
+tensors, that share their selected dims: D selected parties in nesting
+order (anchor first), L selected positions, C pair choices and S sectors
+of the other parties per entry.  A ``full_tensor`` plan packs every group
+that fits one pass into as few passes as the budget allows, whatever
+their D, C, B and S; a group that needs several passes, and an evaluator,
+runs as a pass of one group.
 
 * Probabilities.  ``conj(a) * a`` is formed once per state or probe stack
-  and gathered through the row-major index of the pass, laid out
-  ``(L, B, S)``: selected positions, then entries, then sectors.  The sum
-  over axis 0 adds whole contiguous ``(B, S)`` rows one after another, so
-  each sector probability adds up the selected positions in row-major
-  order, as the ``(B, L, S)`` layout the stacked sectors always had did,
-  with numpy's inner loop over all of ``B * S`` instead of over S.  With
-  one sector (S = 1, a subset of every party) the squares are gathered
-  ``(B, L)`` through the transposed index instead: numpy sums each
+  and gathered through the row-major index of the pass, one ``take`` for
+  all its groups.  A group's index is laid out ``(L, B, S)``: selected
+  positions, then entries, then sectors.  Groups with equal L and S sit in
+  one ``(L, B1 + B2 + ..., S)`` block, and each block is summed over its
+  axis 0, which adds whole contiguous rows one after another: each sector
+  probability adds up the selected positions in row-major order, with
+  numpy's inner loop over the whole block.  With one sector (S = 1, a
+  subset of every party) the block is ``(B, L)`` instead: numpy sums each
   contiguous ``(L,)`` row pairwise, and a sum over axis 0 would add in
   order, which for B > 1 moves bits.
-* Layout.  The amplitudes are gathered straight into kernel order,
+* Layout.  The amplitudes are gathered through the kernel-order index, one
+  ``take`` for all the groups of a pass.  For one group that is
   ``(2^D * C, B, S)``: the anchor's k/l side, then one bit per other
-  selected party (innermost party first), then the C pair choices, then
-  the entries, then the sectors.  The kernel-order index of a window is
-  rows of the ``(L, B, S)`` index, taken with one ``take`` along axis 0
-  through the layout's table: row r reads the selected position that
-  entry r of the window reads.  The l side's other parties already read
+  selected party (innermost party first), then the C pair choices, the
+  entries and the sectors.  Its rows are rows of the ``(L, B, S)`` index,
+  taken along axis 0 through the layout's table: row r reads the selected
+  position that entry r reads.  The l side's other parties already read
   their swapped values, and each party's basis pair k < l is read through
-  that table, so there is no flip and no per-axis gather.  The products
-  are the two contiguous halves of the leading axis multiplied, each
-  nested reduction is the difference of the two halves of what is left,
-  and the sector sum runs on the contiguous last axis.
-* Workspace.  Both gathers, the kernel-order index, the products and the
-  reductions of a pass are written with ``out=`` into one workspace per
-  thread, which the thread keeps between calls, and so is the row-major
-  index when the caller builds one per pass.  The windows reuse the bytes
-  of the dead probability gather, and a pass of one window also those of
-  the row-major index once it has taken its rows.  It holds the budget
-  the layout was made for; a pass over it gets a buffer of its own,
-  dropped with the pass.  Results are new arrays.  The row-major index
-  depends only on the dims, so it is kept where it never changes: a
-  ``full_tensor`` plan keeps it, read-only, for each group of subsets
-  that runs in one pass, and an evaluator for its one subset over up to
-  one pass of probe tensors; a shorter stack copies the leading probes of
-  it into the workspace.
+  that table, so there is no flip and no per-axis gather.  Each level of
+  the nested reduction combines the lower half of what is left of a group
+  with its upper half: the products first, then the squared magnitude of
+  their difference, then one absolute difference per other party.  A
+  packed pass lays its groups out level by level, so that every level is
+  one call per step for all of them: at level t the groups already reduced
+  (those of depth at most t) sit in front, the lower halves of the others
+  in the next block and their upper halves in the block after it, each in
+  the layout it has at level t + 1.  The groups run by depth, and the
+  groups of one depth by L, so a group's reduced values end up
+  ``(C, B, S)`` in place.  For one group this is the plain kernel order
+  above.  The weighted sector sums, on the contiguous last axis, and the
+  sums over pair choices run per group; groups with one pair choice are
+  weighted in one call.
+* Indexes.  The row-major index depends only on the dims, so it is kept
+  where it never changes: a ``full_tensor`` plan keeps each packed pass's
+  row-major and kernel-order indexes, and the ``(L, B, S)`` index of a
+  group of one pass over several windows; an evaluator keeps its one
+  subset's index over up to one pass of probe tensors, and a shorter stack
+  copies the leading probes of it into the workspace.  Kept arrays stay
+  writeable and private: ``take`` copies an index that is not writeable
+  before it reads it, so a read-only one would be copied on every call.
+* Workspace.  Both gathers, the reductions and, when a pass builds them,
+  the row-major and kernel-order indexes are written with ``out=`` into one
+  workspace per thread, which the thread keeps between calls.  The
+  products are written over the k side and the squared magnitudes over the
+  l side, and the amplitude gather reuses the bytes of the dead
+  probability gather.  A pass of one group over several windows of pair
+  choices keeps its row-major index through them.  The workspace holds the
+  budget the pass was made for; a pass over it gets a buffer of its own,
+  dropped with the pass.  Results are new arrays.
 
 The bits do not change: every gather reads the same places as in the
 stacked kernel (entry r of a window reads selected position ``places[r]``
@@ -51,8 +69,8 @@ the same order.  The sector sums run along an axis with the memory layout
 they always had.  The probabilities run along axis 0 of ``(L, B, S)``,
 which adds row after row as a sum over the middle axis of ``(B, L, S)``
 does, or along the rows of ``(B, L)`` when S = 1.  Each entry of a batch
-is reduced on its own, so how subsets or probes are cut into passes does
-not change their values.
+is reduced on its own, so how subsets, groups or probes are cut into
+passes does not change their values.
 """
 
 from __future__ import annotations
@@ -76,43 +94,66 @@ def _digits(shape: tuple[int, ...]) -> np.ndarray:
     Not cached: its callers are, and a plan group that keeps its gather
     index drops the tables it was built from.
     """
-    table = np.indices(shape).reshape(len(shape), math.prod(shape))
-    table.flags.writeable = False
-    return table
+    return np.indices(shape).reshape(len(shape), math.prod(shape))
 
 
-def _regions(
-    batch: int, lattice: int, choices: int, window: int, positions: int,
-    sectors: int,
-) -> tuple[list, list, list]:
-    """``(shape, dtype)`` of every temporary of one pass, in workspace order.
+class _Group(NamedTuple):
+    """The shape the B entries of one group of a pass share."""
+
+    lattice: int
+    choices: int
+    batch: int
+    positions: int
+    sectors: int
+
+
+class _Shape(NamedTuple):
+    """What one pass evaluates; it keys the views carved for the pass.
+
+    ``groups`` run by lattice, then by positions.  ``window`` is the number
+    of pair choices per window.  A ``packed`` pass is handed its row-major
+    and kernel-order indexes, flat and in its own layout, and has one
+    window of every group's pair choices; any other pass has one group,
+    whose ``(L, B, S)`` index it may copy into the workspace and whose
+    kernel-order index it takes per window.
+    """
+
+    groups: tuple[_Group, ...]
+    window: int
+    packed: bool
+    budget: int
+
+
+def _regions(shape: _Shape) -> tuple[list, list, list]:
+    """``(count, dtype)`` of every flat temporary of one pass, in order.
 
     Three lists: the arrays kept through the pass (sector weights and the
-    per-choice sums); the probability phase (the row-major gather index
-    ``(L, B, S)`` and the gathered squares); and one window of pair choices
-    (gathered amplitudes and kernel-order index).  The two phases take
-    turns in the bytes after the kept arrays.  A pass of several windows
-    keeps the gather index, so its windows start after it.  One window of
-    every pair choice takes its rows first and then gathers the amplitudes
-    over it: they are ``2^D * C >= L`` rows of complex values, at least
-    twice the index's bytes, so the kernel-order index after them never
-    overlaps it.
-    The products are written over the kernel-order index, which has the
-    same size, and the reductions over the gathered amplitudes.
+    per-choice sums); the probability phase (the row-major index, unless
+    the pass is packed, and the gathered squares); and one window of pair
+    choices (the row-major index again when it outlives several windows,
+    the gathered amplitudes, and the kernel-order index unless the pass
+    is packed).  The two phases take turns in the bytes after the kept
+    arrays.  One window of every pair choice of one group takes its rows
+    first and then gathers the amplitudes over them: they are
+    ``2^D * C >= L`` rows of complex values, at least twice the index's
+    bytes, so the kernel-order index after them never overlaps it.
     """
-    rows = lattice * window
-    index = ((positions, batch, sectors), np.intp)
-    return ([((batch, sectors), np.float64), ((batch, choices), np.float64)],
-            [index, ((positions, batch, sectors), np.float64)],
-            [index] * (window < choices) + [
-                ((rows, batch, sectors), np.complex128),
-                ((rows, batch, sectors), np.intp)])
+    groups, window, packed, _ = shape
+    gathers = sum(g.positions * g.batch * g.sectors for g in groups)
+    rows = sum(g.lattice * min(window, g.choices) * g.batch * g.sectors
+               for g in groups)
+    index = [] if packed else [(gathers, np.intp)]
+    return ([(sum(g.batch * g.sectors for g in groups), np.float64),
+             (sum(g.batch * g.choices for g in groups), np.float64)],
+            index + [(gathers, np.float64)],
+            index * (window < max(g.choices for g in groups))
+            + [(rows, np.complex128)] + [(rows, np.intp)] * (not packed))
 
 
 def _pass_bytes(*regions: list) -> int:
     """Workspace bytes of one pass, from the three lists of :func:`_regions`."""
     kept, probability, window = (
-        sum(math.prod(shape) * np.dtype(dtype).itemsize for shape, dtype in part)
+        sum(count * np.dtype(dtype).itemsize for count, dtype in part)
         for part in regions)
     return kept + max(probability, window)
 
@@ -126,7 +167,22 @@ class _Layout(NamedTuple):
     lattice: int
     choices: int
     positions: int
+    sectors: int
     budget: int
+    shapes: dict
+
+
+def _single(layout: _Layout, batch: int) -> _Shape:
+    """The shape of a pass of ``batch`` entries of one group of ``layout``.
+
+    Kept in the layout per batch, so a warm evaluator call builds none.
+    """
+    shape = layout.shapes.get(batch)
+    if shape is None:
+        shape = layout.shapes.setdefault(batch, _Shape(
+            (_Group(layout.lattice, layout.choices, batch, layout.positions,
+                    layout.sectors),), layout.window, False, layout.budget))
+    return shape
 
 
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
@@ -141,9 +197,10 @@ def _layout(selected_dims: tuple[int, ...], sectors: int, budget: int) -> _Layou
     entry reads.  The k side reads the anchor's k and, per other party,
     its k or l as the bit says; the l side reads the anchor's l and every
     other party's value swapped, so the flip of the nested formula is in
-    the table.  ``batch`` entries with all their pair choices fit one pass
-    in ``budget`` bytes; when one entry alone does not fit, ``batch`` is 1
-    and a pass takes its pair choices ``window`` at a time.
+    the table.  ``batch`` entries with all their pair choices fit a pass of
+    one group in ``budget`` bytes; when one entry alone does not fit,
+    ``batch`` is 1 and a pass takes its pair choices ``window`` at a time.
+    ``shapes`` keeps :func:`_single`'s pass shapes, per batch.
     """
     depth = len(selected_dims)
     pairs = [np.array(list(itertools.combinations(range(d), 2)))
@@ -158,20 +215,20 @@ def _layout(selected_dims: tuple[int, ...], sectors: int, budget: int) -> _Layou
         places += pair[choice[party], bit]
     lattice, choices = places.shape
     positions = math.prod(selected_dims)
-    whole = _regions(1, lattice, choices, choices, positions, sectors)
-    batch, window = budget // _pass_bytes(*whole), choices
+    def one(choices: int, window: int) -> _Shape:
+        group = _Group(lattice, choices, 1, positions, sectors)
+        return _Shape((group,), window, False, budget)
+
+    batch, window = budget // _pass_bytes(*_regions(one(choices, choices))), choices
     if not batch:
-        kept, (index, _), _ = _regions(1, lattice, choices, 1, positions, sectors)
-        one = _regions(1, lattice, 1, 1, positions, sectors)[2]
         batch = 1
+        kept, (index, _), _ = _regions(one(choices, 1))
         window = max(1, min(choices, (budget - _pass_bytes(kept, [index], []))
-                            // _pass_bytes([], [], one)))
-    windows = []
-    for start in range(0, choices, window):
-        windows.append(places[:, start:start + window].reshape(-1))
-        windows[-1].flags.writeable = False
-    return _Layout(tuple(windows), batch, window, lattice, choices, positions,
-                   budget)
+                            // _pass_bytes([], [], _regions(one(1, 1))[2])))
+    windows = tuple(places[:, start:start + window].reshape(-1)
+                    for start in range(0, choices, window))
+    return _Layout(windows, batch, window, lattice, choices, positions, sectors,
+                   budget, {})
 
 
 def _probe_term(
@@ -195,8 +252,85 @@ def _probe_term(
     index = np.arange(probes * math.prod(dims)).reshape((probes,) + dims).transpose(
         (*(1 + p for p in order), 0, *(1 + p for p in others))).reshape(
         layout.positions, probes, -1)
-    index.flags.writeable = False
     return index, layout
+
+
+def _packed(members: list, budget: int) -> list[tuple]:
+    """Pack groups of one pass and one window each into passes of ``budget``.
+
+    ``members`` are ``(places, layout, index)``: per group the places of
+    its entries, its :func:`_layout`, whose one window holds every pair
+    choice, and a callable that builds its ``(L, B, S)`` index.  They are
+    taken in order, each into the current pass while its bytes fit.
+    Returns per pass ``(places, shape, rows, (order,))`` for
+    :func:`_evaluate_pass`: the places in the pass's group order, its
+    shape, and its row-major and kernel-order indexes in the layouts of
+    the module notes.
+    """
+    # the regions of a packed pass are those of its groups laid end to end
+    passes, current, used = [], [], ([], [], [])
+    for places, layout, index in members:
+        group = _Group(layout.lattice, layout.choices, len(places),
+                       layout.positions, layout.sectors)
+        regions = _regions(_Shape((group,), group.choices, True, budget))
+        total = [a + b for a, b in zip(used, regions)]
+        if current and _pass_bytes(*total) > budget:
+            passes.append(_pack(current, budget))
+            current, total = [], regions
+        current.append((group, places, layout, index))
+        used = total
+    if current:
+        passes.append(_pack(current, budget))
+    return passes
+
+
+def _pack(members: list, budget: int) -> tuple:
+    """One packed pass of ``members``, ``(group, places, layout, index)``.
+
+    Each group's index is built in turn and written into the pass's two
+    indexes, so no more than one of them is held at a time.
+    """
+    members = sorted(members, key=lambda m: (m[0].lattice, m[0].positions))
+    groups = tuple(m[0] for m in members)
+    counts = [g.choices * g.batch * g.sectors for g in groups]
+    starts = _starts(counts)
+    halves = _halves(groups, counts)
+    gathers = _starts([g.positions * g.batch * g.sectors for g in groups])
+    rows = np.empty(gathers[-1], np.intp)
+    order = np.zeros(sum(g.lattice * m for g, m in zip(groups, counts)), np.intp)
+    for (positions, sectors), i, j in _runs([(g.positions, g.sectors)
+                                              for g in groups]):
+        block = rows[gathers[i]:gathers[j]]
+        # (L, B, S) views of the block, whose S = 1 blocks are (B, L)
+        block = (block.reshape(-1, positions).T[:, :, None] if sectors == 1
+                 else block.reshape(positions, -1, sectors))
+        column = 0
+        for k in range(i, j):
+            group, _, layout, index = members[k]
+            index = index()
+            block[:, column:column + group.batch] = index
+            column += group.batch
+            # the level layout puts lattice bit t of each entry halves[t]
+            # further on; bit 0 is the most significant
+            lattice = np.zeros(1, np.intp)
+            for half in reversed(halves[:group.lattice.bit_length() - 1]):
+                lattice = np.concatenate([lattice, lattice + half])
+            order[starts[k] + lattice[:, None] + np.arange(counts[k])] = index.take(
+                layout.windows[0], axis=0).reshape(group.lattice, counts[k])
+    shape = _Shape(groups, max(g.choices for g in groups), True, budget)
+    return np.concatenate([m[1] for m in members]), shape, rows, (order,)
+
+
+def _halves(groups: tuple[_Group, ...], counts: list[int]) -> list[int]:
+    """Per reduction level t, the length of the lower half of a packed pass.
+
+    ``counts`` are each group's reduced values; a group of depth D holds
+    ``2^(D - t) * count`` values at level t, half of them in the lower half
+    while t < D.
+    """
+    depth = max(g.lattice for g in groups).bit_length() - 1
+    return [sum((g.lattice >> (t + 1)) * m for g, m in zip(groups, counts))
+            for t in range(depth)]
 
 
 def _squares(amplitudes: np.ndarray) -> np.ndarray:
@@ -207,159 +341,227 @@ def _squares(amplitudes: np.ndarray) -> np.ndarray:
 
 
 def _carve(buffer: np.ndarray, offset: int, regions: list) -> list[np.ndarray]:
-    """Views of ``regions`` laid end to end in ``buffer`` from ``offset``."""
+    """Flat views of ``regions`` laid end to end in ``buffer`` from ``offset``."""
     views = []
-    for shape, dtype in regions:
-        views.append(np.ndarray(shape, dtype, buffer, offset))
+    for count, dtype in regions:
+        views.append(np.ndarray(count, dtype, buffer, offset))
         offset += views[-1].nbytes
     return views
 
 
-def _window_views(buffer: np.ndarray, at: int, regions: list, window: int) -> tuple:
-    """One window's temporaries at ``at`` in ``buffer``, with their halves.
+def _starts(counts: list[int]) -> list[int]:
+    """Where each of ``counts`` starts when they are laid end to end, and the end."""
+    return [0, *itertools.accumulate(counts)]
 
-    Returns ``(index, gathered, products, halves, first, levels,
-    reduced)``: the kernel-order index and gathered amplitudes of the
-    window's regions of :func:`_regions`, then the products over
-    ``index``.  ``halves`` holds the lower and upper halves of
-    ``gathered`` (the k and l sides) and of ``products``.  The first
-    reduction writes the products into ``first``, ``levels`` holds the
-    ``(lower, upper)`` halves of each later one, innermost party first, and
-    ``reduced`` ``(window, B, S)`` is what they leave.
+
+def _runs(keys: list) -> list[tuple]:
+    """``(key, i, j)`` for each run ``i:j`` of equal adjacent ``keys``."""
+    runs = []
+    for key, run in itertools.groupby(range(len(keys)), key=keys.__getitem__):
+        run = list(run)
+        runs.append((key, run[0], run[-1] + 1))
+    return runs
+
+
+class _Views(NamedTuple):
+    """One pass's temporaries, carved from a workspace; see :func:`_pass_views`."""
+
+    weight: np.ndarray
+    index: np.ndarray | None
+    squares: np.ndarray
+    transposed: bool
+    blocks: tuple
+    windows: tuple
+    choice_sums: tuple
+
+
+def _window_views(buffer: np.ndarray, at: int, shape: _Shape, start: int,
+                  stop: int, weight: np.ndarray) -> tuple[tuple, list]:
+    """One window's temporaries at ``at`` in ``buffer``.
+
+    The window holds pair choices ``start:stop`` of a pass of one group, or
+    every pair choice of a packed pass.  Returns ``(order, gathered, k, l,
+    lower, upper, first, levels, weighted)`` and the ``(w, B, S)`` values
+    each group reduces to: the kernel-order index, None when the pass is
+    packed, and the gathered amplitudes, shaped alike; the k and l sides,
+    whose products are written over k; the lower and upper halves of the
+    products, and ``first`` over the l side for the squared magnitude of
+    their difference; the ``(lower, upper)`` halves of ``first`` at each
+    later level; and the ``(reduced, weight)`` pairs of the weighting.
     """
-    gathered, index = _carve(buffer, at, regions)[-2:]
-    rows = len(index)
-    products = np.ndarray((rows // 2,) + index.shape[1:], np.complex128, index)
-    first = np.ndarray((rows // 4,) + index.shape[1:], np.float64, gathered)
-    levels, size = [], rows // 4
-    while size > window:
-        size //= 2
-        levels.append((first[:size], first[size:2 * size]))
-    halves = (gathered[:rows // 2], gathered[rows // 2:],
-              products[:rows // 4], products[rows // 4:])
-    return index, gathered, products, halves, first, levels, first[:window]
+    groups = shape.groups
+    widths = [min(stop, g.choices) - start for g in groups]
+    counts = [w * g.batch * g.sectors for g, w in zip(groups, widths)]
+    rows = sum(g.lattice * m for g, m in zip(groups, counts))
+    gathered = np.ndarray(rows, np.complex128, buffer, at)
+    order = None
+    if not shape.packed:
+        (group,) = groups
+        block = (rows // group.batch // group.sectors, group.batch, group.sectors)
+        order = np.ndarray(block, np.intp, buffer, at + gathered.nbytes)
+        gathered = gathered.reshape(block)
+    flat = gathered.reshape(-1)
+    half = rows // 2
+    first = flat[half:].view(np.float64)[:half // 2]
+    halves = _halves(groups, counts)
+    levels = []
+    for t in range(2, len(halves)):
+        done = sum(m for g, m in zip(groups, counts) if g.lattice <= 1 << t)
+        levels.append((first[done:done + halves[t]],
+                       first[done + halves[t]:done + 2 * halves[t]]))
+    starts = _starts(counts)
+    reduced = [first[a:b].reshape(w, g.batch, g.sectors)
+               for g, w, a, b in zip(groups, widths, starts, starts[1:])]
+    # groups of one pair choice line up with their weights, so each run
+    # of them is weighted in one call
+    entries = _starts([g.batch * g.sectors for g in groups])
+    weighted = tuple(
+        (first[starts[i]:starts[j]], weight[entries[i]:entries[j]]) if alone is None
+        else (reduced[i], weight[entries[i]:entries[j]].reshape(reduced[i].shape[1:]))
+        for alone, i, j in _runs([None if w == 1 else k for k, w in enumerate(widths)]))
+    return (order, gathered, flat[:half], flat[half:], flat[:half // 2],
+            flat[half // 2:half], first, tuple(levels), weighted), reduced
 
 
 _thread = threading.local()
 
 
-def _pass_views(layout: _Layout, batch: int, sectors: int) -> tuple:
+def _pass_views(shape: _Shape) -> _Views:
     """One pass's temporaries, carved from this thread's workspace.
 
-    Returns ``(kept, probability, windows)``: the views of the first two
-    lists of :func:`_regions`, the gathered squares being ``(B, L)`` when
-    there is one sector (see :func:`_evaluate_pass`), and per window of
-    pair choices its
-    :func:`_window_views` with the columns of the per-choice sums it
-    fills, transposed.  Each thread keeps one workspace of the layout's
-    budget between calls, with the views of every pass shape carved from
-    it; both are replaced when the budget changes.  A pass larger than the
-    budget is carved from a buffer of its own, dropped with the pass.
+    Each thread keeps one workspace of the shape's budget between calls,
+    with the views of every pass shape carved from it; both are replaced
+    when the budget changes.  A pass larger than the budget is carved from
+    a buffer of its own, dropped with the pass.
     """
     workspace = getattr(_thread, "workspace", None)
-    if workspace is None or len(workspace[0]) != layout.budget:
-        workspace = _thread.workspace = (np.empty(layout.budget, np.uint8), {})
+    if workspace is None or len(workspace[0]) != shape.budget:
+        workspace = _thread.workspace = (np.empty(shape.budget, np.uint8), {})
     buffer, carved = workspace
-    key = (batch, layout.lattice, layout.choices, layout.window,
-           layout.positions, sectors)
-    if key in carved:
-        return carved[key]
-    regions = _regions(*key)
+    if shape in carved:
+        return carved[shape]
+    regions = _regions(shape)
     if _pass_bytes(*regions) > len(buffer):
         buffer = np.empty(_pass_bytes(*regions), np.uint8)
-    kept = _carve(buffer, 0, regions[0])
+    groups = shape.groups
+    weight, sums = _carve(buffer, 0, regions[0])
     at = _pass_bytes(regions[0], [], [])
-    index, squares = _carve(buffer, at, regions[1])
-    if sectors == 1:
-        squares = squares.reshape(batch, layout.positions)
+    *index, squares = _carve(buffer, at, regions[1])
+    entries = _starts([g.batch * g.sectors for g in groups])
+    choices = _starts([g.batch * g.choices for g in groups])
+    per_choice = [sums[a:b].reshape(g.batch, g.choices)
+                  for g, a, b in zip(groups, choices, choices[1:])]
+    gathers = _starts([g.positions * g.batch * g.sectors for g in groups])
+    blocks = []
+    for (positions, sectors), i, j in _runs([(g.positions, g.sectors)
+                                              for g in groups]):
+        block, out = squares[gathers[i]:gathers[j]], weight[entries[i]:entries[j]]
+        if sectors == 1:
+            blocks.append((block.reshape(-1, positions), 1, out))
+        else:
+            blocks.append((block.reshape(positions, -1, sectors), 0,
+                           out.reshape(-1, sectors)))
+    transposed = False
+    if not shape.packed:
+        (group,) = groups
+        index = index[0].reshape(group.positions, group.batch, group.sectors)
+        transposed = group.sectors == 1
+        squares = blocks[0][0] if transposed else squares.reshape(index.shape)
+    else:
+        index = None
+    most = max(g.choices for g in groups)
+    if index is not None and shape.window < most:
+        at += index.nbytes
     windows = []
-    for start in range(0, layout.choices, layout.window):
-        stop = min(start + layout.window, layout.choices)
-        if not windows or stop - start < layout.window:
-            temps = _window_views(
-                buffer, at, _regions(*key[:3], stop - start, *key[4:])[2],
-                stop - start)
-        windows.append((temps, kept[1][:, start:stop].T))
-    views = (kept, (index, squares), windows)
+    for start in range(0, most, shape.window):
+        # full windows share their temporaries; each writes its own sums
+        if not windows or start + shape.window > most:
+            temps, reduced = _window_views(buffer, at, shape, start,
+                                           start + shape.window, weight)
+        windows.append((*temps, tuple((r, s[:, start:start + len(r)].T)
+                                      for r, s in zip(reduced, per_choice))))
+    choice_sums = tuple(sums[choices[i]:choices[j]].reshape(-1, c)
+                        for c, i, j in _runs([g.choices for g in groups]))
+    views = _Views(weight, index, squares, transposed, tuple(blocks),
+                   tuple(windows), choice_sums)
     if buffer is workspace[0]:
         if len(carved) == PLAN_CACHE_SIZE:
             carved.clear()
-        carved[key] = views
+        carved[shape] = views
     return views
 
 
 def _evaluate_pass(
+    shape: _Shape,
     index: np.ndarray,
     amplitudes: np.ndarray,
     squares: np.ndarray,
-    layout: _Layout,
-    constant: float,
-    views: tuple | None = None,
+    windows: tuple[np.ndarray, ...],
+    views: _Views | None = None,
 ) -> np.ndarray:
-    """Components of a batch of subsets, or probes, that share one layout.
+    """Per entry of a pass, its weighted sum over sectors and pair choices.
 
-    ``index`` ``(L, B, S)`` holds the flat place of each amplitude of each
-    entry of the batch: selected positions in row-major order, then the
-    entries, then the sectors.  ``amplitudes`` is flat and ``squares`` is
-    :func:`_squares` of it.  ``layout`` comes from :func:`_layout` for a
-    batch of at least B, and ``views`` from :func:`_pass_views` when the
-    caller carved them already.  An ``index`` that is not C-contiguous (the
+    The component is ``sqrt(constant * sum)``.  ``amplitudes`` is flat and
+    ``squares`` is :func:`_squares` of it.  A packed pass is handed its
+    kept row-major index and ``windows`` holds its kernel-order index, both
+    from :func:`_packed`; the entries come in the pass's group order.  A
+    pass of one group is handed its ``(L, B, S)`` index and the windows of
+    its :func:`_layout`, and an ``index`` that is not C-contiguous (the
     leading probes of a larger stack's index) is first copied into the
-    workspace.
-    Every window of pair choices writes its sums into one ``(B, C)`` array
-    that is summed once, so the split into windows does not change the
-    result.
+    workspace.  ``views`` come from :func:`_pass_views` when the caller
+    carved them already.  Each group writes the sums of all of its windows
+    into one ``(B, C)`` array that is summed once, so the split into
+    windows does not change the result.
     """
-    _, batch, sectors = index.shape
     if views is None:
-        views = _pass_views(layout, batch, sectors)
-    (weight, sums), (kept, gathered), windows = views
+        views = _pass_views(shape)
+    weight, kept, gathered, transposed, blocks, temps, choice_sums = views
     if not index.flags.c_contiguous:
         np.copyto(kept, index)
         index = kept
-    if sectors == 1:
-        # one sector per entry: numpy sums each contiguous (L,) row of the
-        # (B, L) squares pairwise, and an (L, B) sum over axis 0 would add
-        # in order instead, so these keep the (B, L) order
-        squares.take(index.reshape(-1, batch).T, out=gathered, mode="wrap")
-        np.add.reduce(gathered, axis=1, out=weight, keepdims=True)
-    else:
-        squares.take(index, out=gathered, mode="wrap")
-        np.add.reduce(gathered, axis=0, out=weight)
+    # one sector per entry: the squares are gathered (B, L), see the notes
+    rows = index.reshape(gathered.shape[::-1]).T if transposed else index
+    squares.take(rows, out=gathered, mode="wrap")
+    for block, axis, out in blocks:
+        np.add.reduce(block, axis=axis, out=out)
     # a zero-probability sector has only zero amplitudes, so all of its
     # reduced values are exactly 0 and any finite weight resolves 0/0 to 0
     np.maximum(weight, sys.float_info.min, out=weight)
     np.divide(1.0, weight, out=weight)
-    for places, (temps, out) in zip(layout.windows, windows):
-        _window_sums(places, index, weight, amplitudes, temps, out)
-    return np.sqrt(constant * np.add.reduce(sums, axis=1))
+    for places, window in zip(windows, temps):
+        _window_sums(places, index, amplitudes, window)
+    if len(choice_sums) == 1:
+        return np.add.reduce(choice_sums[0], axis=1)
+    return np.concatenate([np.add.reduce(sums, axis=1) for sums in choice_sums])
 
 
 def _window_sums(
     places: np.ndarray,
     index: np.ndarray,
-    weight: np.ndarray,
     amplitudes: np.ndarray,
     temps: tuple,
-    out: np.ndarray,
 ) -> None:
-    """Weighted sector sums of one window of pair choices into ``out`` ``(w, B)``.
+    """Weighted sector sums of one window of pair choices into the pass's sums.
 
-    ``places`` is the window's table from :func:`_layout`, ``index`` the
-    pass's ``(L, B, S)`` gather index, and ``temps`` comes from
-    :func:`_window_views`.  Row r of the kernel-order index is row
-    ``places[r]`` of ``index``.
+    ``temps`` comes from :func:`_window_views`.  In a pass of one group,
+    ``places`` is the window's table from :func:`_layout` and row r of the
+    kernel-order index is row ``places[r]`` of the ``(L, B, S)`` ``index``;
+    a packed pass hands its kernel-order index as ``places``.
     """
-    order, gathered, products, halves, first, levels, reduced = temps
-    k_side, l_side, lower, upper = halves
-    index.take(places, axis=0, out=order, mode="wrap")
-    amplitudes.take(order, out=gathered, mode="wrap")
-    np.multiply(k_side, l_side, out=products)
+    (order, gathered, k_side, l_side, lower, upper, first, levels, weighted,
+     sector_sums) = temps
+    if order is not None:
+        index.take(places, axis=0, out=order, mode="wrap")
+        places = order
+    amplitudes.take(places, out=gathered, mode="wrap")
+    np.multiply(k_side, l_side, out=k_side)
     np.subtract(lower, upper, out=lower)
     np.abs(lower, out=first)
     np.square(first, out=first)
     for lower, upper in levels:
         np.subtract(lower, upper, out=lower)
         np.abs(lower, out=lower)
-    np.multiply(reduced, weight, out=reduced)
-    np.add.reduce(reduced, axis=-1, out=out)
+    for reduced, weight in weighted:
+        np.multiply(reduced, weight, out=reduced)
+    for reduced, out in sector_sums:
+        np.add.reduce(reduced, axis=-1, out=out)

@@ -25,28 +25,32 @@ For three or more parties the values depend on the local basis; see
 Evaluation runs in :mod:`etensor.kernel`, in numpy, with no Python loop
 over pair choices or subsets; its module notes describe the layout of a
 pass, the workspace of ``GATHER_BUDGET_BYTES`` per thread, and why the
-values do not depend on how a batch is cut into passes.  :func:`full_tensor`
-puts as many subsets of one size that share their selected dims into a
-pass as fit the budget.  An evaluator from :func:`component_evaluator`
+values do not depend on how subsets are cut into passes.
+:func:`full_tensor` groups the subsets of each requested size that share
+their selected dims, and packs every group that fits one pass, of any
+size, into as few passes as fit the budget: a warm 8-qubit call makes two
+passes for its 247 subsets.  An evaluator from :func:`component_evaluator`
 runs the same kernel on one subset, over one tensor or a stack of probe
-tensors that it cuts into passes the same way.  A subset that does not fit
-a pass alone is split into windows of pair choices.
+tensors that it cuts into passes the same way.  A group too large for one
+pass takes several, one group each, and a subset that does not fit a pass
+alone is split into windows of pair choices.
 
-What :func:`full_tensor` does for one subset size depends only on the
-dims, so it is built once as a plan and kept in an LRU cache of
-``PLAN_CACHE_SIZE`` entries keyed on ``(dims, size, GATHER_BUDGET_BYTES)``,
-with the budget read at call time.  A plan holds the size's selectors in
-lexicographic order and groups them by transposed shape (selected dims,
-then the others in ascending party order), each with the kernel's layout,
+What :func:`full_tensor` does depends only on the dims and the sizes, so
+it is built once as a plan and kept in an LRU cache of ``PLAN_CACHE_SIZE``
+entries keyed on ``(dims, sizes, GATHER_BUDGET_BYTES)``, with the budget
+read at call time.  A plan holds the selectors by size, each size in
+lexicographic order, grouped by transposed shape (selected dims, then the
+others in ascending party order), each group with the kernel's layout,
 which maps each kernel-order entry to the selected position it reads.
-Plans hold no amplitudes.  A group that runs in one pass keeps its
-read-only ``(L, B, S)`` gather index, at most half the budget, and a warm
-call hands that same array to the kernel.  Any other group keeps, per
-subset, one stride per party, and per transposed shape two digit tables,
-of its selected positions and of its sectors (``D * L + (M - D) * S``
-entries); each of its passes builds its index from them in the workspace,
-with two matmuls and one add.  So a warm call makes a few numpy calls per
-pass and no Python loop over subsets.
+Plans hold no amplitudes.  A group that runs in one pass has its
+``(L, B, S)`` gather index built once, at most half the budget; a packed
+pass keeps the row-major and kernel-order indexes of its groups, and a
+warm call hands those same arrays to the kernel.  Any other group keeps,
+per subset, one stride per party, and per transposed shape two digit
+tables, of its selected positions and of its sectors (``D * L + (M - D) *
+S`` entries); each of its passes builds its index from them in the
+workspace, with two matmuls and one add.  So a warm call makes a few
+numpy calls per pass and per group, and no Python loop over subsets.
 """
 
 from __future__ import annotations
@@ -55,6 +59,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -277,9 +282,9 @@ def _make_evaluator(
         for start in range(0, len(stack), layout.batch):
             part = stack[start:start + layout.batch]
             probes, part = len(part), part.reshape(-1)
-            values.append(kernel._evaluate_pass(
-                index[:, :probes], part, kernel._squares(part), layout, constant,
-            ))
+            values.append(np.sqrt(constant * kernel._evaluate_pass(
+                kernel._single(layout, probes), index[:, :probes], part,
+                kernel._squares(part), layout.windows)))
         return float(values[0][0]) if single else np.concatenate(values)
 
     evaluate.batch = layout.batch
@@ -287,60 +292,76 @@ def _make_evaluator(
 
 
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _plan(dims: tuple[int, ...], size: int, budget: int) -> tuple:
-    """How :func:`full_tensor` evaluates every subset of one size.
+def _plan(dims: tuple[int, ...], sizes: tuple[int, ...], budget: int) -> tuple:
+    """How :func:`full_tensor` evaluates every subset of the given sizes.
 
-    Returns the size's selectors in lexicographic order and a tuple of
-    groups, one per transposed shape ``T``: the selected dims, then the
-    other parties' dims in ascending party order.  A group is ``(places,
-    index, tables, layout)``.  ``places`` are its subsets' places in
-    lexicographic order, and ``layout`` comes from
-    :func:`etensor.kernel._layout`.  ``tables`` is ``(selected, others,
-    positions, sectors)``: ``selected`` and ``others`` hold, one row per
-    subset, the flat strides of its selected and of its other parties in
-    transposed order; ``positions`` ``(L, D)`` lists every selected
-    position of ``T`` and ``sectors`` ``(M - D, S)`` every sector.  So the
-    flat amplitude index of selected position l and sector s of subset b
-    is ``(positions @ selected.T)[l, b] + (others @ sectors)[b, s]``,
-    which is the ``(L, B, S)`` gather index of :func:`_gather_index`.
+    Returns ``(subsets, passes, groups)``.  ``subsets`` are the selectors
+    by size, then in lexicographic order.  The subsets of one size are
+    grouped by transposed shape ``T``: the selected dims, then the other
+    parties' dims in ascending party order, each group with the kernel's
+    :func:`etensor.kernel._layout`.
 
-    A group whose subsets fit one pass, with an index of at most half the
-    budget, keeps that index, read-only, and ``tables`` is None; otherwise
-    ``index`` is None and each pass builds its rows of the index from
-    ``tables`` in the workspace.  Built once per key, with no Python loop
-    per subset beyond creating the selectors.  A plan holds no amplitudes.
+    A group whose subsets fit one pass, with a gather index of at most half
+    the budget, has that ``(L, B, S)`` index built once.  Those of them
+    whose pair choices fit one window are packed, across all sizes, into
+    as few passes as fit the budget (:func:`etensor.kernel._packed`);
+    one over several windows is a pass of its own.  ``passes`` holds per
+    pass ``(places, shape, index, windows)`` for
+    :func:`etensor.kernel._evaluate_pass`, where ``places`` are the
+    places of its entries among ``subsets``.  Any other group is in
+    ``groups`` as ``(places, tables, layout)``, and each of its passes
+    builds its rows of the index from ``tables`` in the workspace.
+    ``tables`` is ``(selected, others, positions, sectors)``: ``selected``
+    and ``others`` hold, one row per subset, the flat strides of its
+    selected and of its other parties in transposed order; ``positions``
+    ``(L, D)`` lists every selected position of ``T`` and ``sectors``
+    ``(M - D, S)`` every sector.  So the flat amplitude index of selected
+    position l and sector s of subset b is ``(positions @ selected.T)[l,
+    b] + (others @ sectors)[b, s]``, which is the gather index of
+    :func:`_gather_index`.
+
+    Built once per key, with no Python loop per subset beyond creating
+    the selectors.  A plan holds no amplitudes, and its arrays are never
+    handed out.
     """
     num = len(dims)
-    combos = list(itertools.combinations(range(num), size))
-    selected = np.array(combos, dtype=np.intp)
-    unselected = np.ones((len(combos), num), dtype=bool)
-    unselected[np.arange(len(combos))[:, None], selected] = False
-    rest = np.nonzero(unselected)[1].reshape(len(combos), num - size)
-    order = np.concatenate([selected, rest], axis=1)
     strides = np.array([math.prod(dims[p + 1:]) for p in range(num)])
-    shapes = np.array(dims)[order]
-    # stable sort by transposed shape, so each group keeps subset order
-    by_shape = np.lexsort(shapes.T[::-1])
-    shapes = shapes[by_shape]
-    stacked = strides[order[by_shape]]
-    by_shape.flags.writeable = stacked.flags.writeable = False
-    ends = np.flatnonzero((shapes[1:] != shapes[:-1]).any(axis=1)) + 1
-    groups = []
-    for first, end in zip([0, *ends.tolist()], [*ends.tolist(), len(combos)]):
-        transposed = tuple(shapes[first].tolist())
-        layout = kernel._layout(transposed[:size], math.prod(transposed[size:]),
-                                budget)
-        tables = (stacked[first:end, :size], stacked[first:end, size:],
-                  kernel._digits(transposed[:size]).T,
-                  kernel._digits(transposed[size:]))
-        index = None
-        # one pass whose index, half of its probability phase, fits the budget
-        kept = (end - first) * math.prod(dims) * np.dtype(np.intp).itemsize
-        if end - first <= layout.batch and 2 * kept <= budget:
-            index, tables = _gather_index(*tables), None
-            index.flags.writeable = False
-        groups.append((by_shape[first:end], index, tables, layout))
-    return tuple(map(SubsetSelector, combos)), tuple(groups)
+    subsets, packable, passes, groups = [], [], [], []
+    for size in sizes:
+        combos = list(itertools.combinations(range(num), size))
+        selected = np.array(combos, dtype=np.intp)
+        unselected = np.ones((len(combos), num), dtype=bool)
+        unselected[np.arange(len(combos))[:, None], selected] = False
+        rest = np.nonzero(unselected)[1].reshape(len(combos), num - size)
+        order = np.concatenate([selected, rest], axis=1)
+        shapes = np.array(dims)[order]
+        # stable sort by transposed shape, so each group keeps subset order
+        by_shape = np.lexsort(shapes.T[::-1])
+        shapes = shapes[by_shape]
+        stacked = strides[order[by_shape]]
+        by_shape += len(subsets)
+        ends = np.flatnonzero((shapes[1:] != shapes[:-1]).any(axis=1)) + 1
+        for first, end in zip([0, *ends.tolist()], [*ends.tolist(), len(combos)]):
+            transposed = tuple(shapes[first].tolist())
+            layout = kernel._layout(transposed[:size],
+                                    math.prod(transposed[size:]), budget)
+            places = by_shape[first:end]
+            tables = (stacked[first:end, :size], stacked[first:end, size:],
+                      kernel._digits(transposed[:size]).T,
+                      kernel._digits(transposed[size:]))
+            # one pass whose index, half of its probability phase, fits the budget
+            kept = len(places) * math.prod(dims) * np.dtype(np.intp).itemsize
+            if len(places) > layout.batch or 2 * kept > budget:
+                groups.append((places, tables, layout))
+            elif layout.window == layout.choices:
+                packable.append((places, layout,
+                                 functools.partial(_gather_index, *tables)))
+            else:
+                passes.append((places, kernel._single(layout, len(places)),
+                               _gather_index(*tables), layout.windows))
+        subsets += map(SubsetSelector, combos)
+    passes[:0] = kernel._packed(packable, budget)
+    return tuple(subsets), tuple(passes), tuple(groups)
 
 
 def _gather_index(
@@ -398,16 +419,16 @@ def full_tensor(
 ) -> TensorReport:
     """Every component of every requested size (default: all sizes 2..M).
 
-    Each size runs the passes of its plan, cached under ``(dims, size,
+    The call runs the passes of its plan, cached under ``(dims, sizes,
     GATHER_BUDGET_BYTES)`` with the budget read at call time; the last
-    ``PLAN_CACHE_SIZE`` plans are kept.  A pass evaluates a stack of
-    subsets that share their transposed shape with the batched kernel off
-    ``state.amplitudes``, through the gather index that a group of one
-    pass keeps in the plan, or that the pass builds in the workspace.  So
-    a call on dims seen before does no Python work per subset.  The first
-    call on new dims builds the plan, with numpy work per group of subsets
-    rather than per subset.  A plan holds no amplitudes; see
-    :func:`_plan` for what it holds.
+    ``PLAN_CACHE_SIZE`` plans are kept.  A pass evaluates, with the batched
+    kernel off ``state.amplitudes``, either several groups of subsets
+    packed together through the indexes the plan keeps, or a stack of
+    subsets of one group through an index built in the workspace.  So a
+    call on dims and sizes seen before does no Python work per subset.  The
+    first call builds the plan, with numpy work per group of subsets rather
+    than per subset.  A plan holds no amplitudes; see :func:`_plan` for
+    what it holds.
     Components come out by size, then in lexicographic order within a
     size.
     """
@@ -425,28 +446,27 @@ def full_tensor(
         sum(_kernel_work(structure.dims, size) for size in size_list),
         "subset sizes {} of dims {}", size_list, structure.dims,
     )
+    subsets, passes, groups = _plan(structure.dims, tuple(size_list),
+                                    GATHER_BUDGET_BYTES)
     amplitudes = state.amplitudes
     squares = kernel._squares(amplitudes)
-    components: dict[SubsetSelector, float] = {}
-    for size in size_list:
-        subsets, groups = _plan(structure.dims, size, GATHER_BUDGET_BYTES)
-        values = np.empty(len(subsets))
-        constant = scheme.constant(size)
-        for places, index, tables, layout in groups:
-            if tables is None:
-                values[places] = kernel._evaluate_pass(
-                    index, amplitudes, squares, layout, constant)
-                continue
-            selected, others, positions, sectors = tables
-            for start in range(0, len(places), layout.batch):
-                rows = slice(start, start + layout.batch)
-                views = kernel._pass_views(
-                    layout, len(places[rows]), sectors.shape[1])
-                values[places[rows]] = kernel._evaluate_pass(
-                    _gather_index(selected[rows], others[rows], positions,
-                                  sectors, out=views[1][0]),
-                    amplitudes, squares, layout, constant, views)
-        components.update(zip(subsets, values.tolist()))
+    totals = np.empty(len(subsets))
+    for places, shape, index, windows in passes:
+        totals[places] = kernel._evaluate_pass(shape, index, amplitudes, squares,
+                                               windows)
+    for places, (selected, others, positions, sectors), layout in groups:
+        for start in range(0, len(places), layout.batch):
+            rows = slice(start, start + layout.batch)
+            shape = kernel._single(layout, len(places[rows]))
+            views = kernel._pass_views(shape)
+            totals[places[rows]] = kernel._evaluate_pass(
+                shape, _gather_index(selected[rows], others[rows], positions,
+                                     sectors, out=views.index),
+                amplitudes, squares, layout.windows, views)
+    constants = np.repeat([scheme.constant(size) for size in size_list],
+                          [math.comb(structure.num_parties, size) for size in size_list])
+    np.multiply(constants, totals, out=totals)
+    components = dict(zip(subsets, np.sqrt(totals, out=totals).tolist()))
     return TensorReport(structure=structure, scheme=scheme, components=components)
 
 
@@ -504,12 +524,19 @@ def report_document(report: TensorReport) -> dict:
     Its ``"components"`` value is a :class:`ReportComponents`, which
     ``write_json`` writes as the list :func:`report_to_dict` would build.
     """
-    sizes = sorted({s.size for s in report.components})
+    subsets = list(report.components)
+    parties = list(map(attrgetter("parties"), subsets))
+    keys = list(zip(map(len, parties), parties))
+    # sorted through C-level keys, with no Python call per component; a
+    # full_tensor report is in this order already, one run for timsort
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    values = list(report.components.values())
     return {
         "dims": list(report.structure.dims),
-        "norm_constants": {str(d): report.scheme.constant(d) for d in sizes},
-        "components": ReportComponents(sorted(
-            report.components.items(), key=lambda kv: (kv[0].size, kv[0].parties))),
+        "norm_constants": {str(d): report.scheme.constant(d)
+                           for d in sorted(set(map(len, parties)))},
+        "components": ReportComponents(tuple(map(subsets.__getitem__, order)),
+                                       tuple(map(values.__getitem__, order))),
         "tensor_norm": tensor_norm(report),
         "basis_note": report.basis_note,
     }
@@ -525,8 +552,8 @@ class ReportComponents(JsonText):
 
     __slots__ = ("subsets", "values")
 
-    def __init__(self, items: list[tuple[SubsetSelector, float]]):
-        self.subsets, self.values = zip(*items) if items else ((), ())
+    def __init__(self, subsets: tuple[SubsetSelector, ...], values: tuple[float, ...]):
+        self.subsets, self.values = subsets, values
 
     def _by_size(self) -> Iterator[tuple[int, slice, list[list[int]]]]:
         """Per subset size: its entries, and their 1-based parties as columns."""

@@ -341,9 +341,10 @@ class TestBatchedGradient:
         evaluate_pass = kernel_module._evaluate_pass
         apply = _Objective.apply
 
-        def counted(index, *args):
-            passes.append(index.shape[1])
-            return evaluate_pass(index, *args)
+        def counted(shape, *args):
+            (group,) = shape.groups
+            passes.append(group.batch)
+            return evaluate_pass(shape, *args)
 
         def applied(self, mats, amplitudes, party):
             if mats.ndim == 3:

@@ -1,5 +1,6 @@
 import copy
 import gc
+import hashlib
 import itertools
 import math
 import pickle
@@ -494,19 +495,31 @@ def _make_evaluator(
 def _count_calls(monkeypatch, name):
     """Record each call of a function of ``etensor.kernel``.
 
-    Only a size is kept, so the record holds no arrays alive: the batch of
-    the ``(L, B, S)`` index that ``_evaluate_pass`` takes first, and the
-    length of the first argument of any other function.
+    Only a size is kept, so the record holds no arrays alive: the entries
+    of the pass whose shape ``_evaluate_pass`` takes first, and the length
+    of the first argument of any other function.
     """
     calls = []
     original = getattr(kernel_module, name)
 
     def counted(first, *args):
-        calls.append(first.shape[1] if name == "_evaluate_pass" else len(first))
+        calls.append(_entries(first) if name == "_evaluate_pass" else len(first))
         return original(first, *args)
 
     monkeypatch.setattr(kernel_module, name, counted)
     return calls
+
+
+def _entries(shape):
+    """The subsets or probes a pass of ``shape`` evaluates."""
+    return sum(group.batch for group in shape.groups)
+
+
+def _one_group_bytes(batch, lattice, choices, window, positions, sectors):
+    """Workspace bytes of a pass of one group that builds its indexes."""
+    group = kernel_module._Group(lattice, choices, batch, positions, sectors)
+    return kernel_module._pass_bytes(*kernel_module._regions(
+        kernel_module._Shape((group,), window, False, 0)))
 
 
 class TestBatchedKernel:
@@ -552,9 +565,8 @@ class TestBatchedKernel:
         # 27 pair choices are split into windows, and no two subsets of the
         # (3, 3) pair group share a pass
         budget = 4000
-        regions = kernel_module._regions
-        assert budget < kernel_module._pass_bytes(*regions(1, 8, 27, 27, 27, 2))
-        assert budget < 2 * kernel_module._pass_bytes(*regions(1, 4, 9, 9, 9, 6))
+        assert budget < _one_group_bytes(1, 8, 27, 27, 27, 2)
+        assert budget < 2 * _one_group_bytes(1, 4, 9, 9, 9, 6)
         monkeypatch.setattr(tensor_module, "GATHER_BUDGET_BYTES", budget)
         assert kernel_module._layout((3, 3, 3), 2, budget).window < 27
         passes.clear()
@@ -669,6 +681,30 @@ def _reference_stack(stack, dims, order):
     return np.ascontiguousarray(moved.reshape((len(stack),) + shape))
 
 
+def _level_layout(level, groups):
+    """Reference: a packed pass's kernel-order layout at reduction ``level``.
+
+    ``groups`` are ``(depth, values)`` in pass order, ``values`` a group's
+    ``(2^(depth - level), count)`` entries at that level (one row once its
+    depth is reached).  The groups already reduced come first, then the
+    lower halves of the others and then their upper halves, each in the
+    layout of the next level.
+    """
+    if all(depth <= level for depth, _ in groups):
+        return np.concatenate([values.reshape(-1) for _, values in groups])
+    halves = [[(depth, values if depth <= level else
+                values[side * len(values) // 2:(side + 1) * len(values) // 2])
+               for depth, values in groups] for side in (0, 1)]
+    done = sum(values.size for depth, values in groups if depth <= level)
+    return np.concatenate([_level_layout(level + 1, halves[0]),
+                           _level_layout(level + 1, halves[1])[done:]])
+
+
+def _full_plan(dims, budget):
+    """The plan of a ``full_tensor`` call of every size on ``dims``."""
+    return tensor_module._plan(dims, tuple(range(2, len(dims) + 1)), budget)
+
+
 def _reference_value(state, order, constant=4.0):
     sectors = _reference_stack(state.tensor[None], state.structure.dims, order)
     return float(_reference_batch(sectors, constant)[0])
@@ -713,20 +749,21 @@ class TestKernelOrder:
 
     @pytest.mark.parametrize("budget", [None, 4000])
     def test_kernel_order_index_equals_old_construction(self, monkeypatch, budget):
-        # a pass gathers through an (L, B, S) index, and the kernel-order
-        # index is rows of it; the kernel once built that index from the
-        # (B, L, S) one as positions of the selected places plus offsets
+        # a pass gathers through a row-major index, (L, B, S) per group, and
+        # the kernel-order index is rows of it; the kernel once built that
+        # index from the (B, L, S) one as positions of the selected places
+        # plus offsets.  A packed pass keeps both in its own layout.
         budget = budget or tensor_module.GATHER_BUDGET_BYTES
         monkeypatch.setattr(tensor_module, "GATHER_BUDGET_BYTES", budget)
         passes = []
         evaluate_pass = kernel_module._evaluate_pass
 
-        def recorded(index, amplitudes, squares, layout, *args):
-            passes.append((index.copy(), layout))
-            return evaluate_pass(index, amplitudes, squares, layout, *args)
+        def recorded(shape, index, amplitudes, squares, windows, *args):
+            passes.append((shape, index.copy(), [w.copy() for w in windows]))
+            return evaluate_pass(shape, index, amplitudes, squares, windows, *args)
 
         monkeypatch.setattr(kernel_module, "_evaluate_pass", recorded)
-        checked = windows = 0
+        single = windows = packed = 0
         for state in _kernel_states():
             dims, num = state.structure.dims, state.structure.num_parties
             if budget < 1 << 20 and num > 8:
@@ -735,35 +772,66 @@ class TestKernelOrder:
             passes.clear()
             full_tensor(state)
             # per pass, the nesting order and first flat place of each entry
-            entries = []
-            for size in range(2, num + 1):
-                subsets, groups = tensor_module._plan(dims, size, budget)
-                for places, *_, layout in groups:
-                    for start in range(0, len(places), layout.batch):
-                        entries.append([(subsets[p].parties, 0) for p in
-                                        places[start:start + layout.batch]])
+            subsets, kept, groups = _full_plan(dims, budget)
+            entries = [[(subsets[p].parties, 0) for p in places]
+                       for places, *_ in kept]
+            for places, _, layout in groups:
+                for start in range(0, len(places), layout.batch):
+                    entries.append([(subsets[p].parties, 0) for p in
+                                    places[start:start + layout.batch]])
             for subset in subsets_of_size(state.structure, num - 1)[:2]:
-                passes.append(kernel_module._probe_term(dims, subset.parties, 3,
-                                                        budget))
+                index, layout = kernel_module._probe_term(dims, subset.parties, 3,
+                                                          budget)
+                passes.append((kernel_module._single(layout, index.shape[1]),
+                               index, layout.windows))
                 entries.append([(subset.parties, total * probe)
-                                for probe in range(passes[-1][0].shape[1])])
+                                for probe in range(index.shape[1])])
             assert len(passes) == len(entries)
-            checked += len(passes)
             flat = np.arange(total).reshape((1,) + dims)
-            for (index, layout), pass_entries in zip(passes, entries):
-                row_major = np.stack([
-                    _reference_stack(flat, dims, order)[0].reshape(
-                        layout.positions, -1) + first
-                    for order, first in pass_entries])
-                assert np.array_equal(index, row_major.transpose(1, 0, 2))
-                positions = row_major[:, :, 0] - row_major[:, :1, 0]
-                offsets = row_major[:, 0, :]
-                for places in layout.windows:
-                    old = positions.take(places, axis=1).T[:, :, None] + offsets
-                    assert np.array_equal(index.take(places, axis=0), old)
-                    windows += 1
-        # the larger qudit subsets split into windows of pair choices
-        assert windows > checked
+            for (shape, index, tables), pass_entries in zip(passes, entries):
+                assert _entries(shape) == len(pass_entries)
+                start, rows, natural = 0, [], []
+                for group in shape.groups:
+                    members = pass_entries[start:start + group.batch]
+                    start += group.batch
+                    row_major = np.stack([
+                        _reference_stack(flat, dims, order)[0].reshape(
+                            group.positions, -1) + first
+                        for order, first in members])
+                    rows.append(row_major.transpose(1, 0, 2))
+                    positions = row_major[:, :, 0] - row_major[:, :1, 0]
+                    offsets = row_major[:, 0, :]
+                    order = members[0][0]
+                    layout = kernel_module._layout(
+                        tuple(dims[p] for p in order), group.sectors, budget)
+                    assert len(order) == group.lattice.bit_length() - 1
+                    for places, table in zip(layout.windows, tables):
+                        old = positions.take(places, axis=1).T[:, :, None] + offsets
+                        if shape.packed:
+                            natural.append((len(order), old.reshape(group.lattice, -1)))
+                        else:
+                            assert np.array_equal(table, places)
+                            assert np.array_equal(index.take(places, axis=0), old)
+                            windows += 1
+                if not shape.packed:
+                    (rows,) = rows
+                    assert np.array_equal(index, rows)
+                    single += 1
+                    continue
+                packed += 1
+                blocks = []
+                for (positions, sectors), run in itertools.groupby(
+                        zip(shape.groups, rows),
+                        key=lambda item: (item[0].positions, item[0].sectors)):
+                    block = np.concatenate([r for _, r in run], axis=1)
+                    blocks.append((block.reshape(positions, -1).T if sectors == 1
+                                   else block).reshape(-1))
+                assert np.array_equal(index, np.concatenate(blocks))
+                (order,) = tables
+                assert np.array_equal(order, _level_layout(0, natural))
+        # the larger qudit subsets split into windows of pair choices, and
+        # the groups that fit one pass are packed
+        assert windows > single and packed
 
     @pytest.mark.parametrize("budget", [None, 4000])
     def test_evaluators_equal_reference(self, monkeypatch, budget):
@@ -977,7 +1045,8 @@ class TestWorkspace:
             (2, 2), (0, 1), 1, tensor_module.GATHER_BUDGET_BYTES)
         amplitudes = ghz_state(2).amplitudes
         values = kernel_module._evaluate_pass(
-            index, amplitudes, kernel_module._squares(amplitudes), layout, 4.0)
+            kernel_module._single(layout, 1), index, amplitudes,
+            kernel_module._squares(amplitudes), layout.windows)
         assert not np.shares_memory(values, kernel_module._thread.workspace[0])
 
     def test_threads_give_single_thread_values(self):
@@ -1026,14 +1095,13 @@ class TestWorkspace:
     def test_passes_fit_the_budget(self, budget):
         # only a pass of one subset and one pair choice may need more
         for dims in KERNEL_DIMS + [(4,) * 5]:
-            for size in range(2, len(dims) + 1):
-                for *_, layout in tensor_module._plan(dims, size, budget)[1]:
-                    regions = kernel_module._regions(
-                        layout.batch, layout.lattice, layout.choices,
-                        layout.window, layout.positions,
-                        math.prod(dims) // layout.positions)
-                    assert (kernel_module._pass_bytes(*regions) <= budget
-                            or layout.window == 1)
+            _, passes, groups = _full_plan(dims, budget)
+            shapes = [shape for _, shape, _, _ in passes] + [
+                kernel_module._single(layout, layout.batch)
+                for *_, layout in groups]
+            for shape in shapes:
+                assert (kernel_module._pass_bytes(*kernel_module._regions(shape))
+                        <= budget or shape.window == 1)
 
     def test_kept_workspace_stays_within_the_budget(self, monkeypatch):
         budget = 4000
@@ -1042,15 +1110,15 @@ class TestWorkspace:
         passes = _count_calls(monkeypatch, "_evaluate_pass")
         full_tensor(state)
         # the full 8-qubit subset alone needs more than the budget
-        assert kernel_module._pass_bytes(*kernel_module._regions(
-            1, 256, 1, 1, 256, 1)) > budget
+        assert _one_group_bytes(1, 256, 1, 1, 256, 1) > budget
         assert passes[-1] == 1
         assert len(kernel_module._thread.workspace[0]) <= budget
 
 
 @st.composite
-def _pair_bound_states(draw):
-    dims = tuple(draw(st.lists(st.integers(2, 4), min_size=3, max_size=5)))
+def _pair_bound_states(draw, max_parties=5):
+    dims = tuple(draw(st.lists(st.integers(2, 4), min_size=3, max_size=max_parties)
+                      .filter(lambda dims: math.prod(dims) <= 1 << 10)))
     rng = np.random.default_rng(draw(seed_strategy))
     psi = random_state(PartyStructure(dims), rng).amplitudes
     if draw(st.booleans()):
@@ -1083,6 +1151,33 @@ class TestPairBound:
         for subset, value in full_tensor(state, sizes=[2]).components.items():
             for party in subset.parties:
                 assert value**2 <= bounds[party] + 1e-12
+
+
+class TestPackingInvariance:
+    """How the subsets of a call are packed into passes moves no bit.
+
+    A call of every size packs the groups of all sizes together; a call of
+    one size packs only that size's groups; in 4,000 bytes each group runs
+    alone, the larger subsets over windows of pair choices.
+    """
+
+    @pytest.mark.parametrize("budget", [1 << 20, 4000])
+    @given(state=_pair_bound_states(max_parties=7))
+    @settings(max_examples=20, deadline=None)
+    def test_packed_sizes_equal_single_sizes_and_reference(self, budget, state):
+        default = tensor_module.GATHER_BUDGET_BYTES
+        tensor_module.GATHER_BUDGET_BYTES = budget
+        try:
+            whole = full_tensor(state).components
+            union = {}
+            for size in range(2, state.structure.num_parties + 1):
+                union.update(full_tensor(state, sizes=[size]).components)
+        finally:
+            tensor_module.GATHER_BUDGET_BYTES = default
+        assert list(whole) == list(union)
+        assert whole == union
+        for subset, value in whole.items():
+            assert value == _reference_value(state, subset.parties)
 
 
 def _sector_purity_square(state, pair):
@@ -1175,40 +1270,60 @@ class TestKeptIndex:
         for dims in KERNEL_DIMS + [(4,) * 5]:
             total = math.prod(dims)
             flat = np.arange(total).reshape((1,) + dims)
-            for size in range(2, len(dims) + 1):
-                subsets, groups = tensor_module._plan(dims, size, budget)
-                # in one byte no group keeps its index, and the groups are
-                # the same, so these are the tables each pass builds from
-                rebuilt = tensor_module._plan(dims, size, 1)[1]
-                for (places, index, tables, layout), (_, none, whole, _) in zip(
-                        groups, rebuilt):
-                    assert none is None
-                    one_pass = (len(places) <= layout.batch
-                                and 2 * 8 * len(places) * total <= budget)
-                    # the plan holds either the index or the tables
-                    assert (index is None) == (tables is not None) == (
-                        not one_pass)
-                    if index is None:
-                        continue
-                    assert np.array_equal(
-                        index, tensor_module._gather_index(*whole))
-                    want = np.stack([
+            subsets, passes, groups = _full_plan(dims, budget)
+
+            def fits(places, layout):
+                return (len(places) <= layout.batch
+                        and 2 * 8 * len(places) * total <= budget)
+
+            every = np.concatenate([p for p, *_ in passes] + [p for p, *_ in groups])
+            assert sorted(every.tolist()) == list(range(len(subsets)))
+            for places, shape, index, windows in passes:
+                rows = [index]
+                if shape.packed:
+                    # a packed pass holds its groups' indexes in blocks of
+                    # equal (L, S); cut them back into each (L, B, S) index
+                    rows, start = [], 0
+                    for (positions, sectors), run in itertools.groupby(
+                            shape.groups, key=lambda g: (g.positions, g.sectors)):
+                        batches = [g.batch for g in run]
+                        size = positions * sum(batches) * sectors
+                        block = index[start:start + size]
+                        start += size
+                        block = (block.reshape(-1, positions).T[:, :, None]
+                                 if sectors == 1
+                                 else block.reshape(positions, -1, sectors))
+                        rows += np.split(block, np.cumsum(batches)[:-1], axis=1)
+                    assert start == len(index)
+                first = 0
+                for group, got in zip(shape.groups, rows):
+                    members = places[first:first + group.batch]
+                    first += group.batch
+                    order = subsets[members[0]].parties
+                    layout = kernel_module._layout(
+                        tuple(dims[p] for p in order), group.sectors, budget)
+                    assert fits(members, layout)
+                    assert shape.packed == (layout.window == layout.choices)
+                    assert np.array_equal(got, np.stack([
                         _reference_stack(flat, dims, subsets[p].parties)[0]
-                        .reshape(layout.positions, -1) for p in places], axis=1)
-                    assert np.array_equal(index, want)
-                    assert index.flags.c_contiguous and not index.flags.writeable
-                    assert 2 * index.nbytes <= budget
+                        .reshape(group.positions, -1) for p in members], axis=1))
+                assert first == len(places)
+            for places, tables, layout in groups:
+                assert not fits(places, layout)
+                assert np.array_equal(tensor_module._gather_index(*tables), np.stack([
+                    _reference_stack(flat, dims, subsets[p].parties)[0]
+                    .reshape(layout.positions, -1) for p in places], axis=1))
 
     def test_kept_bytes(self):
-        # every size of 8 qubits runs in one pass; of the qudit dims only
-        # the subset of every party does, over several windows
+        # every size of 8 qubits runs packed, with its row-major and
+        # kernel-order indexes; of the qudit dims only the subset of every
+        # party keeps its index, for one pass of several windows
         def kept_bytes(dims):
-            return sum(index.nbytes for size in range(2, len(dims) + 1)
-                       for _, index, _, _ in tensor_module._plan(
-                           dims, size, 1 << 20)[1] if index is not None)
+            return sum(index.nbytes + shape.packed * windows[0].nbytes
+                       for _, shape, index, windows in _full_plan(dims, 1 << 20)[1])
 
-        assert kept_bytes((2,) * 8) == 247 * 256 * 8
-        assert kept_bytes((2,) * 12) == 4096 * 8
+        assert kept_bytes((2,) * 8) == 2 * 247 * 256 * 8
+        assert kept_bytes((2,) * 12) == 2 * 4096 * 8
         assert kept_bytes((4,) * 5) == 4**5 * 8
         assert kept_bytes((3,) * 6) == 3**6 * 8
 
@@ -1227,14 +1342,12 @@ class TestKeptIndex:
 
         monkeypatch.setattr(kernel_module, "_digits", recorded)
         budget = (1 << 20) + 8  # a key no other test builds plans for
-        plans = [tensor_module._plan(dims, size, budget)
-                 for dims in [(2,) * 8, (2,) * 12, (3, 3, 2, 2, 2, 2)]
-                 for size in range(2, len(dims) + 1)]
-        held = {id(owner(table)) for _, groups in plans
-                for _, _, tables, _ in groups if tables is not None
-                for table in tables[2:]}
-        kept = sum(index is not None for _, groups in plans
-                   for _, index, _, _ in groups)
+        plans = [_full_plan(dims, budget)
+                 for dims in [(2,) * 8, (2,) * 12, (3, 3, 2, 2, 2, 2)]]
+        held = {id(owner(table)) for _, _, groups in plans
+                for _, tables, _ in groups for table in tables[2:]}
+        kept = sum(len(shape.groups) for _, passes, _ in plans
+                   for _, shape, _, _ in passes)
         gc.collect()
         alive = [ref() for ref in built if ref() is not None]
         assert kept >= 8 and len(built) > len(alive)
@@ -1247,18 +1360,105 @@ class TestKeptIndex:
         handed = []
         evaluate_pass = kernel_module._evaluate_pass
 
-        def recorded(index, *args):
+        def recorded(shape, index, *args):
             handed.append(index)
-            return evaluate_pass(index, *args)
+            return evaluate_pass(shape, index, *args)
 
         monkeypatch.setattr(kernel_module, "_evaluate_pass", recorded)
         reports = [full_tensor(state).components for state in states]
-        assert len(handed) == 2 * 7
-        for first, second in zip(handed[:7], handed[7:]):
+        assert len(handed) == 2 * 2
+        for first, second in zip(handed[:2], handed[2:]):
             assert first is second
             assert not np.shares_memory(first, kernel_module._thread.workspace[0])
         for state, components in zip(states, reports):
             _assert_matches_reference(state, components)
+
+
+def _arrays(kept):
+    """Every array in a nest of tuples and lists, such as a plan."""
+    if isinstance(kept, np.ndarray):
+        yield kept
+    elif isinstance(kept, (tuple, list)):
+        for item in kept:
+            yield from _arrays(item)
+
+
+class TestPackedPasses:
+    """A warm call runs all its kept groups in a few packed passes."""
+
+    @pytest.mark.parametrize("dims, most", [
+        ((2,) * 8, 2),                 # 7 passes, one per size, at the parent
+        ((3, 2, 3, 2, 2, 2, 2), 4),    # 31, one per transposed shape
+    ])
+    def test_warm_call_makes_few_passes(self, monkeypatch, dims, most):
+        state = random_state(PartyStructure(dims), np.random.default_rng(36))
+        full_tensor(state)
+        passes = _count_calls(monkeypatch, "_evaluate_pass")
+        components = full_tensor(state).components
+        assert len(passes) <= most
+        assert sum(passes) == len(components) == 2 ** len(dims) - len(dims) - 1
+        for subset, value in components.items():
+            assert value == _reference_value(state, subset.parties)
+
+    def test_warm_call_copies_no_index(self):
+        # take copies an index that is not writeable or not contiguous; at
+        # the parent the kept read-only indexes were copied, 145 KiB at peak
+        state = random_state(PartyStructure((2,) * 8), np.random.default_rng(37))
+        full_tensor(state)
+        tracemalloc.start()
+        try:
+            full_tensor(state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 10
+
+    def test_kept_arrays_stay_unchanged(self, monkeypatch):
+        # kept arrays are writeable, so that take does not copy them; no
+        # call may write to them, and no public function hands one out
+        terms, probe_term = [], kernel_module._probe_term
+
+        def recorded(*args):
+            terms.append(probe_term(*args))
+            return terms[-1]
+
+        monkeypatch.setattr(kernel_module, "_probe_term", recorded)
+        runs = []
+        for budget in (1 << 20, 4000):
+            monkeypatch.setattr(tensor_module, "GATHER_BUDGET_BYTES", budget)
+            for state in _kernel_states():
+                structure = state.structure
+                # in 4,000 bytes a state of over 512 amplitudes makes
+                # hundreds of passes, and adds nothing to what is checked
+                if budget < 1 << 20 and structure.total_dim > 512:
+                    continue
+                subsets = [s for size in range(2, structure.num_parties + 1)
+                           for s in subsets_of_size(structure, size)][::17]
+                stack = np.stack([state.tensor, state.tensor * 1j, state.tensor])
+                runs.append((budget, state, stack, [
+                    component_evaluator(structure, subset) for subset in subsets]))
+        for budget, state, stack, evaluators in runs:
+            monkeypatch.setattr(tensor_module, "GATHER_BUDGET_BYTES", budget)
+            full_tensor(state)
+            for evaluate in evaluators:
+                evaluate(stack)
+        kept = list(_arrays(terms)) + [
+            array for budget, state, *_ in runs
+            for array in _arrays(_full_plan(state.structure.dims, budget))]
+        before = [hashlib.sha256(array.tobytes()).digest() for array in kept]
+        for budget in (1 << 20, 4000):
+            monkeypatch.setattr(tensor_module, "GATHER_BUDGET_BYTES", budget)
+            for rounds in range(20):
+                for _, state, stack, evaluators in filter(
+                        lambda run: run[0] == budget, runs):
+                    components = full_tensor(state).components
+                    assert all(type(v) is float for v in components.values())
+                    for evaluate in evaluators:
+                        assert type(evaluate(state.tensor)) is float
+                        got = [evaluate(stack), evaluate(stack[:2])]
+                        assert rounds or not any(np.shares_memory(values, array)
+                                                 for values in got for array in kept)
+        assert [hashlib.sha256(array.tobytes()).digest() for array in kept] == before
 
 
 class TestPlanCache:
