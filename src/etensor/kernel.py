@@ -42,23 +42,25 @@ runs as a pass of one group.
   above.  The weighted sector sums, on the contiguous last axis, and the
   sums over pair choices run per group; groups with one pair choice are
   weighted in one call.
-* Indexes.  The row-major index depends only on the dims, so it is kept
-  where it never changes: a ``full_tensor`` plan keeps each packed pass's
-  row-major and kernel-order indexes, and the ``(L, B, S)`` index of a
-  group of one pass over several windows; an evaluator keeps its one
-  subset's index over up to one pass of probe tensors, and a shorter stack
-  copies the leading probes of it into the workspace.  Kept arrays stay
-  writeable and private: ``take`` copies an index that is not writeable
-  before it reads it, so a read-only one would be copied on every call.
-* Workspace.  Both gathers, the reductions and, when a pass builds them,
-  the row-major and kernel-order indexes are written with ``out=`` into one
-  workspace per thread, which the thread keeps between calls.  The
-  products are written over the k side and the squared magnitudes over the
-  l side, and the amplitude gather reuses the bytes of the dead
-  probability gather.  A pass of one group over several windows of pair
-  choices keeps its row-major index through them.  The workspace holds the
-  budget the pass was made for; a pass over it gets a buffer of its own,
-  dropped with the pass.  Results are new arrays.
+* Indexes.  An index lives in one of two places.  A ``full_tensor`` plan
+  keeps each packed pass's row-major and kernel-order indexes, which never
+  change.  Every other pass is a pass of one group, run by
+  :func:`_evaluate_group`: its caller writes the ``(L, B, S)`` index into
+  the pass's place for it in the workspace, and the pass takes its
+  kernel-order index per window from that.  The one exception is a single
+  tensor of an evaluator, whose ``(L, 1, S)`` index the evaluator keeps
+  and hands over as it is.  Kept arrays stay writeable and private:
+  ``take`` copies an index that is not writeable before it reads it, so a
+  read-only one would be copied on every call.
+* Workspace.  Both gathers, the reductions and the indexes of a pass of
+  one group are written with ``out=`` into one workspace per thread, which
+  the thread keeps between calls.  The products are written over the k
+  side and the squared magnitudes over the l side, and the amplitude
+  gather reuses the bytes of the dead probability gather.  A pass of one
+  group over several windows of pair choices keeps its row-major index
+  through them.  The workspace holds the budget the pass was made for; a
+  pass over it gets a buffer of its own, dropped with the pass.  Results
+  are new arrays.
 
 The bits do not change: every gather reads the same places as in the
 stacked kernel (entry r of a window reads selected position ``places[r]``
@@ -80,7 +82,7 @@ import itertools
 import math
 import sys
 import threading
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -114,7 +116,7 @@ class _Shape(NamedTuple):
     of pair choices per window.  A ``packed`` pass is handed its row-major
     and kernel-order indexes, flat and in its own layout, and has one
     window of every group's pair choices; any other pass has one group,
-    whose ``(L, B, S)`` index it may copy into the workspace and whose
+    whose ``(L, B, S)`` index is written into the workspace and whose
     kernel-order index it takes per window.
     """
 
@@ -229,30 +231,6 @@ def _layout(selected_dims: tuple[int, ...], sectors: int, budget: int) -> _Layou
                     for start in range(0, choices, window))
     return _Layout(windows, batch, window, lattice, choices, positions, sectors,
                    budget, {})
-
-
-def _probe_term(
-    dims: tuple[int, ...], order: tuple[int, ...], probes: int, budget: int
-) -> tuple[np.ndarray, _Layout]:
-    """Kernel inputs of one subset over a stack of up to ``probes`` tensors.
-
-    The stack is ``(P, *dims)``, read flat, and ``layout`` is the
-    :func:`_layout` of the parties ``order``; the inputs cover at most
-    ``layout.batch`` tensors, one pass.  Returns ``(index, layout)`` for
-    :func:`_evaluate_pass`: ``index`` ``(L, P, S)`` is the row-major gather
-    index of the stack, per probe its amplitudes with the parties of
-    ``order`` first (in nesting order) and the others after them in
-    ascending order.  It never changes, so it is built once; the leading
-    probes of it, ``index[:, :p]``, serve a shorter stack.
-    """
-    others = tuple(p for p in range(len(dims)) if p not in order)
-    selected = tuple(dims[p] for p in order)
-    layout = _layout(selected, math.prod(dims) // math.prod(selected), budget)
-    probes = min(probes, layout.batch)
-    index = np.arange(probes * math.prod(dims)).reshape((probes,) + dims).transpose(
-        (*(1 + p for p in order), 0, *(1 + p for p in others))).reshape(
-        layout.positions, probes, -1)
-    return index, layout
 
 
 def _packed(members: list, budget: int) -> list[tuple]:
@@ -430,8 +408,9 @@ def _pass_views(shape: _Shape) -> _Views:
     """One pass's temporaries, carved from this thread's workspace.
 
     Each thread keeps one workspace of the shape's budget between calls,
-    with the views of every pass shape carved from it; both are replaced
-    when the budget changes.  A pass larger than the budget is carved from
+    with the views of the last ``PLAN_CACHE_SIZE`` pass shapes carved from
+    it, the oldest dropped first; both are replaced when the budget
+    changes.  A pass larger than the budget is carved from
     a buffer of its own, dropped with the pass.
     """
     workspace = getattr(_thread, "workspace", None)
@@ -486,7 +465,7 @@ def _pass_views(shape: _Shape) -> _Views:
                    tuple(windows), choice_sums)
     if buffer is workspace[0]:
         if len(carved) == PLAN_CACHE_SIZE:
-            carved.clear()
+            del carved[next(iter(carved))]
         carved[shape] = views
     return views
 
@@ -505,20 +484,15 @@ def _evaluate_pass(
     ``squares`` is :func:`_squares` of it.  A packed pass is handed its
     kept row-major index and ``windows`` holds its kernel-order index, both
     from :func:`_packed`; the entries come in the pass's group order.  A
-    pass of one group is handed its ``(L, B, S)`` index and the windows of
-    its :func:`_layout`, and an ``index`` that is not C-contiguous (the
-    leading probes of a larger stack's index) is first copied into the
-    workspace.  ``views`` come from :func:`_pass_views` when the caller
-    carved them already.  Each group writes the sums of all of its windows
-    into one ``(B, C)`` array that is summed once, so the split into
-    windows does not change the result.
+    pass of one group runs through :func:`_evaluate_group`, which hands it
+    its C-contiguous ``(L, B, S)`` index, the windows of its
+    :func:`_layout` and the ``views`` it carved.  Each group writes the
+    sums of all of its windows into one ``(B, C)`` array that is summed
+    once, so the split into windows does not change the result.
     """
     if views is None:
         views = _pass_views(shape)
-    weight, kept, gathered, transposed, blocks, temps, choice_sums = views
-    if not index.flags.c_contiguous:
-        np.copyto(kept, index)
-        index = kept
+    weight, _, gathered, transposed, blocks, temps, choice_sums = views
     # one sector per entry: the squares are gathered (B, L), see the notes
     rows = index.reshape(gathered.shape[::-1]).T if transposed else index
     squares.take(rows, out=gathered, mode="wrap")
@@ -533,6 +507,25 @@ def _evaluate_pass(
     if len(choice_sums) == 1:
         return np.add.reduce(choice_sums[0], axis=1)
     return np.concatenate([np.add.reduce(sums, axis=1) for sums in choice_sums])
+
+
+def _evaluate_group(
+    layout: _Layout,
+    batch: int,
+    fill: Callable[[np.ndarray], np.ndarray],
+    amplitudes: np.ndarray,
+    squares: np.ndarray,
+) -> np.ndarray:
+    """:func:`_evaluate_pass` of ``batch`` entries of one group of ``layout``.
+
+    ``fill(out)`` returns the pass's row-major index: it writes it into
+    ``out``, the ``(L, B, S)`` place of the index in the workspace, or
+    returns a C-contiguous one that its caller keeps.
+    """
+    shape = _single(layout, batch)
+    views = _pass_views(shape)
+    return _evaluate_pass(shape, fill(views.index), amplitudes, squares,
+                          layout.windows, views)
 
 
 def _window_sums(

@@ -29,11 +29,12 @@ values do not depend on how subsets are cut into passes.
 :func:`full_tensor` groups the subsets of each requested size that share
 their selected dims, and packs every group that fits one pass, of any
 size, into as few passes as fit the budget: a warm 8-qubit call makes two
-passes for its 247 subsets.  An evaluator from :func:`component_evaluator`
-runs the same kernel on one subset, over one tensor or a stack of probe
-tensors that it cuts into passes the same way.  A group too large for one
-pass takes several, one group each, and a subset that does not fit a pass
-alone is split into windows of pair choices.
+passes for its 247 subsets.  Any other group takes passes of one group
+each: a group too large for one pass takes several, and a subset that
+does not fit a pass alone is split into windows of pair choices.  An
+evaluator from :func:`component_evaluator` runs the same kernel on one
+subset, over one tensor or a stack of probe tensors that it cuts into
+passes the same way.
 
 What :func:`full_tensor` does depends only on the dims and the sizes, so
 it is built once as a plan and kept in an LRU cache of ``PLAN_CACHE_SIZE``
@@ -42,15 +43,14 @@ read at call time.  A plan holds the selectors by size, each size in
 lexicographic order, grouped by transposed shape (selected dims, then the
 others in ascending party order), each group with the kernel's layout,
 which maps each kernel-order entry to the selected position it reads.
-Plans hold no amplitudes.  A group that runs in one pass has its
-``(L, B, S)`` gather index built once, at most half the budget; a packed
-pass keeps the row-major and kernel-order indexes of its groups, and a
-warm call hands those same arrays to the kernel.  Any other group keeps,
-per subset, one stride per party, and per transposed shape two digit
-tables, of its selected positions and of its sectors (``D * L + (M - D) *
-S`` entries); each of its passes builds its index from them in the
-workspace, with two matmuls and one add.  So a warm call makes a few
-numpy calls per pass and per group, and no Python loop over subsets.
+Plans hold no amplitudes.  A packed pass keeps the row-major and
+kernel-order indexes of its groups, and a warm call hands those same
+arrays to the kernel.  Any other group keeps, per subset, one stride per
+party, and per transposed shape two digit tables, of its selected
+positions and of its sectors (``D * L + (M - D) * S`` entries); each of
+its passes writes its index from them into the workspace, with two
+matmuls and one add.  So a warm call makes a few numpy calls per pass and
+per group, and no Python loop over subsets.
 """
 
 from __future__ import annotations
@@ -208,10 +208,10 @@ def component_evaluator(
     its own.  A stack is cut into passes of ``batch`` tensors, an attribute
     of the callable: as many as fit ``GATHER_BUDGET_BYTES``, read when the
     evaluator is compiled.  A subset too large for one pass is evaluated
-    over several windows of pair choices.  Compiling builds no index.  The
-    gather index of the subset's amplitudes (its parties first, then the
-    others) is built on first use, for the largest stack seen and at most
-    one pass, and kept, which matters inside optimization loops.
+    over several windows of pair choices.  Compiling builds the gather
+    index of one tensor's amplitudes (its parties first, then the others),
+    the one array the evaluator keeps; a pass of P probes writes it, offset
+    by each probe's place in the stack, into the kernel's workspace.
     """
     subset.validate_for(structure)
     return _make_evaluator(structure.dims, subset.parties,
@@ -256,14 +256,19 @@ def _make_evaluator(
         * math.prod(dims) // math.prod(dims[p] for p in order),
         "subset {} of dims {}", order, dims,
     )
-    budget = GATHER_BUDGET_BYTES
     total = math.prod(dims)
     selected = tuple(dims[p] for p in order)
-    layout = kernel._layout(selected, total // math.prod(selected), budget)
-    index = None
+    others = tuple(p for p in range(len(dims)) if p not in order)
+    layout = kernel._layout(selected, total // math.prod(selected),
+                            GATHER_BUDGET_BYTES)
+    # one tensor's gather index: the parties of order first, then the others
+    index = np.ascontiguousarray(np.arange(total).reshape(dims).transpose(
+        order + others).reshape(layout.positions, 1, -1))
+
+    def kept(out: np.ndarray) -> np.ndarray:
+        return index
 
     def evaluate(tensor: np.ndarray) -> float | np.ndarray:
-        nonlocal index
         stack = np.ascontiguousarray(tensor, dtype=np.complex128)
         single = stack.shape[1:] != dims
         # the gathers wrap around, so a wrong size would read wrong amplitudes
@@ -274,17 +279,15 @@ def _make_evaluator(
         if not len(stack):
             return np.empty(0)
         stack = stack.reshape(1 if single else len(stack), total)
-        # built on first use, so compiling stays cheap, and again for a
-        # larger stack, up to one pass
-        if index is None or index.shape[1] < min(len(stack), layout.batch):
-            index = kernel._probe_term(dims, order, len(stack), budget)[0]
         values = []
         for start in range(0, len(stack), layout.batch):
             part = stack[start:start + layout.batch]
             probes, part = len(part), part.reshape(-1)
-            values.append(np.sqrt(constant * kernel._evaluate_pass(
-                kernel._single(layout, probes), index[:, :probes], part,
-                kernel._squares(part), layout.windows)))
+            # probe p of a pass reads its amplitudes p * total further on
+            fill = kept if probes == 1 else functools.partial(
+                np.add, index, np.arange(0, probes * total, total)[:, None])
+            values.append(np.sqrt(constant * kernel._evaluate_group(
+                layout, probes, fill, part, kernel._squares(part))))
         return float(values[0][0]) if single else np.concatenate(values)
 
     evaluate.batch = layout.batch
@@ -301,16 +304,15 @@ def _plan(dims: tuple[int, ...], sizes: tuple[int, ...], budget: int) -> tuple:
     parties' dims in ascending party order, each group with the kernel's
     :func:`etensor.kernel._layout`.
 
-    A group whose subsets fit one pass, with a gather index of at most half
-    the budget, has that ``(L, B, S)`` index built once.  Those of them
-    whose pair choices fit one window are packed, across all sizes, into
-    as few passes as fit the budget (:func:`etensor.kernel._packed`);
-    one over several windows is a pass of its own.  ``passes`` holds per
-    pass ``(places, shape, index, windows)`` for
-    :func:`etensor.kernel._evaluate_pass`, where ``places`` are the
+    A group whose subsets fit one pass and one window of pair choices,
+    with a gather index of at most half the budget, is packed with the
+    others like it, across all sizes, into as few passes as fit the
+    budget (:func:`etensor.kernel._packed`), which keep their indexes.
+    ``passes`` holds per packed pass ``(places, shape, index, windows)``
+    for :func:`etensor.kernel._evaluate_pass`, where ``places`` are the
     places of its entries among ``subsets``.  Any other group is in
     ``groups`` as ``(places, tables, layout)``, and each of its passes
-    builds its rows of the index from ``tables`` in the workspace.
+    writes its rows of the index from ``tables`` into the workspace.
     ``tables`` is ``(selected, others, positions, sectors)``: ``selected``
     and ``others`` hold, one row per subset, the flat strides of its
     selected and of its other parties in transposed order; ``positions``
@@ -326,7 +328,7 @@ def _plan(dims: tuple[int, ...], sizes: tuple[int, ...], budget: int) -> tuple:
     """
     num = len(dims)
     strides = np.array([math.prod(dims[p + 1:]) for p in range(num)])
-    subsets, packable, passes, groups = [], [], [], []
+    subsets, packable, groups = [], [], []
     for size in sizes:
         combos = list(itertools.combinations(range(num), size))
         selected = np.array(combos, dtype=np.intp)
@@ -351,17 +353,14 @@ def _plan(dims: tuple[int, ...], sizes: tuple[int, ...], budget: int) -> tuple:
                       kernel._digits(transposed[size:]))
             # one pass whose index, half of its probability phase, fits the budget
             kept = len(places) * math.prod(dims) * np.dtype(np.intp).itemsize
-            if len(places) > layout.batch or 2 * kept > budget:
-                groups.append((places, tables, layout))
-            elif layout.window == layout.choices:
+            if (len(places) <= layout.batch and 2 * kept <= budget
+                    and layout.window == layout.choices):
                 packable.append((places, layout,
                                  functools.partial(_gather_index, *tables)))
             else:
-                passes.append((places, kernel._single(layout, len(places)),
-                               _gather_index(*tables), layout.windows))
+                groups.append((places, tables, layout))
         subsets += map(SubsetSelector, combos)
-    passes[:0] = kernel._packed(packable, budget)
-    return tuple(subsets), tuple(passes), tuple(groups)
+    return tuple(subsets), tuple(kernel._packed(packable, budget)), tuple(groups)
 
 
 def _gather_index(
@@ -457,12 +456,10 @@ def full_tensor(
     for places, (selected, others, positions, sectors), layout in groups:
         for start in range(0, len(places), layout.batch):
             rows = slice(start, start + layout.batch)
-            shape = kernel._single(layout, len(places[rows]))
-            views = kernel._pass_views(shape)
-            totals[places[rows]] = kernel._evaluate_pass(
-                shape, _gather_index(selected[rows], others[rows], positions,
-                                     sectors, out=views.index),
-                amplitudes, squares, layout.windows, views)
+            totals[places[rows]] = kernel._evaluate_group(
+                layout, len(places[rows]), functools.partial(
+                    _gather_index, selected[rows], others[rows], positions, sectors),
+                amplitudes, squares)
     constants = np.repeat([scheme.constant(size) for size in size_list],
                           [math.comb(structure.num_parties, size) for size in size_list])
     np.multiply(constants, totals, out=totals)

@@ -176,17 +176,29 @@ class TestConcurrenceOfAssistance:
         rho = trace_to_pair(ghz_state(3), (0, 1))
         assert abs(concurrence_of_assistance(rho) - 1.0) < 1e-12
 
-    @given(seed_strategy, st.integers(3, 5))
+    @given(seed_strategy, st.integers(3, 5), st.data())
     @settings(max_examples=30, deadline=None)
-    def test_bounds_wootters_and_pair_components(self, seed, num):
+    def test_bounds_wootters_and_pair_components(self, seed, num, data):
+        # every qubit pair component lies in [C(rho), sqrt(C_a(rho))]: the
+        # other parties' basis makes an ensemble of rho, whose average
+        # concurrence is at least Wootters' C (Jensen on the root-mean-square)
         state = random_state(PartyStructure((2,) * num), np.random.default_rng(seed))
+        if data.draw(st.booleans(), label="sparse"):
+            # sparse: a drawn mask keeps some amplitudes, at least one
+            size = 2**num
+            mask = np.array(data.draw(st.lists(st.booleans(), min_size=size,
+                                               max_size=size), label="mask"))
+            mask[data.draw(st.integers(0, size - 1), label="kept")] = True
+            psi = np.where(mask, state.amplitudes, 0)
+            state = StateVector(state.structure, psi / np.linalg.norm(psi))
         pairs = list(itertools.combinations(range(num), 2))
         rho = trace_to_pairs(state, pairs)
         assistance = concurrence_of_assistance(rho)
-        assert np.all(assistance >= concurrence_mixed_2qubit(rho))
+        wootters = concurrence_mixed_2qubit(rho)
+        assert np.all(assistance >= wootters)
         components = full_tensor(state).components
-        for keep, bound in zip(pairs, np.sqrt(assistance)):
-            assert components[SubsetSelector(keep)] <= bound + 1e-12
+        for keep, low, high in zip(pairs, wootters, np.sqrt(assistance)):
+            assert low - 1e-12 <= components[SubsetSelector(keep)] <= high + 1e-12
 
 
 class TestWFamilyAverages:

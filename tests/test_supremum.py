@@ -218,6 +218,33 @@ class TestClaimedSupremaNotExceeded:
         assert max(result.restart_values) <= 1 + 1e-6
 
 
+class TestWFamilyLowerHalf:
+    """The same unitaries on parties 0..D-1 of W_M and of W_D.
+
+    Read in the computational basis, the other M - D parties of W_M are
+    all 0 with probability D/M, and then parties 0..D-1 hold W_D; any other
+    reading leaves them in a product state, which scores 0.  A sector of
+    probability p holds sqrt(p) times its normalized state, so its
+    degree-4 term scales by p^2 and its weight 1/p leaves p: a component
+    squared is the p-weighted sum of its sectors' squares.  So the D-party
+    component of W_M squares to D/M times that of W_D, in every basis of
+    the D parties.
+    """
+
+    def test_rotated_subset_scales_w_d(self):
+        rng = np.random.default_rng(16)
+        for m in range(2, 8):
+            for d in range(2, m + 1):
+                subset = SubsetSelector(tuple(range(d)))
+                for _ in range(2):
+                    w_m, w_d = w_state(m), w_state(d)
+                    for party in range(d):
+                        unitary = LocalUnitary(party, haar_unitary(2, rng))
+                        w_m, w_d = apply_local(w_m, unitary), apply_local(w_d, unitary)
+                    assert abs(component(w_m, subset) ** 2
+                               - d / m * component(w_d, subset) ** 2) <= 1e-12
+
+
 class TestRestartRecords:
     def test_iteration_cap_is_reported(self):
         result = maximize_component(

@@ -1,6 +1,7 @@
 import copy
 import gc
 import hashlib
+import inspect
 import itertools
 import math
 import pickle
@@ -779,13 +780,16 @@ class TestKernelOrder:
                 for start in range(0, len(places), layout.batch):
                     entries.append([(subsets[p].parties, 0) for p in
                                     places[start:start + layout.batch]])
+            # an evaluator's passes: one tensor, then a stack of 3 cut into
+            # passes of at most its batch, each probe total further on
             for subset in subsets_of_size(state.structure, num - 1)[:2]:
-                index, layout = kernel_module._probe_term(dims, subset.parties, 3,
-                                                          budget)
-                passes.append((kernel_module._single(layout, index.shape[1]),
-                               index, layout.windows))
-                entries.append([(subset.parties, total * probe)
-                                for probe in range(index.shape[1])])
+                evaluate = component_evaluator(state.structure, subset)
+                evaluate(state.tensor)
+                evaluate(np.stack([state.tensor] * 3))
+                entries.append([(subset.parties, 0)])
+                for start in range(0, 3, evaluate.batch):
+                    entries.append([(subset.parties, total * probe) for probe
+                                    in range(min(3 - start, evaluate.batch))])
             assert len(passes) == len(entries)
             flat = np.arange(total).reshape((1,) + dims)
             for (shape, index, tables), pass_entries in zip(passes, entries):
@@ -962,13 +966,12 @@ class TestStackEvaluator:
     def test_empty_stack_gives_no_values(self, monkeypatch):
         # the gather index of an empty stack used to fail to reshape
         passes = _count_calls(monkeypatch, "_evaluate_pass")
-        terms = _count_calls(monkeypatch, "_probe_term")
         structure = PartyStructure((2, 3, 2))
         for parties in [(0, 1), (0, 1, 2)]:
             got = component_evaluator(structure, SubsetSelector(parties))(
                 np.empty((0, 2, 3, 2), complex))
             assert isinstance(got, np.ndarray) and got.shape == (0,)
-        assert passes == [] and terms == []
+        assert passes == []
 
     def test_stack_over_one_pass_is_cut(self, monkeypatch):
         budget = 4000
@@ -978,41 +981,54 @@ class TestStackEvaluator:
         for state in _stack_states():
             structure = state.structure
             for subset in self.subsets(structure):
-                batch = kernel_module._probe_term(
-                    structure.dims, subset.parties, 1, budget)[1].batch
-                stack = _probe_stack(state, batch + 1, rng)
                 evaluate = component_evaluator(structure, subset)
+                batch = evaluate.batch
+                stack = _probe_stack(state, batch + 1, rng)
                 single = component_evaluator(structure, subset)
                 passes.clear()
                 got = evaluate(stack)
                 assert passes == [batch, 1]
                 assert got.tolist() == [single(tensor) for tensor in stack]
 
-    def test_index_is_built_on_use_and_grows_to_one_pass(self, monkeypatch):
-        sizes = []
-        probe_term = kernel_module._probe_term
+    def test_evaluator_keeps_one_probe_index(self, monkeypatch):
+        # an evaluator keeps the (L, 1, S) index of one tensor, built when
+        # it is compiled, and hands it to the kernel as it is; a stack
+        # writes its index into the workspace.  Scoring 100 probes of a
+        # (2,)*8 triple used to keep their 200 KiB index.
+        structure, triple = PartyStructure((2,) * 8), SubsetSelector((0, 3, 5))
+        state = random_state(structure, np.random.default_rng(44))
+        stack = _probe_stack(state, 100, np.random.default_rng(45))
+        component_evaluator(structure, triple)(stack)  # carves the pass views
+        tracemalloc.start()
+        try:
+            evaluate = component_evaluator(structure, triple)
+            compiled = tracemalloc.get_traced_memory()[0]
+            values = evaluate(stack)
+            del values
+            scored = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        (index,) = [value for value in
+                    inspect.getclosurevars(evaluate).nonlocals.values()
+                    if isinstance(value, np.ndarray)]
+        assert index.shape == (8, 1, 32) and index.nbytes == 2 << 10
+        assert index.flags.c_contiguous and index.flags.writeable
+        assert scored - compiled < 1 << 10
+        handed = []
+        evaluate_pass = kernel_module._evaluate_pass
 
-        def counted(*args):
-            term = probe_term(*args)
-            sizes.append(term[0].shape[1])
-            return term
+        def recorded(shape, index, *args):
+            handed.append(index)
+            return evaluate_pass(shape, index, *args)
 
-        monkeypatch.setattr(kernel_module, "_probe_term", counted)
-        state = random_state(PartyStructure((3, 2, 3)), np.random.default_rng(44))
-        stack = _probe_stack(state, 7, np.random.default_rng(45))
-        triple = SubsetSelector((0, 1, 2))
-        evaluate = component_evaluator(state.structure, triple)
-        assert sizes == []
-        for tensor in (state.tensor, stack, stack[:3], state.tensor, stack):
-            evaluate(tensor)
-        assert sizes == [1, 7]
-        # capped at one pass: a few probes in 4,000 bytes
-        monkeypatch.setattr(tensor_module, "GATHER_BUDGET_BYTES", 4000)
-        evaluate = component_evaluator(state.structure, triple)
-        evaluate(stack)
-        evaluate(stack)
-        batch = kernel_module._layout((3, 2, 3), 1, 4000).batch
-        assert sizes[2:] == [batch] and batch < 7
+        monkeypatch.setattr(kernel_module, "_evaluate_pass", recorded)
+        got = [evaluate(tensor) for tensor in stack[:3]]
+        assert all(kept is index for kept in handed)
+        handed.clear()
+        assert evaluate(stack[:3]).tolist() == got
+        (written,) = handed
+        assert written.shape == (8, 3, 32)
+        assert np.shares_memory(written, kernel_module._thread.workspace[0])
 
 
 class TestWorkspace:
@@ -1041,12 +1057,8 @@ class TestWorkspace:
         kept = dict(first)
         full_tensor(second_state)
         assert first == kept
-        index, layout = kernel_module._probe_term(
-            (2, 2), (0, 1), 1, tensor_module.GATHER_BUDGET_BYTES)
-        amplitudes = ghz_state(2).amplitudes
-        values = kernel_module._evaluate_pass(
-            kernel_module._single(layout, 1), index, amplitudes,
-            kernel_module._squares(amplitudes), layout.windows)
+        values = component_evaluator(PartyStructure((2, 2)), SubsetSelector((0, 1)))(
+            np.stack([ghz_state(2).tensor] * 2))
         assert not np.shares_memory(values, kernel_module._thread.workspace[0])
 
     def test_threads_give_single_thread_values(self):
@@ -1090,6 +1102,24 @@ class TestWorkspace:
         assert full_tensor(state).components == first
         assert kernel_module._thread.workspace[0] is buffer
         assert all(carved[key] is kept for key, kept in views.items())
+
+    def test_a_full_workspace_drops_only_its_oldest_views(self):
+        # the carved view sets were all dropped when the 129th pass shape
+        # came, so a process over that many shapes re-carved most passes
+        layout = kernel_module._layout((2, 2), 2, tensor_module.GATHER_BUDGET_BYTES)
+        shapes = [kernel_module._single(layout, batch)
+                  for batch in range(1, kernel_module.PLAN_CACHE_SIZE + 2)]
+        carved = {}
+
+        def touch():  # in a new thread, whose workspace starts empty
+            for shape in shapes:
+                kernel_module._pass_views(shape)
+            carved.update(kernel_module._thread.workspace[1])
+
+        thread = threading.Thread(target=touch)
+        thread.start()
+        thread.join(timeout=60)
+        assert list(carved) == shapes[1:]
 
     @pytest.mark.parametrize("budget", [1 << 20, 4000])
     def test_passes_fit_the_budget(self, budget):
@@ -1263,10 +1293,14 @@ class TestKernelWorkLimit:
 
 
 class TestKeptIndex:
-    """A group that runs in one pass keeps its gather index in its plan."""
+    """Only packed passes keep their gather indexes in the plan.
+
+    A plan holds two kinds of group: those packed into passes with kept
+    indexes, and those whose passes build their index in the workspace.
+    """
 
     @pytest.mark.parametrize("budget", [1 << 20, 4000])
-    def test_one_pass_groups_keep_their_index(self, budget):
+    def test_packed_passes_keep_their_index(self, budget):
         for dims in KERNEL_DIMS + [(4,) * 5]:
             total = math.prod(dims)
             flat = np.arange(total).reshape((1,) + dims)
@@ -1274,27 +1308,27 @@ class TestKeptIndex:
 
             def fits(places, layout):
                 return (len(places) <= layout.batch
-                        and 2 * 8 * len(places) * total <= budget)
+                        and 2 * 8 * len(places) * total <= budget
+                        and layout.window == layout.choices)
 
             every = np.concatenate([p for p, *_ in passes] + [p for p, *_ in groups])
             assert sorted(every.tolist()) == list(range(len(subsets)))
             for places, shape, index, windows in passes:
-                rows = [index]
-                if shape.packed:
-                    # a packed pass holds its groups' indexes in blocks of
-                    # equal (L, S); cut them back into each (L, B, S) index
-                    rows, start = [], 0
-                    for (positions, sectors), run in itertools.groupby(
-                            shape.groups, key=lambda g: (g.positions, g.sectors)):
-                        batches = [g.batch for g in run]
-                        size = positions * sum(batches) * sectors
-                        block = index[start:start + size]
-                        start += size
-                        block = (block.reshape(-1, positions).T[:, :, None]
-                                 if sectors == 1
-                                 else block.reshape(positions, -1, sectors))
-                        rows += np.split(block, np.cumsum(batches)[:-1], axis=1)
-                    assert start == len(index)
+                assert shape.packed
+                # a packed pass holds its groups' indexes in blocks of equal
+                # (L, S); cut them back into each (L, B, S) index
+                rows, start = [], 0
+                for (positions, sectors), run in itertools.groupby(
+                        shape.groups, key=lambda g: (g.positions, g.sectors)):
+                    batches = [g.batch for g in run]
+                    size = positions * sum(batches) * sectors
+                    block = index[start:start + size]
+                    start += size
+                    block = (block.reshape(-1, positions).T[:, :, None]
+                             if sectors == 1
+                             else block.reshape(positions, -1, sectors))
+                    rows += np.split(block, np.cumsum(batches)[:-1], axis=1)
+                assert start == len(index)
                 first = 0
                 for group, got in zip(shape.groups, rows):
                     members = places[first:first + group.batch]
@@ -1303,7 +1337,6 @@ class TestKeptIndex:
                     layout = kernel_module._layout(
                         tuple(dims[p] for p in order), group.sectors, budget)
                     assert fits(members, layout)
-                    assert shape.packed == (layout.window == layout.choices)
                     assert np.array_equal(got, np.stack([
                         _reference_stack(flat, dims, subsets[p].parties)[0]
                         .reshape(group.positions, -1) for p in members], axis=1))
@@ -1316,16 +1349,17 @@ class TestKeptIndex:
 
     def test_kept_bytes(self):
         # every size of 8 qubits runs packed, with its row-major and
-        # kernel-order indexes; of the qudit dims only the subset of every
-        # party keeps its index, for one pass of several windows
+        # kernel-order indexes; no group of the qudit dims is packed, and
+        # their subset of every party, one pass of several windows, builds
+        # its index per pass like the groups of several passes
         def kept_bytes(dims):
-            return sum(index.nbytes + shape.packed * windows[0].nbytes
-                       for _, shape, index, windows in _full_plan(dims, 1 << 20)[1])
+            return sum(index.nbytes + order.nbytes
+                       for _, _, index, (order,) in _full_plan(dims, 1 << 20)[1])
 
         assert kept_bytes((2,) * 8) == 2 * 247 * 256 * 8
         assert kept_bytes((2,) * 12) == 2 * 4096 * 8
-        assert kept_bytes((4,) * 5) == 4**5 * 8
-        assert kept_bytes((3,) * 6) == 3**6 * 8
+        assert kept_bytes((4,) * 5) == 0
+        assert kept_bytes((3,) * 6) == 0
 
     def test_no_digit_table_outlives_its_use(self, monkeypatch):
         # a kept group drops its tables, so no cache may keep them alive:
@@ -1416,13 +1450,6 @@ class TestPackedPasses:
     def test_kept_arrays_stay_unchanged(self, monkeypatch):
         # kept arrays are writeable, so that take does not copy them; no
         # call may write to them, and no public function hands one out
-        terms, probe_term = [], kernel_module._probe_term
-
-        def recorded(*args):
-            terms.append(probe_term(*args))
-            return terms[-1]
-
-        monkeypatch.setattr(kernel_module, "_probe_term", recorded)
         runs = []
         for budget in (1 << 20, 4000):
             monkeypatch.setattr(tensor_module, "GATHER_BUDGET_BYTES", budget)
@@ -1442,9 +1469,14 @@ class TestPackedPasses:
             full_tensor(state)
             for evaluate in evaluators:
                 evaluate(stack)
-        kept = list(_arrays(terms)) + [
-            array for budget, state, *_ in runs
-            for array in _arrays(_full_plan(state.structure.dims, budget))]
+        # each evaluator keeps its one-probe index and its layout, each plan
+        # its packed passes' indexes and its other groups' tables and layouts
+        closures = [inspect.getclosurevars(evaluate).nonlocals
+                    for *_, evaluators in runs for evaluate in evaluators]
+        kept = [array for names in closures
+                for array in _arrays([names["index"], names["layout"]])]
+        kept += [array for budget, state, *_ in runs
+                 for array in _arrays(_full_plan(state.structure.dims, budget))]
         before = [hashlib.sha256(array.tobytes()).digest() for array in kept]
         for budget in (1 << 20, 4000):
             monkeypatch.setattr(tensor_module, "GATHER_BUDGET_BYTES", budget)
