@@ -135,7 +135,10 @@ def _load_unitary_matrix(path: str) -> np.ndarray:
             f"unitary file holds 're' of shape {re_part.shape} and 'im' of "
             f"shape {im_part.shape}"
         )
-    return re_part + 1j * im_part
+    # assigned, not multiplied by 1j: inf * 1j is nan + inf j, with a warning
+    matrix = re_part.astype(complex)
+    matrix.imag = im_part
+    return matrix
 
 
 def _parse_gate(text: str, party: int, dim: int) -> LocalUnitary:

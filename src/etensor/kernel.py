@@ -312,7 +312,13 @@ def _halves(groups: tuple[_Group, ...], counts: list[int]) -> list[int]:
 
 
 def _squares(amplitudes: np.ndarray) -> np.ndarray:
-    """``conj(a) * a`` of every amplitude, as contiguous reals."""
+    """``conj(a) * a`` of every amplitude, as contiguous reals.
+
+    The complex product stays because numpy forms its real part as a fused
+    multiply-add, which no real-valued expression rounds alike:
+    ``np.square(a.real) + np.square(a.imag)`` differs in the last bit on
+    about one Haar amplitude in six.
+    """
     squares = np.conj(amplitudes)
     np.multiply(squares, amplitudes, out=squares)
     return squares.real.copy()

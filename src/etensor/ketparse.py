@@ -24,17 +24,16 @@ The JSON format stores the same data sparsely::
 Indices absent from the list are zero.  The canonical file extension is
 ``.ket.json``; plain ``.ket`` files hold an expression in the grammar above.
 
-:func:`state_from_dict` reads the decoded entry list one column at a time,
-with no Python step per entry: the ``"index"`` lists by one
-``itemgetter`` map, their lengths by one ``len`` map, their components
-chained into one ``np.fromiter`` (which converts each as ``int()`` does),
-and ``"re"`` and ``"im"`` by ``np.fromiter(map(float, ...))``.  A column
-that cannot convert an entry stops there, and how far its list iterator got
-names the entry; the later columns read only the entries before it.  Array
-checks then find the first entry of wrong arity, out of range or repeated,
-and the error of the first refused entry in document order is raised, from
-the per-entry check run on that entry alone.  So the errors are those of a
-per-entry reader.  On the write side, :func:`write_json` writes a
+:func:`state_from_dict` reads the decoded entry list in whole columns,
+with no Python step per entry: the ``"index"`` lists by one ``itemgetter``
+map, their lengths by one ``len`` map, their components chained into one
+``np.fromiter`` (which converts each as ``int()`` does), and ``"re"`` and
+``"im"`` by ``np.fromiter(map(float, ...))``.  Whole arrays then check the
+arity, range and uniqueness of the indexes.  If a column or a check refuses
+the document, one per-entry check reads it again and raises the error of
+the first offending entry in document order, so the errors are those of a
+per-entry reader while a valid document takes no Python step per entry.
+On the write side, :func:`write_json` writes a
 :class:`JsonText` (a state's amplitude list, a report's component list)
 from ``%`` templates, one per entry shape.
 """
@@ -46,8 +45,7 @@ import math
 import operator
 import re
 from itertools import chain
-from typing import (Any, Callable, Iterable, Iterator, NamedTuple, NoReturn,
-                    Sequence, TextIO)
+from typing import Any, Iterable, NamedTuple, NoReturn, Sequence, TextIO
 
 import numpy as np
 
@@ -358,25 +356,20 @@ def parse_ket(
 def state_to_dict(state: StateVector) -> dict[str, Any]:
     """Sparse JSON-ready document; exact zeros are omitted.
 
-    Vectorized: one mask picks the nonzero amplitudes in row-major order,
-    and the entries are built from plain Python lists, so the document
-    (signed zeros included) is what a per-amplitude loop would give.
-    To write the document as text, pass :func:`state_document` to
-    :func:`write_json`: it writes the same text without building a dict
-    per amplitude.
+    The entries are built from the amplitude columns that
+    :func:`state_document` writes, the nonzero amplitudes in row-major
+    order as plain Python ints and floats, so the document (signed zeros
+    included) is what a per-amplitude loop would give.  To write the
+    document as text, pass :func:`state_document` to :func:`write_json`:
+    it writes the same text without building a dict per amplitude.
     """
-    tensor = state.tensor
-    nonzero = tensor != 0
-    values = tensor[nonzero]
-    entries = [
-        {"index": index, "re": re, "im": im}
-        for index, re, im in zip(
-            np.argwhere(nonzero).tolist(),
-            values.real.tolist(),
-            values.imag.tolist(),
-        )
+    doc = state_document(state)
+    index, real, imag = doc["amplitudes"].columns()
+    doc["amplitudes"] = [
+        {"index": components, "re": re, "im": im}
+        for components, re, im in zip(map(list, zip(*index)), real, imag)
     ]
-    return {"dims": list(state.structure.dims), "amplitudes": entries}
+    return doc
 
 
 def state_document(state: StateVector) -> dict[str, Any]:
@@ -441,14 +434,22 @@ class _SparseAmplitudes(JsonText):
     def __init__(self, tensor: np.ndarray):
         self.tensor = tensor
 
-    def text(self, newline: str, round_floats: bool) -> str:
-        """The entry list, from one template; amplitudes are never rounded."""
+    def columns(self) -> tuple[list[list[int]], list[float], list[float]]:
+        """The nonzero amplitudes in row-major order, as Python lists.
+
+        One of index components per party, then the real and imaginary parts.
+        """
         index = np.nonzero(self.tensor)
         values = self.tensor[index]
+        return ([i.tolist() for i in index], values.real.tolist(),
+                values.imag.tolist())
+
+    def text(self, newline: str, round_floats: bool) -> str:
+        """The entry list, from one template; amplitudes are never rounded."""
+        index, real, imag = self.columns()
         template = self.entry_template(
             newline, {"index": len(index), "re": "%r", "im": "%r"})
-        rows = zip(*[i.tolist() for i in index],
-                   values.real.tolist(), values.imag.tolist())
+        rows = zip(*index, real, imag)
         return self.list_text(list(map(template.__mod__, rows)), newline)
 
 
@@ -553,18 +554,13 @@ def _encode(obj: Any, newline: str, chunks: list[str], round_floats: bool) -> No
 def state_from_dict(data: Any, normalize: bool = False) -> StateVector:
     """Inverse of :func:`state_to_dict`; raises :class:`KetFormatError`.
 
-    ``"amplitudes"`` may be any iterable of entries.  It is read one column
-    at a time, each by one chain of C iterators (see the module notes): the
-    index lists, their lengths, their components chained into one integer
-    array, then the ``"re"`` and ``"im"`` values.  A column stops at the
-    first entry it cannot convert, found from how far its list iterator
-    got, and the columns after it read only the entries before that one;
-    a component past int64 stops the component column too.  Whole arrays
-    then do the arity, range and duplicate checks on what every column
-    read, and the scatter.  The errors are those of a per-entry check: the
-    first offending entry in document order is reported, with the message
-    the per-entry check gives for it.  A number too large to convert is an
-    invalid entry or dims field.
+    ``"amplitudes"`` may be any iterable of entries.  It is read in whole
+    columns, each by one chain of C iterators (see the module notes), and
+    whole arrays check the arity, range and uniqueness of the indexes.  If
+    a column cannot convert an entry, a component past int64 included, or
+    a check refuses one, :func:`_refuse_first` reads the entries again one
+    at a time and raises the error of the first offending entry in document
+    order.  A number too large to convert is an invalid entry or dims field.
     """
     if not isinstance(data, dict):
         raise KetFormatError("coefficient document must be a JSON object")
@@ -582,42 +578,12 @@ def state_from_dict(data: Any, normalize: bool = False) -> StateVector:
         raise KetFormatError("missing or invalid 'amplitudes' field")
     if not isinstance(entries, list):
         entries = list(entries)
-
-    # Each column reads the entries before the first one an earlier column
-    # refused, and each check the entries before the first one an earlier
-    # check refused, so the error raised is the first in the document.
-    lists, valid = _column(lambda items, n: list(map(_INDEX, items)), entries)
-    arity, valid = _column(
-        lambda items, n: np.fromiter(map(len, items), np.intp, n), lists[:valid])
-    # numpy converts each component as int() does; one past int64 stops the
-    # column too, and its entry is out of range
-    components, valid = _column(
-        lambda items, n: np.fromiter(chain.from_iterable(items), np.intp,
-                                     int(arity[:n].sum())),
-        lists[:valid])
-    real, valid = _column(
-        lambda items, n: np.fromiter(map(float, map(_RE, items)), np.float64, n),
-        entries[:valid])
-    imag, valid = _column(
-        lambda items, n: np.fromiter(map(float, map(_IM, items)), np.float64, n),
-        entries[:valid])
-    valid = _first(arity[:valid] != len(dims), valid)
-    index = components[:valid * len(dims)].reshape(valid, len(dims))
-    if index.size and (index.min() < 0 or (index.max(axis=0) >= dims).any()):
-        valid = _first(((index < 0) | (index >= dims)).any(axis=1), valid)
-        index = index[:valid]
-    flat = np.ravel_multi_index(index.T, dims)
-    ordered = np.sort(flat)
-    if (ordered[1:] == ordered[:-1]).any():
-        _, first_seen = np.unique(flat, return_index=True)
-        repeated = np.ones(valid, dtype=bool)
-        repeated[first_seen] = False
-        duplicate = index[int(np.argmax(repeated))].tolist()
-        raise KetFormatError(f"duplicate amplitude index {duplicate}")
-    if valid < len(entries):
-        _refuse(structure, entries[valid])
-    amps.real[flat] = real[:valid]
-    amps.imag[flat] = imag[:valid]
+    columns = _read_columns(entries, dims)
+    if columns is None:
+        _refuse_first(structure, entries)
+    flat, real, imag = columns
+    amps.real[flat] = real
+    amps.imag[flat] = imag
     if not np.any(amps):
         raise KetFormatError("document holds the zero vector")
     return StateVector(structure, amps, normalize=normalize)
@@ -630,40 +596,52 @@ _IM = operator.methodcaller("get", "im", 0.0)
 _INVALID = (KeyError, TypeError, ValueError, OverflowError)
 
 
-def _column(convert: Callable[[Iterator, int], Any], items: list) -> tuple[Any, int]:
-    """``convert(iterator, count)`` over ``items``, and the count it took.
+def _read_columns(entries: list, dims: tuple[int, ...]
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Flat indexes and real and imaginary parts of ``entries``.
 
-    If ``convert`` raises on an item, the list iterator has passed that
-    item and no further, so the item is the one before where it stopped;
-    ``convert`` then runs again on the items before it.
+    None if a column cannot convert an entry, or if an index has the wrong
+    arity, a component out of range or a repeat.
     """
-    source = iter(items)
     try:
-        return convert(source, len(items)), len(items)
+        lists = list(map(_INDEX, entries))
+        arity = np.fromiter(map(len, lists), np.intp, len(lists))
+        if (arity != len(dims)).any():
+            return None
+        # numpy converts each component as int() does, and refuses one past
+        # int64; ravel_multi_index refuses one out of range
+        components = np.fromiter(chain.from_iterable(lists), np.intp,
+                                 len(lists) * len(dims))
+        flat = np.ravel_multi_index(components.reshape(-1, len(dims)).T, dims)
+        real = np.fromiter(map(float, map(_RE, entries)), np.float64, len(entries))
+        imag = np.fromiter(map(float, map(_IM, entries)), np.float64, len(entries))
     except _INVALID:
-        stop = len(items) - operator.length_hint(source) - 1
-        return convert(iter(items[:stop]), stop), stop
+        return None
+    ordered = np.sort(flat)
+    if (ordered[1:] == ordered[:-1]).any():
+        return None
+    return flat, real, imag
 
 
-def _refuse(structure: PartyStructure, entry: Any) -> NoReturn:
-    """Raise the per-entry check's error for an entry a column or check refused."""
-    try:
-        index = tuple(map(int, entry["index"]))
-        float(entry.get("re", 0.0))
-        float(entry.get("im", 0.0))
-    except _INVALID as exc:
-        raise KetFormatError(f"invalid amplitude entry {entry!r}") from exc
-    try:
-        flat_index(structure, index)
-    except ValueError as exc:
-        raise KetFormatError(str(exc)) from exc
-    raise AssertionError(f"entry {entry!r} was refused but passes its check")
-
-
-def _first(flags: np.ndarray, default: int) -> int:
-    """Position of the first true flag, or ``default`` if none is set."""
-    hits = np.flatnonzero(flags)
-    return int(hits[0]) if hits.size else default
+def _refuse_first(structure: PartyStructure, entries: list) -> NoReturn:
+    """Raise the error of the first offending entry, checking one at a time."""
+    seen: set[int] = set()
+    for entry in entries:
+        try:
+            index = tuple(map(int, entry["index"]))
+            float(entry.get("re", 0.0))
+            float(entry.get("im", 0.0))
+        except _INVALID as exc:
+            raise KetFormatError(f"invalid amplitude entry {entry!r}") from exc
+        try:
+            flat = flat_index(structure, index)
+        except ValueError as exc:
+            raise KetFormatError(str(exc)) from exc
+        if flat in seen:
+            raise KetFormatError(f"duplicate amplitude index {list(index)}")
+        seen.add(flat)
+    raise AssertionError("the columns refused a document whose entries all "
+                         "pass their check")
 
 
 def save_ket_json(state: StateVector, path: str) -> None:

@@ -60,7 +60,10 @@ def hadamard(party: int) -> LocalUnitary:
 
 def phase_gate(party: int, phases: Sequence[float]) -> LocalUnitary:
     """Diagonal gate exp(i*phase_k) per basis value; leaves components unchanged."""
-    return LocalUnitary(party, np.diag(np.exp(1j * np.asarray(phases, dtype=float))))
+    angles = np.asarray(phases, dtype=float)
+    if not np.isfinite(angles).all():
+        raise ValueError("phase angles must be finite (got NaN or inf)")
+    return LocalUnitary(party, np.diag(np.exp(1j * angles)))
 
 
 def identity_gate(party: int, dim: int) -> LocalUnitary:

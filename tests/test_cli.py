@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -828,6 +829,24 @@ class TestApply:
         assert code == 1
         assert "NaN" not in out
         assert err.startswith("error: unitary matrix must be finite")
+
+    @pytest.mark.parametrize("gate, message", [
+        ("PHASE(1e400,0)", "error: phase angles must be finite"),
+        ("PHASE(0,inf)", "error: phase angles must be finite"),
+        ("U({dir}/inf.json)", "error: unitary matrix must be finite"),
+    ], ids=["phase-overflow", "phase-inf", "file-inf"])
+    def test_non_finite_gate_prints_one_line(self, capsys, tmp_path, gate,
+                                             message):
+        (tmp_path / "inf.json").write_text(
+            '{"re": [[1, 0], [0, 1]], "im": [[Infinity, 0], [0, 0]]}')
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "apply", "--expr", EPR_EXPR,
+                                     "--party", "1",
+                                     "--gate", gate.format(dir=tmp_path))
+        assert (code, out) == (1, "")
+        assert err.startswith(message)
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("document, message", [
         ('{"re": [[' + "1" * 5000 + ', 0], [0, 1]]}',

@@ -210,6 +210,19 @@ class TestClaimedSupremaNotExceeded:
         )
         assert max(result.restart_values) <= math.sqrt(2 / m) + 1e-4
 
+    @pytest.mark.parametrize("m, d", [(m, 3) for m in range(3, 7)]
+                             + [(m, 4) for m in range(4, 7)])
+    def test_w_family_plateaus_of_three_and_four_parties(self, m, d):
+        # sup^2 = (D/M) sup^2(W_D), with sup^2(W_3) = 4/9 and sup^2(W_4) = 1/8;
+        # the plateau is reached from Haar restarts and never beaten
+        plateau = math.sqrt(4 / (3 * m) if d == 3 else 1 / (2 * m))
+        result = maximize_component(
+            w_state(m), SubsetSelector(tuple(range(d))),
+            config=OptimizerConfig(restarts=6, max_iters=150, seed=m),
+        )
+        assert abs(result.best_value - plateau) <= 1e-4
+        assert max(result.restart_values) <= plateau + 1e-4
+
     def test_ghz_triple_capped_at_one(self):
         result = maximize_component(
             ghz_state(3), SubsetSelector((0, 1, 2)),
