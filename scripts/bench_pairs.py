@@ -1,12 +1,16 @@
 """Summarize alternating parent/change benchmark runs into one JSON file.
 
-    python scripts/bench_pairs.py PARENT_TREE CHANGE_TREE --out BENCH_7.json
+    python scripts/bench_pairs.py PARENT_TREE CHANGE_TREE --out BENCH_7.json \
+        [--control CONTROL_TREE]
 
 Each tree is a checkout in which ``perfbench/run.py --trace 0`` was run,
 once per seed and workload on each side.  Runs are paired by workload and
 seed.  For every workload and every end-to-end metric named in the change
 tree's ``BENCHMARK.json``, the output records each side's median and
 quartiles, and how many pairs the change won (ties count for neither).
+A control tree is an unchanged copy of the parent, run on the same seeds:
+its median, quartiles and wins against the parent, over the seeds it
+shares with the pairs, show how far two runs of the same code drift.
 Standard library only.
 """
 
@@ -31,11 +35,19 @@ def spread(values: list[float]) -> dict[str, float]:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summarize(parent: dict, change: dict, metrics: list[dict]) -> dict:
+def wins(before: list[float], after: list[float], sign: int) -> int:
+    """Pairs in which ``after`` is better than ``before``; ties count for neither."""
+    return sum(sign * (a - b) > 0 for b, a in zip(before, after))
+
+
+def summarize(parent: dict, change: dict, metrics: list[dict],
+              control: dict | None = None) -> dict:
     out = {}
+    control = control or {}
     for workload in sorted({w for w, _ in parent} & {w for w, _ in change}):
         seeds = sorted(s for w, s in parent if w == workload and (w, s) in change)
         pairs = [(parent[workload, s], change[workload, s]) for s in seeds]
+        controlled = [s for s in seeds if (workload, s) in control]
         entry = {
             "seeds": seeds,
             "seconds": pairs[0][0]["meta"]["seconds"],
@@ -43,6 +55,9 @@ def summarize(parent: dict, change: dict, metrics: list[dict]) -> dict:
                        "change": sum(c["failed"] for _, c in pairs)},
             "metrics": {},
         }
+        if controlled:
+            entry["failed"]["control"] = sum(control[workload, s]["failed"]
+                                             for s in controlled)
         for metric in metrics:
             name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
             before = [p["metrics"][name]["value"] for p, _ in pairs]
@@ -52,9 +67,15 @@ def summarize(parent: dict, change: dict, metrics: list[dict]) -> dict:
                 "better": metric["better"],
                 "parent": spread(before),
                 "change": spread(after),
-                "wins": sum(sign * (a - b) > 0 for b, a in zip(before, after)),
+                "wins": wins(before, after, sign),
                 "pairs": len(pairs),
             }
+            if controlled:
+                base, same = ([side[workload, s]["metrics"][name]["value"]
+                               for s in controlled] for side in (parent, control))
+                entry["metrics"][name]["control"] = {
+                    **spread(same), "wins": wins(base, same, sign),
+                    "pairs": len(controlled)}
         out[workload] = entry
     return out
 
@@ -64,17 +85,23 @@ def main() -> None:
     parser.add_argument("parent", type=Path, help="tree of the parent commit")
     parser.add_argument("change", type=Path, help="tree of the change")
     parser.add_argument("--out", type=Path, required=True)
+    parser.add_argument("--control", type=Path,
+                        help="tree of an unchanged copy of the parent, same seeds")
     args = parser.parse_args()
     metrics = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]
-    parent, change = load_runs(args.parent), load_runs(args.change)
-    sample = next(iter(change.values()))["meta"]
+    trees = {"parent": args.parent, "change": args.change}
+    if args.control:
+        trees["control"] = args.control
+    runs = {side: load_runs(tree) for side, tree in trees.items()}
+    sample = next(iter(runs["change"].values()))["meta"]
     doc = {
         "host": {key: sample[key] for key in ("python", "numpy", "nproc", "platform")},
         "source_digest": {
-            "parent": sorted({r["meta"]["source_digest"] for r in parent.values()}),
-            "change": sorted({r["meta"]["source_digest"] for r in change.values()}),
+            side: sorted({r["meta"]["source_digest"] for r in side_runs.values()})
+            for side, side_runs in runs.items()
         },
-        "workloads": summarize(parent, change, metrics),
+        "workloads": summarize(runs["parent"], runs["change"], metrics,
+                               runs.get("control")),
     }
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
 

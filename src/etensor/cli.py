@@ -186,7 +186,9 @@ def _cmd_compute(args: argparse.Namespace, out: TextIO) -> int:
             sel: component(state, sel, scheme) for sel in selectors
         }
         report = TensorReport(state.structure, scheme, values)
-    elif args.sizes:
+    elif args.sizes is not None:
+        if not args.sizes.strip():
+            raise ValueError("--sizes needs a comma list of subset sizes, got none")
         sizes = [int(s) for s in args.sizes.split(",")]
         report = full_tensor(state, scheme, sizes=sizes)
     else:

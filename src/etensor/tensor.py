@@ -51,6 +51,14 @@ positions and of its sectors (``D * L + (M - D) * S`` entries); each of
 its passes writes its index from them into the workspace, with two
 matmuls and one add.  So a warm call makes a few numpy calls per pass and
 per group, and no Python loop over subsets.
+
+A call's components are a read-only Mapping in plan order that holds the
+plan's selectors beside the call's values.  It finds a key's place by
+arithmetic from the plan's per-size counts C(M, D), so no selector is
+hashed, neither by the call nor by a consumer that iterates; the plan
+keeps no table from selector to place.  The normalization constants are
+one scalar product when every requested size has the same constant, as
+in the default scheme.
 """
 
 from __future__ import annotations
@@ -58,9 +66,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -161,12 +170,79 @@ DEFAULT_SCHEME = NormalizationScheme()
 
 @dataclass(frozen=True)
 class TensorReport:
-    """Component values per subset, with the scheme that produced them."""
+    """Component values per subset, with the scheme that produced them.
+
+    A :func:`full_tensor` report's ``components`` is a read-only Mapping
+    in plan order: by size, then lexicographically within a size.  It
+    iterates, looks up and compares as the equal dict would, and a lookup
+    hashes no selector.
+    """
 
     structure: PartyStructure
     scheme: NormalizationScheme
     components: Mapping[SubsetSelector, float]
     basis_note: str = BASIS_NOTE
+
+
+class _Components(Mapping):
+    """The components of one :func:`full_tensor` call, read-only.
+
+    It holds the plan's ``subsets`` tuple and the call's list of values,
+    place for place.  Iteration, ``values()`` and ``items()`` walk the two
+    sequences.  A lookup finds its place by arithmetic: the subsets of the
+    smaller requested sizes, ``counts[d] = C(M, d)`` each, then the key's
+    lexicographic rank within its size, ``C(M, D) - 1 - sum_i C(M - 1 -
+    p_i, D - i)`` over its parties p_0 < ... < p_{D-1}.  Any other key, a
+    plain tuple, a size not requested or a party past M - 1, is a
+    ``KeyError``, as it is for the dict with the same items.
+    """
+
+    __slots__ = ("_subsets", "_values", "_num_parties", "_counts")
+
+    def __init__(self, subsets: tuple[SubsetSelector, ...], values: list[float],
+                 num_parties: int, counts: dict[int, int]):
+        self._subsets, self._values = subsets, values
+        self._num_parties, self._counts = num_parties, counts
+
+    def __len__(self) -> int:
+        return len(self._subsets)
+
+    def __iter__(self) -> Iterator[SubsetSelector]:
+        return iter(self._subsets)
+
+    def __getitem__(self, key: SubsetSelector) -> float:
+        if isinstance(key, SubsetSelector) and key.parties[-1] < self._num_parties:
+            start, size = 0, key.size
+            for requested, count in self._counts.items():
+                if requested == size:
+                    return self._values[start + count - 1 - sum(
+                        math.comb(self._num_parties - 1 - p, size - i)
+                        for i, p in enumerate(key.parties))]
+                start += count
+        raise KeyError(key)
+
+    def values(self) -> ValuesView:
+        return _ComponentValues(self)
+
+    def items(self) -> ItemsView:
+        return _ComponentItems(self)
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+
+class _ComponentValues(ValuesView):
+    __slots__ = ()
+
+    def __iter__(self) -> Iterator[float]:
+        return iter(self._mapping._values)
+
+
+class _ComponentItems(ItemsView):
+    __slots__ = ()
+
+    def __iter__(self) -> Iterator[tuple[SubsetSelector, float]]:
+        return zip(self._mapping._subsets, self._mapping._values)
 
 
 def permutation_difference(
@@ -298,11 +374,16 @@ def _make_evaluator(
 def _plan(dims: tuple[int, ...], sizes: tuple[int, ...], budget: int) -> tuple:
     """How :func:`full_tensor` evaluates every subset of the given sizes.
 
-    Returns ``(subsets, passes, groups)``.  ``subsets`` are the selectors
-    by size, then in lexicographic order.  The subsets of one size are
-    grouped by transposed shape ``T``: the selected dims, then the other
-    parties' dims in ascending party order, each group with the kernel's
-    :func:`etensor.kernel._layout`.
+    Returns ``(subsets, counts, passes, groups)``.  ``subsets`` are the
+    selectors by size, then in lexicographic order, the order in which a
+    call's read-only components Mapping holds them; ``counts`` maps each
+    size to its C(M, D) subsets, which places a key in that Mapping and
+    repeats the constants of a scheme whose sizes differ in their
+    constant.  The plan keeps no table from selector to place.
+
+    The subsets of one size are grouped by transposed shape ``T``: the
+    selected dims, then the other parties' dims in ascending party order,
+    each group with the kernel's :func:`etensor.kernel._layout`.
 
     A group whose subsets fit one pass and one window of pair choices,
     with a gather index of at most half the budget, is packed with the
@@ -360,7 +441,9 @@ def _plan(dims: tuple[int, ...], sizes: tuple[int, ...], budget: int) -> tuple:
             else:
                 groups.append((places, tables, layout))
         subsets += map(SubsetSelector, combos)
-    return tuple(subsets), tuple(kernel._packed(packable, budget)), tuple(groups)
+    counts = {size: math.comb(num, size) for size in sizes}
+    return (tuple(subsets), counts, tuple(kernel._packed(packable, budget)),
+            tuple(groups))
 
 
 def _gather_index(
@@ -428,8 +511,10 @@ def full_tensor(
     first call builds the plan, with numpy work per group of subsets rather
     than per subset.  A plan holds no amplitudes; see :func:`_plan` for
     what it holds.
-    Components come out by size, then in lexicographic order within a
-    size.
+    The report's components are a read-only Mapping in plan order: by
+    size, then in lexicographic order within a size.  It holds the plan's
+    selectors and the call's values, and finds a key's place by
+    arithmetic, so neither the call nor a lookup hashes a selector.
     """
     structure = state.structure
     if sizes is None:
@@ -445,8 +530,8 @@ def full_tensor(
         sum(_kernel_work(structure.dims, size) for size in size_list),
         "subset sizes {} of dims {}", size_list, structure.dims,
     )
-    subsets, passes, groups = _plan(structure.dims, tuple(size_list),
-                                    GATHER_BUDGET_BYTES)
+    subsets, counts, passes, groups = _plan(structure.dims, tuple(size_list),
+                                            GATHER_BUDGET_BYTES)
     amplitudes = state.amplitudes
     squares = kernel._squares(amplitudes)
     totals = np.empty(len(subsets))
@@ -460,10 +545,14 @@ def full_tensor(
                 layout, len(places[rows]), functools.partial(
                     _gather_index, selected[rows], others[rows], positions, sectors),
                 amplitudes, squares)
-    constants = np.repeat([scheme.constant(size) for size in size_list],
-                          [math.comb(structure.num_parties, size) for size in size_list])
-    np.multiply(constants, totals, out=totals)
-    components = dict(zip(subsets, np.sqrt(totals, out=totals).tolist()))
+    # one scalar when every size has the same constant, the same products
+    # as a table of it
+    constants = [scheme.constant(size) for size in counts]
+    scale = (constants[0] if len(set(constants)) == 1
+             else np.repeat(constants, list(counts.values())))
+    np.sqrt(np.multiply(totals, scale, out=totals), out=totals)
+    components = _Components(subsets, totals.tolist(), structure.num_parties,
+                             counts)
     return TensorReport(structure=structure, scheme=scheme, components=components)
 
 

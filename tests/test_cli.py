@@ -80,6 +80,14 @@ class TestCompute:
         doc = run_json(capsys, "compute", "--expr", NESTED_EXPR, "--sizes", "2")
         assert len(doc["components"]) == 6
 
+    @pytest.mark.parametrize("sizes", ["", " ", "\t"])
+    def test_empty_sizes_refused(self, capsys, sizes):
+        # an empty value once read as "not given" and computed every size
+        code, out, err = run_cli(capsys, "compute", "--expr", GHZ_EXPR,
+                                 "--sizes", sizes)
+        assert (code, out) == (1, "")
+        assert err == "error: --sizes needs a comma list of subset sizes, got none\n"
+
     def test_norm_const_override(self, capsys):
         doc = run_json(capsys, "compute", "--expr", GHZ_EXPR,
                        "--subset", "1,2,3", "--norm-const", "3=16")

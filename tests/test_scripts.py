@@ -1,0 +1,68 @@
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def _script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+bench_pairs = _script("bench_pairs")
+
+METRICS = [{"name": "throughput_ops_s", "unit": "1/s", "better": "higher"},
+           {"name": "latency_p50_ms", "unit": "ms", "better": "lower"}]
+
+
+def _runs(workload, throughputs, first_seed=1, failed=0):
+    """Synthetic ``--trace 0`` results, one per seed from ``first_seed``."""
+    return {(workload, seed): {
+        "meta": {"seconds": 50.0}, "failed": failed,
+        "metrics": {"throughput_ops_s": {"value": value},
+                    "latency_p50_ms": {"value": 1000 / value}}}
+        for seed, value in enumerate(throughputs, first_seed)}
+
+
+class TestBenchPairsSummary:
+    # seed 2 is a tie on both metrics, and counts as a win for neither side
+    PARENT = _runs("w", [100, 110, 120, 130, 140])
+    CHANGE = {**_runs("w", [120, 110, 130, 150, 130]),
+              **_runs("change only", [1, 2])}
+
+    def test_pairs_without_a_control(self):
+        out = bench_pairs.summarize(self.PARENT, self.CHANGE, METRICS)
+        assert list(out) == ["w"]
+        entry = out["w"]
+        assert entry["seeds"] == [1, 2, 3, 4, 5] and entry["seconds"] == 50.0
+        assert entry["failed"] == {"parent": 0, "change": 0}
+        throughput = entry["metrics"]["throughput_ops_s"]
+        assert throughput["parent"] == {"median": 120, "q1": 110, "q3": 130}
+        assert throughput["change"] == {"median": 130, "q1": 120, "q3": 130}
+        assert (throughput["wins"], throughput["pairs"]) == (3, 5)
+        latency = entry["metrics"]["latency_p50_ms"]
+        assert (latency["wins"], latency["pairs"]) == (3, 5)
+        assert latency["better"] == "lower" and latency["unit"] == "ms"
+        assert "control" not in throughput and "control" not in latency
+
+    def test_control_on_the_seeds_it_shares(self):
+        # the control ran seeds 1-4 and 9; seed 9 has no pair and is left out
+        control = {**_runs("w", [100, 112, 119, 130], failed=1),
+                   **_runs("w", [500], first_seed=9)}
+        out = bench_pairs.summarize(self.PARENT, self.CHANGE, METRICS, control)
+        entry = out["w"]
+        assert entry["failed"] == {"parent": 0, "change": 0, "control": 4}
+        throughput = entry["metrics"]["throughput_ops_s"]
+        # seeds 1 and 4 tie, 2 is a win and 3 a loss against the parent
+        assert throughput["control"] == pytest.approx(
+            {"median": 115.5, "q1": 109, "q3": 121.75, "wins": 1, "pairs": 4})
+        assert entry["metrics"]["latency_p50_ms"]["control"]["wins"] == 1
+        # the change's side does not move with a control beside it
+        without = bench_pairs.summarize(self.PARENT, self.CHANGE, METRICS)["w"]
+        for name, metric in entry["metrics"].items():
+            assert {k: v for k, v in metric.items() if k != "control"} == \
+                without["metrics"][name]

@@ -773,7 +773,7 @@ class TestKernelOrder:
             passes.clear()
             full_tensor(state)
             # per pass, the nesting order and first flat place of each entry
-            subsets, kept, groups = _full_plan(dims, budget)
+            subsets, _, kept, groups = _full_plan(dims, budget)
             entries = [[(subsets[p].parties, 0) for p in places]
                        for places, *_ in kept]
             for places, _, layout in groups:
@@ -1125,7 +1125,7 @@ class TestWorkspace:
     def test_passes_fit_the_budget(self, budget):
         # only a pass of one subset and one pair choice may need more
         for dims in KERNEL_DIMS + [(4,) * 5]:
-            _, passes, groups = _full_plan(dims, budget)
+            _, _, passes, groups = _full_plan(dims, budget)
             shapes = [shape for _, shape, _, _ in passes] + [
                 kernel_module._single(layout, layout.batch)
                 for *_, layout in groups]
@@ -1304,7 +1304,7 @@ class TestKeptIndex:
         for dims in KERNEL_DIMS + [(4,) * 5]:
             total = math.prod(dims)
             flat = np.arange(total).reshape((1,) + dims)
-            subsets, passes, groups = _full_plan(dims, budget)
+            subsets, _, passes, groups = _full_plan(dims, budget)
 
             def fits(places, layout):
                 return (len(places) <= layout.batch
@@ -1354,7 +1354,7 @@ class TestKeptIndex:
         # its index per pass like the groups of several passes
         def kept_bytes(dims):
             return sum(index.nbytes + order.nbytes
-                       for _, _, index, (order,) in _full_plan(dims, 1 << 20)[1])
+                       for _, _, index, (order,) in _full_plan(dims, 1 << 20)[2])
 
         assert kept_bytes((2,) * 8) == 2 * 247 * 256 * 8
         assert kept_bytes((2,) * 12) == 2 * 4096 * 8
@@ -1378,9 +1378,9 @@ class TestKeptIndex:
         budget = (1 << 20) + 8  # a key no other test builds plans for
         plans = [_full_plan(dims, budget)
                  for dims in [(2,) * 8, (2,) * 12, (3, 3, 2, 2, 2, 2)]]
-        held = {id(owner(table)) for _, _, groups in plans
+        held = {id(owner(table)) for _, _, _, groups in plans
                 for _, tables, _ in groups for table in tables[2:]}
-        kept = sum(len(shape.groups) for _, passes, _ in plans
+        kept = sum(len(shape.groups) for _, _, passes, _ in plans
                    for _, shape, _, _ in passes)
         gc.collect()
         alive = [ref() for ref in built if ref() is not None]
@@ -1541,3 +1541,99 @@ class TestPlanCache:
             full_tensor(state, sizes=[2])
             assert tensor_module._plan.cache_info().currsize <= capacity
         assert tensor_module._plan.cache_info().currsize == capacity
+
+
+@st.composite
+def _dims_and_sizes(draw):
+    dims = tuple(draw(st.lists(st.integers(2, 3), min_size=2, max_size=7)))
+    sizes = draw(st.sets(st.integers(2, len(dims)), min_size=1))
+    return dims, sorted(sizes)
+
+
+class TestComponentsView:
+    """A report's components: a read-only Mapping in plan order.
+
+    It walks the plan's selectors beside the call's values, and finds a
+    key's place by arithmetic, so the dict it replaces, ``dict(zip(plan
+    subsets, values))``, is the reference for every read.
+    """
+
+    def test_warm_call_hashes_no_selector(self, monkeypatch):
+        state = random_state(PartyStructure((2,) * 8), np.random.default_rng(18))
+        full_tensor(state)
+        hashed = []
+        original = SubsetSelector.__hash__
+
+        def counted(self):
+            hashed.append(self)
+            return original(self)
+
+        monkeypatch.setattr(SubsetSelector, "__hash__", counted)
+        report = full_tensor(state)
+        tensor_module.report_document(report)
+        tensor_norm(report)
+        assert len(report.components) == 247
+        assert hashed == []
+        # the counter sees the dict the call once built
+        dict(zip(report.components, report.components.values()))
+        assert len(hashed) == 247
+
+    @given(_dims_and_sizes(), seed_strategy)
+    @settings(max_examples=40, deadline=None)
+    def test_equals_the_dict_of_plan_subsets_and_values(self, case, seed):
+        dims, sizes = case
+        state = random_state(PartyStructure(dims), np.random.default_rng(seed))
+        view = full_tensor(state, sizes=sizes).components
+        subsets = tensor_module._plan(dims, tuple(sizes),
+                                      tensor_module.GATHER_BUDGET_BYTES)[0]
+        values = list(view.values())
+        want = dict(zip(subsets, values))
+        assert list(view.items()) == list(want.items())
+        assert view == want and want == view
+        assert list(view) == [subset for size in sizes for subset in
+                              subsets_of_size(state.structure, size)]
+        for place, subset in enumerate(subsets):
+            assert subset in view
+            assert view[subset] is values[place]
+
+    def test_other_keys_raise_key_error(self):
+        view = full_tensor(w_state(4), sizes=[2, 4]).components
+        want = dict(view)
+        for key in [(0, 1), SubsetSelector((0, 1, 2)), SubsetSelector((2, 4)),
+                    SubsetSelector((0, 1, 2, 3, 4)), "0,1", None]:
+            with pytest.raises(KeyError):
+                want[key]
+            with pytest.raises(KeyError):
+                view[key]
+            assert key not in view
+            assert view.get(key) is None
+
+    def test_reads_as_a_dict(self):
+        state = random_state(PartyStructure((2, 3, 2, 2)), np.random.default_rng(9))
+        view = full_tensor(state).components
+        want = dict(view)
+        assert len(view) == len(want) == 11
+        assert list(view) == list(want) and list(view.keys()) == list(want)
+        assert list(view.values()) == list(want.values())
+        assert list(view.items()) == list(want.items())
+        assert len(view.items()) == len(view.values()) == 11
+        first, value = next(iter(view.items()))
+        assert (first, value) in view.items() and value in view.values()
+        assert (first, value + 1.0) not in view.items()
+        assert view != {**want, first: value + 1.0}
+        assert repr(view) == repr(want)
+        with pytest.raises(TypeError):
+            view[first] = 0.0
+        with pytest.raises(TypeError):
+            del view[first]
+        assert not hasattr(view, "__dict__")
+
+    @pytest.mark.parametrize("constants", [{}, {3: 2.0}, {2: 1.0, 4: 9.0}])
+    def test_constants_per_size_match_the_reference(self, constants):
+        # one scalar when all sizes share a constant, a repeated table if not
+        scheme = NormalizationScheme(constants)
+        state = random_state(PartyStructure((2, 3, 2, 2)), np.random.default_rng(7))
+        report = full_tensor(state, scheme)
+        for subset, value in report.components.items():
+            assert value == _reference_value(state, subset.parties,
+                                             scheme.constant(subset.size))
