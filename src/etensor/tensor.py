@@ -54,11 +54,9 @@ per group, and no Python loop over subsets.
 
 A call's components are a read-only Mapping in plan order that holds the
 plan's selectors beside the call's values.  It finds a key's place by
-arithmetic from the plan's per-size counts C(M, D), so no selector is
-hashed, neither by the call nor by a consumer that iterates; the plan
-keeps no table from selector to place.  The normalization constants are
-one scalar product when every requested size has the same constant, as
-in the default scheme.
+arithmetic from the requested sizes and the counts C(M, D), so no
+selector is hashed, neither by the call nor by a consumer that iterates;
+the plan keeps no table from selector to place.
 """
 
 from __future__ import annotations
@@ -189,20 +187,20 @@ class _Components(Mapping):
 
     It holds the plan's ``subsets`` tuple and the call's list of values,
     place for place.  Iteration, ``values()`` and ``items()`` walk the two
-    sequences.  A lookup finds its place by arithmetic: the subsets of the
-    smaller requested sizes, ``counts[d] = C(M, d)`` each, then the key's
-    lexicographic rank within its size, ``C(M, D) - 1 - sum_i C(M - 1 -
-    p_i, D - i)`` over its parties p_0 < ... < p_{D-1}.  Any other key, a
-    plain tuple, a size not requested or a party past M - 1, is a
-    ``KeyError``, as it is for the dict with the same items.
+    sequences.  A lookup finds its place by arithmetic: the C(M, d)
+    subsets of each smaller requested size d, then the key's lexicographic
+    rank within its size, ``C(M, D) - 1 - sum_i C(M - 1 - p_i, D - i)``
+    over its parties p_0 < ... < p_{D-1}.  Any other key, a plain tuple, a
+    size not requested or a party past M - 1, is a ``KeyError``, as it is
+    for the dict with the same items.
     """
 
-    __slots__ = ("_subsets", "_values", "_num_parties", "_counts")
+    __slots__ = ("_subsets", "_values", "_num_parties", "_sizes")
 
     def __init__(self, subsets: tuple[SubsetSelector, ...], values: list[float],
-                 num_parties: int, counts: dict[int, int]):
+                 num_parties: int, sizes: tuple[int, ...]):
         self._subsets, self._values = subsets, values
-        self._num_parties, self._counts = num_parties, counts
+        self._num_parties, self._sizes = num_parties, sizes
 
     def __len__(self) -> int:
         return len(self._subsets)
@@ -211,14 +209,12 @@ class _Components(Mapping):
         return iter(self._subsets)
 
     def __getitem__(self, key: SubsetSelector) -> float:
-        if isinstance(key, SubsetSelector) and key.parties[-1] < self._num_parties:
-            start, size = 0, key.size
-            for requested, count in self._counts.items():
-                if requested == size:
-                    return self._values[start + count - 1 - sum(
-                        math.comb(self._num_parties - 1 - p, size - i)
-                        for i, p in enumerate(key.parties))]
-                start += count
+        if (isinstance(key, SubsetSelector) and key.size in self._sizes
+                and key.parties[-1] < self._num_parties):
+            num, size = self._num_parties, key.size
+            start = sum(math.comb(num, d) for d in self._sizes if d < size)
+            return self._values[start + math.comb(num, size) - 1 - sum(
+                math.comb(num - 1 - p, size - i) for i, p in enumerate(key.parties))]
         raise KeyError(key)
 
     def values(self) -> ValuesView:
@@ -374,12 +370,10 @@ def _make_evaluator(
 def _plan(dims: tuple[int, ...], sizes: tuple[int, ...], budget: int) -> tuple:
     """How :func:`full_tensor` evaluates every subset of the given sizes.
 
-    Returns ``(subsets, counts, passes, groups)``.  ``subsets`` are the
-    selectors by size, then in lexicographic order, the order in which a
-    call's read-only components Mapping holds them; ``counts`` maps each
-    size to its C(M, D) subsets, which places a key in that Mapping and
-    repeats the constants of a scheme whose sizes differ in their
-    constant.  The plan keeps no table from selector to place.
+    Returns ``(subsets, passes, groups)``.  ``subsets`` are the selectors
+    by size, then in lexicographic order, the order in which a call's
+    read-only components Mapping holds them.  The plan keeps no table from
+    selector to place.
 
     The subsets of one size are grouped by transposed shape ``T``: the
     selected dims, then the other parties' dims in ascending party order,
@@ -441,9 +435,7 @@ def _plan(dims: tuple[int, ...], sizes: tuple[int, ...], budget: int) -> tuple:
             else:
                 groups.append((places, tables, layout))
         subsets += map(SubsetSelector, combos)
-    counts = {size: math.comb(num, size) for size in sizes}
-    return (tuple(subsets), counts, tuple(kernel._packed(packable, budget)),
-            tuple(groups))
+    return tuple(subsets), tuple(kernel._packed(packable, budget)), tuple(groups)
 
 
 def _gather_index(
@@ -530,8 +522,8 @@ def full_tensor(
         sum(_kernel_work(structure.dims, size) for size in size_list),
         "subset sizes {} of dims {}", size_list, structure.dims,
     )
-    subsets, counts, passes, groups = _plan(structure.dims, tuple(size_list),
-                                            GATHER_BUDGET_BYTES)
+    size_key = tuple(size_list)
+    subsets, passes, groups = _plan(structure.dims, size_key, GATHER_BUDGET_BYTES)
     amplitudes = state.amplitudes
     squares = kernel._squares(amplitudes)
     totals = np.empty(len(subsets))
@@ -545,14 +537,11 @@ def full_tensor(
                 layout, len(places[rows]), functools.partial(
                     _gather_index, selected[rows], others[rows], positions, sectors),
                 amplitudes, squares)
-    # one scalar when every size has the same constant, the same products
-    # as a table of it
-    constants = [scheme.constant(size) for size in counts]
-    scale = (constants[0] if len(set(constants)) == 1
-             else np.repeat(constants, list(counts.values())))
-    np.sqrt(np.multiply(totals, scale, out=totals), out=totals)
-    components = _Components(subsets, totals.tolist(), structure.num_parties,
-                             counts)
+    constants = np.repeat([scheme.constant(size) for size in size_list],
+                          [math.comb(structure.num_parties, size) for size in size_list])
+    np.multiply(constants, totals, out=totals)
+    components = _Components(subsets, np.sqrt(totals, out=totals).tolist(),
+                             structure.num_parties, size_key)
     return TensorReport(structure=structure, scheme=scheme, components=components)
 
 

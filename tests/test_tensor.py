@@ -773,7 +773,7 @@ class TestKernelOrder:
             passes.clear()
             full_tensor(state)
             # per pass, the nesting order and first flat place of each entry
-            subsets, _, kept, groups = _full_plan(dims, budget)
+            subsets, kept, groups = _full_plan(dims, budget)
             entries = [[(subsets[p].parties, 0) for p in places]
                        for places, *_ in kept]
             for places, _, layout in groups:
@@ -1125,7 +1125,7 @@ class TestWorkspace:
     def test_passes_fit_the_budget(self, budget):
         # only a pass of one subset and one pair choice may need more
         for dims in KERNEL_DIMS + [(4,) * 5]:
-            _, _, passes, groups = _full_plan(dims, budget)
+            _, passes, groups = _full_plan(dims, budget)
             shapes = [shape for _, shape, _, _ in passes] + [
                 kernel_module._single(layout, layout.batch)
                 for *_, layout in groups]
@@ -1304,7 +1304,7 @@ class TestKeptIndex:
         for dims in KERNEL_DIMS + [(4,) * 5]:
             total = math.prod(dims)
             flat = np.arange(total).reshape((1,) + dims)
-            subsets, _, passes, groups = _full_plan(dims, budget)
+            subsets, passes, groups = _full_plan(dims, budget)
 
             def fits(places, layout):
                 return (len(places) <= layout.batch
@@ -1354,7 +1354,7 @@ class TestKeptIndex:
         # its index per pass like the groups of several passes
         def kept_bytes(dims):
             return sum(index.nbytes + order.nbytes
-                       for _, _, index, (order,) in _full_plan(dims, 1 << 20)[2])
+                       for _, _, index, (order,) in _full_plan(dims, 1 << 20)[1])
 
         assert kept_bytes((2,) * 8) == 2 * 247 * 256 * 8
         assert kept_bytes((2,) * 12) == 2 * 4096 * 8
@@ -1378,9 +1378,9 @@ class TestKeptIndex:
         budget = (1 << 20) + 8  # a key no other test builds plans for
         plans = [_full_plan(dims, budget)
                  for dims in [(2,) * 8, (2,) * 12, (3, 3, 2, 2, 2, 2)]]
-        held = {id(owner(table)) for _, _, _, groups in plans
+        held = {id(owner(table)) for _, _, groups in plans
                 for _, tables, _ in groups for table in tables[2:]}
-        kept = sum(len(shape.groups) for _, _, passes, _ in plans
+        kept = sum(len(shape.groups) for _, passes, _ in plans
                    for _, shape, _, _ in passes)
         gc.collect()
         alive = [ref() for ref in built if ref() is not None]
@@ -1630,7 +1630,7 @@ class TestComponentsView:
 
     @pytest.mark.parametrize("constants", [{}, {3: 2.0}, {2: 1.0, 4: 9.0}])
     def test_constants_per_size_match_the_reference(self, constants):
-        # one scalar when all sizes share a constant, a repeated table if not
+        # sizes with one shared constant and sizes with their own
         scheme = NormalizationScheme(constants)
         state = random_state(PartyStructure((2, 3, 2, 2)), np.random.default_rng(7))
         report = full_tensor(state, scheme)
