@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: compute, optimize, measure, apply, regroup, oracle,
-paper-suite.  Party labels and subsets are 1-based on this surface and
-converted once at the boundary; everything below is 0-based.  Output is
+paper-suite.  Party labels and subsets are 1-based on this surface, in
+arguments and in error messages alike, and are checked and converted once
+at the boundary; everything below is 0-based.  Output is
 JSON on stdout (or an aligned table for ``compute --table``); diagnostics
 go to stderr.  Exit codes: 0 success, 2 usage/parse/file problems,
 running out of memory and work over ``tensor.MAX_KERNEL_WORK``, 1
@@ -49,7 +50,7 @@ from .oracles import (
     concurrence_purity,
     dur_average,
 )
-from .states import NormalizationError, StateVector
+from .states import NormalizationError, PartyStructure, StateVector
 from .supremum import OptimizerConfig, maximize_component, maximize_simultaneous
 from .tensor import (
     NormalizationScheme,
@@ -66,7 +67,15 @@ from .tensor import (
 SEED_ENV_VAR = "ETENSOR_SEED"
 
 
-def _parse_subset(text: str) -> SubsetSelector:
+def _party(structure: PartyStructure, number: int) -> int:
+    """The 0-based index of the 1-based party ``number`` of ``structure``."""
+    if not 1 <= number <= structure.num_parties:
+        raise ValueError(f"party {number} out of range for "
+                         f"{structure.num_parties} parties")
+    return number - 1
+
+
+def _parse_subset(text: str, structure: PartyStructure) -> SubsetSelector:
     try:
         parties = sorted(int(p) for p in text.split(","))
     except ValueError as exc:
@@ -74,19 +83,28 @@ def _parse_subset(text: str) -> SubsetSelector:
                          "1-based party numbers") from exc
     if any(p < 1 for p in parties):
         raise ValueError(f"bad subset {text!r}: party numbers are 1-based")
+    if len(set(parties)) < len(parties):
+        raise ValueError(f"bad subset {text!r}: a party is named twice")
+    if parties[-1] > structure.num_parties:
+        raise ValueError(f"bad subset {text!r}: out of range for "
+                         f"{structure.num_parties} parties")
     return SubsetSelector(tuple(p - 1 for p in parties))
 
 
-def _parse_groups(text: str) -> PartyGrouping:
+def _parse_groups(text: str, structure: PartyStructure) -> PartyGrouping:
     blocks = []
     for block_text in text.split("|"):
         try:
-            blocks.append(tuple(int(p) - 1 for p in block_text.split(",")))
+            blocks.append(tuple(int(p) for p in block_text.split(",")))
         except ValueError as exc:
             raise ValueError(
                 f"bad grouping {text!r}: expected blocks like '1,2|3,4'"
             ) from exc
-    return PartyGrouping(tuple(blocks))
+    parties = sorted(p for block in blocks for p in block)
+    if parties != list(range(1, structure.num_parties + 1)):
+        raise ValueError(f"bad grouping {text!r}: the blocks must cover all "
+                         f"{structure.num_parties} parties exactly once")
+    return PartyGrouping(tuple(tuple(p - 1 for p in b) for b in blocks))
 
 
 def _parse_norm_consts(entries: Sequence[str]) -> NormalizationScheme:
@@ -179,9 +197,7 @@ def _cmd_compute(args: argparse.Namespace, out: TextIO) -> int:
     state = _load_state(args)
     scheme = _parse_norm_consts(args.norm_const or [])
     if args.subset:
-        selectors = [_parse_subset(s) for s in args.subset]
-        for selector in selectors:
-            selector.validate_for(state.structure)
+        selectors = [_parse_subset(s, state.structure) for s in args.subset]
         values = {
             sel: component(state, sel, scheme) for sel in selectors
         }
@@ -225,9 +241,8 @@ def _cmd_optimize(args: argparse.Namespace, out: TextIO) -> int:
         seed=seed,
     )
     if args.subsets:
-        selectors = [_parse_subset(s) for s in args.subsets.split(";")]
-        for selector in selectors:
-            selector.validate_for(state.structure)
+        selectors = [_parse_subset(s, state.structure)
+                     for s in args.subsets.split(";")]
         result = maximize_simultaneous(
             state, selectors, scheme, config, objective=args.objective
         )
@@ -236,8 +251,7 @@ def _cmd_optimize(args: argparse.Namespace, out: TextIO) -> int:
     else:
         if not args.subset:
             raise ValueError("provide --subset or --subsets")
-        selector = _parse_subset(args.subset)
-        selector.validate_for(state.structure)
+        selector = _parse_subset(args.subset, state.structure)
         result = maximize_component(state, selector, scheme, config)
         subset_doc = [[p + 1 for p in selector.parties]]
         objective_name = "component"
@@ -259,11 +273,15 @@ def _cmd_optimize(args: argparse.Namespace, out: TextIO) -> int:
 
 def _cmd_measure(args: argparse.Namespace, out: TextIO) -> int:
     state = _load_state(args)
-    party = int(args.party) - 1
-    prob, conditioned = measure_party(state, party, int(args.outcome))
+    party = _party(state.structure, args.party)
+    dim = state.structure.dims[party]
+    if not 0 <= args.outcome < dim:
+        raise ValueError(f"outcome {args.outcome} out of range for party "
+                         f"{args.party} of dimension {dim}")
+    prob, conditioned = measure_party(state, party, args.outcome)
     doc: dict[str, Any] = {
-        "party": int(args.party),
-        "outcome": int(args.outcome),
+        "party": args.party,
+        "outcome": args.outcome,
         "probability": float(f"{prob:.15g}"),
     }
     if conditioned is None:
@@ -277,8 +295,7 @@ def _cmd_measure(args: argparse.Namespace, out: TextIO) -> int:
 
 def _cmd_apply(args: argparse.Namespace, out: TextIO) -> int:
     state = _load_state(args)
-    party = int(args.party) - 1
-    state.structure.check_party(party)
+    party = _party(state.structure, args.party)
     gate = _parse_gate(args.gate, party, state.structure.dims[party])
     result = apply_local(state, gate)
     write_json(state_document(result), out)
@@ -287,7 +304,7 @@ def _cmd_apply(args: argparse.Namespace, out: TextIO) -> int:
 
 def _cmd_regroup(args: argparse.Namespace, out: TextIO) -> int:
     state = _load_state(args)
-    grouping = _parse_groups(args.groups)
+    grouping = _parse_groups(args.groups, state.structure)
     result = regroup(state, grouping)
     doc = state_document(result)
     doc["labels"] = list(result.structure.labels)
@@ -310,15 +327,21 @@ def _cmd_oracle(args: argparse.Namespace, out: TextIO) -> int:
         elif kind == "purity":
             if not args.split:
                 raise ValueError("oracle --kind purity needs --split")
-            grouping = _parse_groups(args.split)
+            grouping = _parse_groups(args.split, state.structure)
             value = concurrence_purity(state, grouping)
             doc = {"kind": "purity", "split": args.split, "value": value}
         elif kind == "wootters":
             if not args.pair:
                 raise ValueError("oracle --kind wootters needs --pair")
-            pair = _parse_subset(args.pair)
+            pair = _parse_subset(args.pair, state.structure)
             if pair.size != 2:
                 raise ValueError("--pair must name exactly two parties")
+            for p in pair.parties:
+                if state.structure.dims[p] != 2:
+                    raise ValueError(
+                        f"kept party {p + 1} has dimension "
+                        f"{state.structure.dims[p]}, but the two-qubit "
+                        "reduction requires qubits")
             rho = trace_to_pair(state, pair.parties)
             value = concurrence_mixed_2qubit(rho)
             doc = {

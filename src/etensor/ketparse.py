@@ -1,6 +1,6 @@
 """Parser for ket expressions and the JSON coefficient file format.
 
-The expression grammar (whitespace is insignificant):
+The expression grammar (whitespace is insignificant, inside kets too):
 
     state   := ["+"|"-"] term (("+"|"-") term)* ("/" scalar)?
     term    := (scalar "*"?)? ket | "(" state ")" ("/" scalar)?
@@ -16,6 +16,12 @@ one digit per party - and is accepted only when every party is a qubit.
 Terms naming the same ket are summed before any normalization check, and the
 parsed vector must already be normalized unless an explicit rescale is
 requested.
+
+The lexer is one C-level ``findall`` of ``_TOKEN``, which yields the token
+texts; a dict lookup, or :func:`_kind` for kets and numbers, gives their
+kinds.  The parser walks the two lists by index.  No token carries a
+position: a :class:`KetSyntaxError` at token ``i`` runs ``finditer`` over
+the same text to place that token, and the end of input is at ``len(text)``.
 
 The JSON format stores the same data sparsely::
 
@@ -44,8 +50,8 @@ import json
 import math
 import operator
 import re
-from itertools import chain
-from typing import Any, Iterable, NamedTuple, NoReturn, Sequence, TextIO
+from itertools import chain, islice
+from typing import Any, Iterable, NoReturn, Sequence, TextIO
 
 import numpy as np
 
@@ -78,201 +84,193 @@ def _zero_amplitudes(structure: PartyStructure) -> np.ndarray:
     return np.zeros(total, dtype=np.complex128)
 
 
-class _Token(NamedTuple):
-    kind: str
-    text: str
-    line: int
-    col: int
+# One match per token, after the whitespace before it: a ket, a number, the
+# word ``sqrt`` or any other single character, which ``_KINDS`` or
+# ``_kind`` classifies.  Every non-whitespace character starts a match, so
+# the matches cover all of the text but its trailing whitespace, and the
+# n-th match of ``finditer`` is the n-th token.  Digits are ASCII 0-9 only.
+_TOKEN = re.compile(r"\s*(\|[^>]*>|[0-9]+\.[0-9]*|\.[0-9]+|[0-9]+|sqrt|\S)")
+
+_KINDS = {"+": "PLUS", "-": "MINUS", "*": "STAR", "/": "SLASH", "(": "LPAREN",
+          ")": "RPAREN", "i": "IMAG", "I": "IMAG", "sqrt": "SQRT"}
 
 
-# One match per token: the whitespace before it (group 1), then one named
-# group per token kind.  ``ERROR`` takes any other character, and no kind
-# matches only at the end of the text.  Digits are ASCII 0-9 only.
-_SCAN = re.compile(
-    r"(\s*)(?:(?P<PLUS>\+)|(?P<MINUS>-)|(?P<STAR>\*)|(?P<SLASH>/)"
-    r"|(?P<LPAREN>\()|(?P<RPAREN>\))|\|(?P<KET>[^>]*)>"
-    r"|(?P<DECIMAL>[0-9]+\.[0-9]*|\.[0-9]+)|(?P<INT>[0-9]+)"
-    r"|(?P<SQRT>sqrt)|(?P<IMAG>[iI])|(?P<ERROR>.))?",
-    re.DOTALL,
-)
+def _kind(token: str) -> str:
+    """The kind of a token not in ``_KINDS``; a lone ``|`` has no ``>`` after it."""
+    if token[0] == "|":
+        return "KET" if len(token) > 1 else "ERROR"
+    if len(token) > 1 or token in "0123456789":
+        return "DECIMAL" if "." in token else "INT"
+    return "ERROR"
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    scan = _SCAN.match
-    multiline = "\n" in text
-    line, line_start, counted, pos = 1, 0, 0, 0
-    while True:
-        match = scan(text, pos)
-        start = match.end(1)
-        if multiline:
-            newlines = text.count("\n", counted, start)
-            if newlines:
-                line += newlines
-                line_start = text.rfind("\n", counted, start) + 1
-            counted = start
-        col = start - line_start + 1
-        kind = match.lastgroup
-        if kind is None:
-            tokens.append(_Token("EOF", "", line, col))
-            return tokens
-        token = match.group(kind)
-        if kind == "ERROR":
-            if token == "|":
-                raise KetSyntaxError("unterminated ket", line, col)
-            raise KetSyntaxError(f"unexpected character {token!r}", line, col)
-        tokens.append(_Token(kind, token, line, col))
-        pos = match.end()
+def _tokenize(text: str) -> tuple[list[str], list[str]]:
+    """The texts and kinds of the tokens of ``text``, ending in ``EOF``."""
+    texts = _TOKEN.findall(text)
+    kinds = [_KINDS.get(token) or _kind(token) for token in texts]
+    if "ERROR" in kinds:
+        index = kinds.index("ERROR")
+        reason = ("unterminated ket" if texts[index] == "|"
+                  else f"unexpected character {texts[index]!r}")
+        raise KetSyntaxError(reason, *_place(text, index))
+    texts.append("")
+    kinds.append("EOF")
+    return texts, kinds
 
 
-def _integer(text: str, tok: _Token) -> int:
-    """``int(text)``; past Python's digit limit it is a parse error at ``tok``."""
-    try:
-        return int(text)
-    except ValueError:
-        raise KetSyntaxError(f"integer literal of {len(text):,} digits is too "
-                             "long", tok.line, tok.col) from None
+def _place(text: str, index: int) -> tuple[int, int]:
+    """Line and column of token ``index`` of ``text``; past the last, its end."""
+    match = next(islice(_TOKEN.finditer(text), index, None), None)
+    start = len(text) if match is None else match.start(1)
+    line_start = text.rfind("\n", 0, start) + 1
+    return text.count("\n", 0, line_start) + 1, start - line_start + 1
 
 
 # terms accumulate as (coefficient, ket component tuple) pairs
 _Terms = list[tuple[complex, tuple[int, ...]]]
+_SCALARS = ("INT", "DECIMAL", "SQRT", "IMAG")
 
 
 class _Parser:
+    """Recursive descent over the token lists, by index."""
+
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
+        self.text = text
+        self.texts, self.kinds = _tokenize(text)
         self.pos = 0
         self.compact_used = False
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def fail(self, reason: str, index: int) -> NoReturn:
+        raise KetSyntaxError(reason, *_place(self.text, index))
 
-    def take(self, kind: str | None = None) -> _Token:
-        tok = self.tokens[self.pos]
-        if kind is not None and tok.kind != kind:
-            raise KetSyntaxError(
-                f"expected {kind}, found {tok.text or 'end of input'!r}",
-                tok.line, tok.col,
-            )
-        self.pos += 1
-        return tok
+    def shown(self, index: int) -> str:
+        """Token ``index`` as the messages quote it: a ket without its bars."""
+        token = self.texts[index]
+        return token[1:-1] if self.kinds[index] == "KET" else token
+
+    def take(self, kind: str | None = None) -> int:
+        """The index of the next token, which must be of ``kind`` if given."""
+        index = self.pos
+        if kind is not None and self.kinds[index] != kind:
+            found = self.shown(index) or "end of input"
+            self.fail(f"expected {kind}, found {found!r}", index)
+        self.pos = index + 1
+        return index
 
     def parse(self) -> _Terms:
         terms = self.parse_state()
-        tok = self.peek()
-        if tok.kind != "EOF":
-            raise KetSyntaxError(
-                f"unexpected trailing input {tok.text!r}", tok.line, tok.col
-            )
+        if self.kinds[self.pos] != "EOF":
+            self.fail(f"unexpected trailing input {self.shown(self.pos)!r}",
+                      self.pos)
         return terms
 
     def parse_state(self) -> _Terms:
+        kinds = self.kinds
         terms: _Terms = []
         sign = 1.0
-        if self.peek().kind in ("PLUS", "MINUS"):
-            sign = -1.0 if self.take().kind == "MINUS" else 1.0
-        terms.extend((sign * c, k) for c, k in self.parse_term())
-        while self.peek().kind in ("PLUS", "MINUS"):
-            sign = -1.0 if self.take().kind == "MINUS" else 1.0
-            terms.extend((sign * c, k) for c, k in self.parse_term())
+        if kinds[self.pos] in ("PLUS", "MINUS"):
+            sign = -1.0 if kinds[self.take()] == "MINUS" else 1.0
+        self.parse_term(sign, terms)
+        while kinds[self.pos] in ("PLUS", "MINUS"):
+            sign = -1.0 if kinds[self.take()] == "MINUS" else 1.0
+            self.parse_term(sign, terms)
         return self.divided(terms)
 
     def divided(self, terms: _Terms) -> _Terms:
         """``terms`` over the "/ scalar" that follows them, if one does."""
-        if self.peek().kind != "SLASH":
+        if self.kinds[self.pos] != "SLASH":
             return terms
         slash = self.take()
         divisor = self.parse_scalar()
         if divisor == 0:
-            raise KetSyntaxError("division by zero", slash.line, slash.col)
+            self.fail("division by zero", slash)
         return [(c / divisor, k) for c, k in terms]
 
-    def parse_term(self) -> _Terms:
-        tok = self.peek()
-        if tok.kind == "LPAREN":
+    def parse_term(self, sign: float, terms: _Terms) -> None:
+        """Add the next term, times ``sign``, to ``terms``."""
+        kind = self.kinds[self.pos]
+        if kind == "LPAREN":
             self.take()
-            terms = self.parse_state()
+            inner = self.parse_state()
             self.take("RPAREN")
-            return self.divided(terms)
+            terms.extend((sign * c, k) for c, k in self.divided(inner))
+            return
         coeff = complex(1.0)
-        if tok.kind in ("INT", "DECIMAL", "SQRT", "IMAG"):
+        if kind in _SCALARS:
             coeff = self.parse_scalar()
-            if self.peek().kind == "STAR":
+            if self.kinds[self.pos] == "STAR":
                 self.take()
-        ket_tok = self.take("KET")
-        return [(coeff, self._ket_components(ket_tok))]
+        terms.append((sign * coeff, self._ket_components(self.take("KET"))))
 
     def parse_scalar(self) -> complex:
+        kinds = self.kinds
         value = self._scalar_atom()
-        while self.peek().kind == "STAR" and self.tokens[self.pos + 1].kind in (
-            "INT", "DECIMAL", "SQRT", "IMAG",
-        ):
+        while kinds[self.pos] == "STAR" and kinds[self.pos + 1] in _SCALARS:
             self.take()
             value *= self._scalar_atom()
         return value
 
     def _scalar_atom(self) -> complex:
-        tok = self.take()
-        if tok.kind == "DECIMAL":
-            return complex(float(tok.text))
-        if tok.kind == "IMAG":
+        index = self.take()
+        kind = self.kinds[index]
+        if kind == "DECIMAL":
+            return complex(float(self.texts[index]))
+        if kind == "IMAG":
             return 1j
         try:
-            if tok.kind == "INT":
+            if kind == "INT":
                 # "a/b" directly after an integer is a fraction, not state division
-                if (
-                    self.peek().kind == "SLASH"
-                    and self.tokens[self.pos + 1].kind == "INT"
-                ):
+                if (self.kinds[self.pos] == "SLASH"
+                        and self.kinds[self.pos + 1] == "INT"):
                     self.take()
-                    denom_tok = self.take("INT")
-                    denom = _integer(denom_tok.text, denom_tok)
+                    denom = self._integer(self.take("INT"))
                     if denom == 0:
-                        raise KetSyntaxError("division by zero", tok.line, tok.col)
-                    return complex(_integer(tok.text, tok) / denom)
-                return complex(_integer(tok.text, tok))
-            if tok.kind == "SQRT":
+                        self.fail("division by zero", index)
+                    return complex(self._integer(index) / denom)
+                return complex(self._integer(index))
+            if kind == "SQRT":
                 self.take("LPAREN")
                 arg = self.take("INT")
                 self.take("RPAREN")
-                return complex(math.sqrt(_integer(arg.text, arg)))
+                return complex(math.sqrt(self._integer(arg)))
         except OverflowError:
-            raise KetSyntaxError(
-                "number too large for a float", tok.line, tok.col
-            ) from None
-        raise KetSyntaxError(
-            f"expected a scalar, found {tok.text or 'end of input'!r}",
-            tok.line, tok.col,
-        )
+            self.fail("number too large for a float", index)
+        self.fail("expected a scalar, found "
+                  f"{self.shown(index) or 'end of input'!r}", index)
 
-    def _ket_components(self, tok: _Token) -> tuple[int, ...]:
-        inner = tok.text.replace(" ", "").replace("\t", "")
+    def _integer(self, index: int, digits: str | None = None) -> int:
+        """``int`` of token ``index``, or of ``digits`` read from it.
+
+        Past Python's digit limit it is a parse error at the token.
+        """
+        if digits is None:
+            digits = self.texts[index]
+        try:
+            return int(digits)
+        except ValueError:
+            self.fail(f"integer literal of {len(digits):,} digits is too long",
+                      index)
+
+    def _ket_components(self, index: int) -> tuple[int, ...]:
+        token = self.texts[index]
+        inner = "".join(token[1:-1].split())
         if not inner:
-            raise KetSyntaxError("empty ket", tok.line, tok.col)
-        if "," in inner:
-            parts = inner.split(",")
-            if not inner.isascii() or not all(map(str.isdigit, parts)):
-                raise KetSyntaxError(
-                    f"ket components must be integers, got |{tok.text}>",
-                    tok.line, tok.col,
-                )
-            return tuple(_integer(p, tok) for p in parts)
-        if not (inner.isascii() and inner.isdigit()):
-            raise KetSyntaxError(
-                f"ket components must be integers, got |{tok.text}>",
-                tok.line, tok.col,
-            )
-        if len(inner) == 1:
-            return (int(inner),)
-        # compact qubit form, one digit per party
-        if any(c not in "01" for c in inner):
-            raise KetSyntaxError(
-                "compact kets are for qubits only; use the comma form "
-                f"for |{tok.text}>",
-                tok.line, tok.col,
-            )
-        self.compact_used = True
-        return tuple(int(c) for c in inner)
+            self.fail("empty ket", index)
+        parts = inner.split(",")
+        if not (inner.isascii() and all(map(str.isdigit, parts))):
+            self.fail(f"ket components must be integers, got {token}", index)
+        if len(parts) == 1 and len(inner) > 1:
+            # compact qubit form, one digit per party
+            if inner.strip("01"):
+                self.fail("compact kets are for qubits only; use the comma "
+                          f"form for {token}", index)
+            self.compact_used = True
+            parts = list(inner)
+        try:
+            return tuple(map(int, parts))
+        except ValueError:
+            # a component past the digit limit; name the first one
+            return tuple(self._integer(index, part) for part in parts)
 
 
 def parse_amplitudes(

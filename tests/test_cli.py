@@ -238,6 +238,38 @@ class TestErrorChannels:
         code, out, err = run_cli(capsys, "compute", "--expr", expr, "--normalize")
         assert (code, out, err) == (2, "", message + "\n")
 
+    # parties are 1-based on this surface, in errors as in arguments
+    @pytest.mark.parametrize("argv, message", [
+        (["measure", "--expr", GHZ_EXPR, "--party", "1", "--outcome", "5"],
+         "outcome 5 out of range for party 1 of dimension 2"),
+        (["measure", "--expr", GHZ_EXPR, "--party", "0", "--outcome", "0"],
+         "party 0 out of range for 3 parties"),
+        (["apply", "--expr", EPR_EXPR, "--party", "3", "--gate", "H"],
+         "party 3 out of range for 2 parties"),
+        (["compute", "--expr", EPR_EXPR, "--subset", "1,3"],
+         "bad subset '1,3': out of range for 2 parties"),
+        (["optimize", "--expr", EPR_EXPR, "--subset", "1,3"],
+         "bad subset '1,3': out of range for 2 parties"),
+        (["compute", "--expr", EPR_EXPR, "--subset", "1,1"],
+         "bad subset '1,1': a party is named twice"),
+        (["optimize", "--expr", EPR_EXPR, "--subset", "1,1"],
+         "bad subset '1,1': a party is named twice"),
+        (["regroup", "--expr", GHZ_EXPR, "--groups", "1,2|4"],
+         "bad grouping '1,2|4': the blocks must cover all 3 parties exactly once"),
+        (["oracle", "--kind", "purity", "--expr", GHZ_EXPR, "--split", "1|4"],
+         "bad grouping '1|4': the blocks must cover all 3 parties exactly once"),
+        (["oracle", "--kind", "wootters", "--expr", GHZ_EXPR, "--pair", "1,4"],
+         "bad subset '1,4': out of range for 3 parties"),
+        (["oracle", "--kind", "wootters", "--expr", "(|0,0,0> + |2,1,1>)/sqrt(2)",
+          "--pair", "1,2"],
+         "kept party 1 has dimension 3, but the two-qubit reduction requires "
+         "qubits"),
+    ], ids=["measure-outcome", "measure-party", "apply-party", "compute-range",
+            "optimize-range", "compute-repeat", "optimize-repeat", "regroup",
+            "purity-split", "wootters-range", "wootters-qutrit"])
+    def test_parties_are_named_as_typed(self, capsys, argv, message):
+        assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
+
 
 def _ket(parties):
     return "|" + ",".join(map(str, parties)) + ">"
@@ -383,7 +415,7 @@ def _reference_report(state, flags):
     if args.subset:
         values = {}
         for text in args.subset:
-            selector = cli_module._parse_subset(text)
+            selector = cli_module._parse_subset(text, state.structure)
             values[selector] = component(state, selector, scheme)
         report = TensorReport(state.structure, scheme, values)
     else:

@@ -4,7 +4,7 @@ import math
 import sys
 import tracemalloc
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 import pytest
@@ -92,6 +92,27 @@ class TestGrammar:
     def test_qudit_digits(self):
         state = parse_ket("(|0,0> + |2,1>)/sqrt(2)")
         assert state.structure.dims == (3, 2)
+
+    @pytest.mark.parametrize("ket", [
+        "|0,\n1>", "|0,\r\n1>", "|0,\u00a01>", "|0 ,\t1>", "|\n0,1\n>",
+        "|0\x0b,\x0c1>", "|0\n1>",
+    ])
+    def test_whitespace_inside_a_ket(self, ket):
+        state = parse_ket(f"(|1,0> + {ket})/sqrt(2)")
+        assert state.structure.dims == (2, 2)
+        assert state.amplitude((0, 1)) == state.amplitude((1, 0)) == pytest.approx(
+            1 / math.sqrt(2))
+
+    def test_positions_after_a_ket_across_lines(self):
+        with pytest.raises(KetSyntaxError) as err:
+            parse_ket("(|0,\n1> + |1,0>)/0")
+        assert (err.value.reason, err.value.line, err.value.col) == (
+            "division by zero", 2, 12)
+
+    def test_bad_ket_keeps_its_whitespace_in_the_message(self):
+        with pytest.raises(KetSyntaxError) as err:
+            parse_ket("|0,\na>")
+        assert err.value.reason == "ket components must be integers, got |0,\na>"
 
 
 class TestCompactForm:
@@ -274,11 +295,230 @@ def reference_tokenize(text: str) -> list[_ReferenceToken]:
     return tokens
 
 
+class _PositionedToken(NamedTuple):
+    kind: str
+    text: str
+    line: int
+    col: int
+
+
+def positioned_tokens(text: str) -> list[_PositionedToken]:
+    """``ketparse._tokenize``'s tokens, each placed as an error there would be.
+
+    A ket's text is shown without its bars, as ``reference_tokenize`` has it.
+    """
+    texts, kinds = ketparse._tokenize(text)
+    return [_PositionedToken(kind, token[1:-1] if kind == "KET" else token,
+                             *ketparse._place(text, index))
+            for index, (token, kind) in enumerate(zip(texts, kinds))]
+
+
 def _tokens_or_error(tokenize, text):
     try:
         return [(t.kind, t.text, t.line, t.col) for t in tokenize(text)]
     except KetSyntaxError as exc:
         return ("error", exc.reason, exc.line, exc.col)
+
+
+# ---------------------------------------------------------------------------
+# the parser of the positioned-token scanner, kept as the reference
+
+
+def _reference_integer(text: str, tok: _ReferenceToken) -> int:
+    """``int(text)``; past Python's digit limit it is a parse error at ``tok``."""
+    try:
+        return int(text)
+    except ValueError:
+        raise KetSyntaxError(f"integer literal of {len(text):,} digits is too "
+                             "long", tok.line, tok.col) from None
+
+
+_ReferenceTerms = list[tuple[complex, tuple[int, ...]]]
+
+
+class _ReferenceParser:
+    def __init__(self, text: str):
+        self.tokens = reference_tokenize(text)
+        self.pos = 0
+        self.compact_used = False
+
+    def peek(self) -> _ReferenceToken:
+        return self.tokens[self.pos]
+
+    def take(self, kind: str | None = None) -> _ReferenceToken:
+        tok = self.tokens[self.pos]
+        if kind is not None and tok.kind != kind:
+            raise KetSyntaxError(
+                f"expected {kind}, found {tok.text or 'end of input'!r}",
+                tok.line, tok.col,
+            )
+        self.pos += 1
+        return tok
+
+    def parse(self) -> _ReferenceTerms:
+        terms = self.parse_state()
+        tok = self.peek()
+        if tok.kind != "EOF":
+            raise KetSyntaxError(
+                f"unexpected trailing input {tok.text!r}", tok.line, tok.col
+            )
+        return terms
+
+    def parse_state(self) -> _ReferenceTerms:
+        terms: _ReferenceTerms = []
+        sign = 1.0
+        if self.peek().kind in ("PLUS", "MINUS"):
+            sign = -1.0 if self.take().kind == "MINUS" else 1.0
+        terms.extend((sign * c, k) for c, k in self.parse_term())
+        while self.peek().kind in ("PLUS", "MINUS"):
+            sign = -1.0 if self.take().kind == "MINUS" else 1.0
+            terms.extend((sign * c, k) for c, k in self.parse_term())
+        return self.divided(terms)
+
+    def divided(self, terms: _ReferenceTerms) -> _ReferenceTerms:
+        if self.peek().kind != "SLASH":
+            return terms
+        slash = self.take()
+        divisor = self.parse_scalar()
+        if divisor == 0:
+            raise KetSyntaxError("division by zero", slash.line, slash.col)
+        return [(c / divisor, k) for c, k in terms]
+
+    def parse_term(self) -> _ReferenceTerms:
+        tok = self.peek()
+        if tok.kind == "LPAREN":
+            self.take()
+            terms = self.parse_state()
+            self.take("RPAREN")
+            return self.divided(terms)
+        coeff = complex(1.0)
+        if tok.kind in ("INT", "DECIMAL", "SQRT", "IMAG"):
+            coeff = self.parse_scalar()
+            if self.peek().kind == "STAR":
+                self.take()
+        ket_tok = self.take("KET")
+        return [(coeff, self._ket_components(ket_tok))]
+
+    def parse_scalar(self) -> complex:
+        value = self._scalar_atom()
+        while self.peek().kind == "STAR" and self.tokens[self.pos + 1].kind in (
+            "INT", "DECIMAL", "SQRT", "IMAG",
+        ):
+            self.take()
+            value *= self._scalar_atom()
+        return value
+
+    def _scalar_atom(self) -> complex:
+        tok = self.take()
+        if tok.kind == "DECIMAL":
+            return complex(float(tok.text))
+        if tok.kind == "IMAG":
+            return 1j
+        try:
+            if tok.kind == "INT":
+                if (
+                    self.peek().kind == "SLASH"
+                    and self.tokens[self.pos + 1].kind == "INT"
+                ):
+                    self.take()
+                    denom_tok = self.take("INT")
+                    denom = _reference_integer(denom_tok.text, denom_tok)
+                    if denom == 0:
+                        raise KetSyntaxError("division by zero", tok.line, tok.col)
+                    return complex(_reference_integer(tok.text, tok) / denom)
+                return complex(_reference_integer(tok.text, tok))
+            if tok.kind == "SQRT":
+                self.take("LPAREN")
+                arg = self.take("INT")
+                self.take("RPAREN")
+                return complex(math.sqrt(_reference_integer(arg.text, arg)))
+        except OverflowError:
+            raise KetSyntaxError(
+                "number too large for a float", tok.line, tok.col
+            ) from None
+        raise KetSyntaxError(
+            f"expected a scalar, found {tok.text or 'end of input'!r}",
+            tok.line, tok.col,
+        )
+
+    def _ket_components(self, tok: _ReferenceToken) -> tuple[int, ...]:
+        # the one change from the scanner's parser: every whitespace
+        # character is stripped, where it stripped only spaces and tabs
+        inner = "".join(tok.text.split())
+        if not inner:
+            raise KetSyntaxError("empty ket", tok.line, tok.col)
+        if "," in inner:
+            parts = inner.split(",")
+            if not inner.isascii() or not all(map(str.isdigit, parts)):
+                raise KetSyntaxError(
+                    f"ket components must be integers, got |{tok.text}>",
+                    tok.line, tok.col,
+                )
+            return tuple(_reference_integer(p, tok) for p in parts)
+        if not (inner.isascii() and inner.isdigit()):
+            raise KetSyntaxError(
+                f"ket components must be integers, got |{tok.text}>",
+                tok.line, tok.col,
+            )
+        if len(inner) == 1:
+            return (int(inner),)
+        if any(c not in "01" for c in inner):
+            raise KetSyntaxError(
+                "compact kets are for qubits only; use the comma form "
+                f"for |{tok.text}>",
+                tok.line, tok.col,
+            )
+        self.compact_used = True
+        return tuple(int(c) for c in inner)
+
+
+def reference_parse_amplitudes(
+    text: str, structure_hint: PartyStructure | None = None
+) -> tuple[PartyStructure, np.ndarray]:
+    parser = _ReferenceParser(text)
+    terms = parser.parse()
+    if not terms:
+        raise KetSyntaxError("empty expression", 1, 1)
+    if (
+        parser.compact_used
+        and structure_hint is not None
+        and any(n != 2 for n in structure_hint.dims)
+    ):
+        raise KetSyntaxError(
+            "compact kets require every party dimension to be 2", 1, 1
+        )
+    arity = len(terms[0][1])
+    for _, ket in terms:
+        if len(ket) != arity:
+            raise KetSyntaxError(
+                f"inconsistent ket arity: found both {arity} and {len(ket)} parties",
+                1, 1,
+            )
+    if structure_hint is not None:
+        if structure_hint.num_parties != arity:
+            raise KetSyntaxError(
+                f"expression has {arity} parties but the structure hint has "
+                f"{structure_hint.num_parties}",
+                1, 1,
+            )
+        structure = structure_hint
+        for _, ket in terms:
+            for party, (k, n) in enumerate(zip(ket, structure.dims)):
+                if k >= n:
+                    raise KetSyntaxError(
+                        f"digit {k} exceeds hinted dimension {n} for party "
+                        f"{party + 1}",
+                        1, 1,
+                    )
+    else:
+        dims = tuple(
+            max(2, 1 + max(ket[j] for _, ket in terms)) for j in range(arity)
+        )
+        structure = PartyStructure(dims)
+    amps = ketparse._zero_amplitudes(structure)
+    for coeff, ket in terms:
+        amps[flat_index(structure, ket)] += coeff
+    return structure, amps
 
 
 # the grammar's characters, whitespace including a newline, two non-ASCII
@@ -291,7 +531,7 @@ class TestTokenizerAgainstReference:
     @given(st.text(alphabet=KET_ALPHABET, max_size=40))
     @settings(max_examples=400, deadline=None)
     def test_tokens_and_errors_match(self, text):
-        got = _tokens_or_error(ketparse._tokenize, text)
+        got = _tokens_or_error(positioned_tokens, text)
         if text.isascii() or not any(c.isdigit() for c in text if not c.isascii()):
             assert got == _tokens_or_error(reference_tokenize, text)
         elif got[0] != "error":
@@ -299,15 +539,160 @@ class TestTokenizerAgainstReference:
             assert all(kind == "KET" or tok.isascii() for kind, tok, *_ in got)
 
     def test_token_is_a_named_tuple(self):
-        assert ketparse._tokenize("2|0>")[0] == ("INT", "2", 1, 1)
+        assert positioned_tokens("2|0>")[0] == ("INT", "2", 1, 1)
 
     @pytest.mark.parametrize("text", [
         "(|0,0>\n + |1,\n1>)/sqrt(2)\n", "\n\n  |0>  \n", "|0>\n^", "\t|0",
         "1.5.2|0>", ".|0>", "sqr", "",
     ])
     def test_positions_across_lines(self, text):
-        assert (_tokens_or_error(ketparse._tokenize, text)
+        assert (_tokens_or_error(positioned_tokens, text)
                 == _tokens_or_error(reference_tokenize, text))
+
+
+# scalar atoms of the grammar, as token lists
+_SCALAR_ATOMS = st.one_of(
+    st.integers(0, 12).map(lambda n: [str(n)]),
+    st.builds("{}.{}".format, st.integers(0, 9),
+              st.sampled_from(["", "5", "25", "125"])).map(lambda t: [t]),
+    st.integers(0, 99).map(lambda n: [f".{n}"]),
+    st.tuples(st.integers(0, 9), st.integers(0, 9)).map(
+        lambda f: [str(f[0]), "/", str(f[1])]),
+    st.integers(0, 9).map(lambda n: ["sqrt", "(", str(n), ")"]),
+    st.sampled_from([["i"], ["I"]]),
+)
+_SEPARATORS = st.sampled_from(["", " ", " ", "\n", " \n\t", "\r\n", "\u00a0"])
+
+
+@st.composite
+def ket_sums(draw):
+    """Sums of terms in the grammar, with whitespace between any two tokens.
+
+    Signs, decimals, fractions, ``sqrt(n)``, ``i``, scalar products, nested
+    parentheses and ``/ scalar``; kets may hold whitespace or be compact.
+    One token in four texts is dropped, for errors at every depth.
+    """
+    arity = draw(st.integers(1, 4))
+    tokens: list[str] = []
+
+    def scalar():
+        for n, atom in enumerate(draw(st.lists(_SCALAR_ATOMS, min_size=1,
+                                               max_size=3))):
+            tokens.extend((["*"] if n else []) + atom)
+
+    def ket():
+        digits = draw(st.lists(st.integers(0, 2), min_size=arity,
+                               max_size=arity))
+        if arity > 1 and draw(st.integers(0, 5)) == 0:
+            tokens.append("|" + "".join(str(min(d, 1)) for d in digits) + ">")
+            return
+        comma = draw(st.sampled_from([",", ",", ", ", ",\n", " ,\t"]))
+        tokens.append("|" + comma.join(map(str, digits)) + ">")
+
+    def state(depth):
+        for n in range(draw(st.integers(1, 3))):
+            sign = draw(st.sampled_from(["+", "-"] if n else ["", "", "+", "-"]))
+            tokens.extend([sign] if sign else [])
+            if depth < 3 and draw(st.integers(0, 3)) == 0:
+                tokens.append("(")
+                state(depth + 1)
+                tokens.append(")")
+            else:
+                if draw(st.booleans()):
+                    scalar()
+                    tokens.extend(draw(st.sampled_from([[], ["*"]])))
+                ket()
+        if draw(st.integers(0, 2)) == 0:
+            tokens.append("/")
+            scalar()
+
+    state(0)
+    if draw(st.integers(0, 3)) == 0:
+        del tokens[draw(st.integers(0, len(tokens) - 1))]
+    return "".join(draw(_SEPARATORS) + token for token in tokens) + draw(_SEPARATORS)
+
+
+def _parsed(parse, text):
+    """Dims and amplitude bits, or the error, of ``parse(text)``."""
+    try:
+        structure, amps = parse(text)
+    except KetSyntaxError as exc:
+        return ("error", exc.reason, exc.line, exc.col)
+    except KetFormatError as exc:  # over the test's amplitude budget
+        return ("format error", str(exc))
+    return structure.dims, amps.tobytes()
+
+
+class TestParserAgainstReference:
+    """``parse_amplitudes`` against the positioned-token parser above."""
+
+    @staticmethod
+    def assert_same(text):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(states_module, "MAX_TOTAL_DIM", 4096)
+            got = _parsed(parse_amplitudes, text)
+            assert got == _parsed(reference_parse_amplitudes, text), text
+
+    @given(st.text(alphabet=KET_ALPHABET, max_size=40))
+    @settings(max_examples=400, deadline=None)
+    def test_alphabet_texts(self, text):
+        # reference_tokenize reads a non-ASCII digit outside a ket as a digit
+        if text.isascii() or not any(c.isdigit() for c in text if not c.isascii()):
+            self.assert_same(text)
+
+    @given(ket_sums())
+    @settings(max_examples=300, deadline=None)
+    def test_sums_of_terms(self, text):
+        self.assert_same(text)
+
+    @pytest.mark.parametrize("text", [
+        "-(\n3/5*|0,1>\n - 4/5 * i *|1,0>\n)",
+        "((|0,0> + |1,\n1>)/sqrt\n(\n2\n) - .5*I|1,0>)/1.25",
+        "(|0110>\n+|1001>)\n/sqrt(2)",
+        "(|0,0>\n + |1,1>)\n/ sqrt(2) + |2,2>",
+        "(|0,0>\n +\n |1,1> ^)/sqrt(2)",
+        "(|0,0>\n +\n 2 * *|1,1>)",
+        "|0>\n\n/0",
+    ])
+    def test_examples_across_lines(self, text):
+        self.assert_same(text)
+
+
+class TestPositionsOnlyOnError:
+    """Token positions are worked out only when an error is raised."""
+
+    W7 = ("(|1,0,0,0,0,0,0> + |0,1,0,0,0,0,0>\n + |0,0,1,0,0,0,0> + "
+          "|0,0,0,1,0,0,0>\n + |0,0,0,0,1,0,0> + |0,0,0,0,0,1,0>\n"
+          " + |0,0,0,0,0,0,1>)/sqrt(7)\n")
+
+    @pytest.fixture
+    def placed(self, monkeypatch):
+        calls = []
+        place = ketparse._place
+
+        def counted(text, index):
+            calls.append(index)
+            return place(text, index)
+
+        monkeypatch.setattr(ketparse, "_place", counted)
+        return calls
+
+    def test_valid_expression_places_no_token(self, placed):
+        state = parse_ket(self.W7)
+        assert state.structure.dims == (2,) * 7
+        assert placed == []
+
+    @pytest.mark.parametrize("old, new, error", [
+        ("(7)\n", "(7) ^", ("unexpected character '^'", 4, 29)),
+        ("sqrt(7)", "0", ("division by zero", 4, 20)),
+        ("|0,1,0,0,0,0,0>", "|0,1,0,0,0,0,x>", (
+            "ket components must be integers, got |0,1,0,0,0,0,x>", 1, 20)),
+    ])
+    def test_an_error_places_one_token(self, placed, old, new, error):
+        with pytest.raises(KetSyntaxError) as err:
+            parse_ket(self.W7.replace(old, new))
+        assert (err.value.reason, err.value.line, err.value.col) == error
+        assert len(placed) == 1
 
 
 class TestLinearity:
