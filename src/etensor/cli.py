@@ -9,6 +9,17 @@ go to stderr.  Exit codes: 0 success, 2 usage/parse/file problems,
 running out of memory and work over ``tensor.MAX_KERNEL_WORK``, 1
 computation errors.  ``main`` builds its argument parser once per
 process, on first use, and reuses it for every call.
+
+Every subcommand's options are defined once, in the table ``_COMMANDS``.
+``build_parser`` builds the argparse parser from it, and ``_read_argv``
+reads from it: a subcommand, then exact long options of that subcommand,
+each value option followed by a value that does not start with ``-``,
+converted by its type, within its choices, with every required option
+given.  For such argv it returns the namespace argparse would build, for
+a fraction of argparse's cost.  ``main`` tries it first; any other argv
+(help, abbreviations, ``--opt=value``, ``--``, values such as ``-1``, and
+every mistake) goes to argparse, which keeps the help text and explains
+each refusal by its own rules.
 """
 
 from __future__ import annotations
@@ -19,7 +30,7 @@ import functools
 import os
 import re
 import sys
-from typing import Any, Sequence, TextIO
+from typing import Any, Callable, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -65,6 +76,10 @@ from .tensor import (
 )
 
 SEED_ENV_VAR = "ETENSOR_SEED"
+
+
+class _UsageError(ValueError):
+    """A refused setting that argparse does not see; exit 2, like a refused option."""
 
 
 def _party(structure: PartyStructure, number: int) -> int:
@@ -217,22 +232,37 @@ def _cmd_compute(args: argparse.Namespace, out: TextIO) -> int:
     if args.table:
         components = doc["components"]
         labels = components.labels()
-        width = max(map(len, ["subset", *labels]))
+        width = max(map(len, ["subset", *labels] + ["detached"] * args.detached))
         row = f"%-{width}s  %.15g\n"
+        footer = row % ("norm", doc["tensor_norm"])
+        if args.detached:
+            parties = ",".join(map(str, doc["detached_parties"])) or "none"
+            footer += f"{'detached':<{width}}  {parties}\n"
         out.write(f"{'subset':<{width}}  value\n"
                   + "".join(map(row.__mod__, zip(labels, components.values)))
-                  + row % ("norm", doc["tensor_norm"]))
+                  + footer)
     else:
         write_json(doc, out, round_floats=True)
     return 0
 
 
+def _env_seed() -> int:
+    """The seed in ``$ETENSOR_SEED``, 0 if unset."""
+    text = os.environ.get(SEED_ENV_VAR, "0")
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise _UsageError(f"{SEED_ENV_VAR} must be a non-negative integer, "
+                          f"got {text!r}")
+    return seed
+
+
 def _cmd_optimize(args: argparse.Namespace, out: TextIO) -> int:
+    seed = _env_seed() if args.seed is None else args.seed
     state = _load_state(args)
     scheme = _parse_norm_consts(args.norm_const or [])
-    seed = args.seed
-    if seed is None:
-        seed = int(os.environ.get(SEED_ENV_VAR, "0"))
     config = OptimizerConfig(
         restarts=args.restarts,
         max_iters=args.iters,
@@ -385,13 +415,100 @@ def _cmd_paper_suite(args: argparse.Namespace, out: TextIO) -> int:
 # argument parsing
 
 
-def _add_state_arguments(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--state", help="path to a .ket or .ket.json file")
-    sub.add_argument("--expr", help="inline ket expression")
-    sub.add_argument(
-        "--normalize", action="store_true",
-        help="rescale unnormalized input instead of rejecting it",
-    )
+class _Option(NamedTuple):
+    """One long option of a subcommand, in ``add_argument``'s terms."""
+
+    name: str
+    help: str | None = None
+    action: str = "store"  # or "store_true", "append"
+    type: Callable[[str], Any] | None = None
+    choices: tuple[str, ...] | None = None
+    default: Any = None
+    required: bool = False
+    metavar: str | None = None
+
+    def arguments(self) -> dict[str, Any]:
+        """``add_argument``'s keywords; a flag takes no value settings."""
+        kwargs = {"action": self.action, "required": self.required,
+                  "help": self.help}
+        if self.action != "store_true":
+            kwargs.update(type=self.type, choices=self.choices,
+                          default=self.default, metavar=self.metavar)
+        return kwargs
+
+
+class _Command(NamedTuple):
+    help: str
+    func: Callable[[argparse.Namespace, TextIO], int]
+    options: tuple[_Option, ...]
+
+
+_STATE_OPTIONS = (
+    _Option("--state", help="path to a .ket or .ket.json file"),
+    _Option("--expr", help="inline ket expression"),
+    _Option("--normalize", action="store_true",
+            help="rescale unnormalized input instead of rejecting it"),
+)
+
+# every subcommand and its options, in the order of their help text
+_COMMANDS = {
+    "compute": _Command("component values for subsets of parties", _cmd_compute, (
+        *_STATE_OPTIONS,
+        _Option("--all", action="store_true",
+                help="all subsets of every size (default)"),
+        _Option("--sizes", help="comma list of subset sizes"),
+        _Option("--subset", action="append",
+                help="one 1-based subset like 1,2 (repeatable)"),
+        _Option("--norm-const", action="append", metavar="D=VALUE",
+                help="override the normalization constant for size D"),
+        _Option("--table", action="store_true",
+                help="aligned table instead of JSON"),
+        _Option("--detached", action="store_true",
+                help="list the parties that factor out of the state"),
+    )),
+    "optimize": _Command("maximize components over local unitaries", _cmd_optimize, (
+        *_STATE_OPTIONS,
+        _Option("--subset", help="1-based subset like 2,3"),
+        _Option("--subsets", help="semicolon list of subsets for a joint search"),
+        _Option("--objective", choices=("min", "mean"), default="min",
+                help="joint objective for --subsets"),
+        _Option("--restarts", type=int, default=32),
+        _Option("--iters", type=int, default=500),
+        _Option("--step-tol", type=float, default=1e-8),
+        _Option("--value-tol", type=float, default=1e-10),
+        _Option("--seed", type=int, help=f"default: ${SEED_ENV_VAR} or 0"),
+        _Option("--norm-const", action="append", metavar="D=VALUE"),
+        _Option("--diagnostics", action="store_true",
+                help="add each restart's stop reason, iteration and "
+                     "evaluation counts and wall time"),
+    )),
+    "measure": _Command("computational-basis measurement of one party", _cmd_measure, (
+        *_STATE_OPTIONS,
+        _Option("--party", type=int, required=True),
+        _Option("--outcome", type=int, required=True),
+    )),
+    "apply": _Command("apply a local gate", _cmd_apply, (
+        *_STATE_OPTIONS,
+        _Option("--party", type=int, required=True),
+        _Option("--gate", required=True,
+                help="H, PHASE(p0,...,pN-1), or U(file.json)"),
+    )),
+    "regroup": _Command("merge parties into blocks, e.g. --groups 1,2|3,4",
+                        _cmd_regroup, (
+        *_STATE_OPTIONS,
+        _Option("--groups", required=True),
+    )),
+    "oracle": _Command("independent concurrence reference values", _cmd_oracle, (
+        *_STATE_OPTIONS,
+        _Option("--kind", required=True,
+                choices=("concurrence", "purity", "wootters", "dur")),
+        _Option("--split", help="bipartition for --kind purity"),
+        _Option("--pair", help="kept qubit pair for --kind wootters"),
+        _Option("--m", type=int, help="party count for --kind dur"),
+    )),
+    "paper-suite": _Command("run the built-in table of closed-form example states",
+                            _cmd_paper_suite, ()),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -400,85 +517,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="entanglement tensor components of pure multipartite states",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_compute = sub.add_parser(
-        "compute", help="component values for subsets of parties"
-    )
-    _add_state_arguments(p_compute)
-    p_compute.add_argument("--all", action="store_true",
-                           help="all subsets of every size (default)")
-    p_compute.add_argument("--sizes", help="comma list of subset sizes")
-    p_compute.add_argument("--subset", action="append",
-                           help="one 1-based subset like 1,2 (repeatable)")
-    p_compute.add_argument("--norm-const", action="append", metavar="D=VALUE",
-                           help="override the normalization constant for size D")
-    p_compute.add_argument("--table", action="store_true",
-                           help="aligned table instead of JSON")
-    p_compute.add_argument("--detached", action="store_true",
-                           help="list the parties that factor out of the state")
-    p_compute.set_defaults(func=_cmd_compute)
-
-    p_opt = sub.add_parser(
-        "optimize", help="maximize components over local unitaries"
-    )
-    _add_state_arguments(p_opt)
-    p_opt.add_argument("--subset", help="1-based subset like 2,3")
-    p_opt.add_argument("--subsets",
-                       help="semicolon list of subsets for a joint search")
-    p_opt.add_argument("--objective", choices=("min", "mean"), default="min",
-                       help="joint objective for --subsets")
-    p_opt.add_argument("--restarts", type=int, default=32)
-    p_opt.add_argument("--iters", type=int, default=500)
-    p_opt.add_argument("--step-tol", type=float, default=1e-8)
-    p_opt.add_argument("--value-tol", type=float, default=1e-10)
-    p_opt.add_argument("--seed", type=int, default=None,
-                       help=f"default: ${SEED_ENV_VAR} or 0")
-    p_opt.add_argument("--norm-const", action="append", metavar="D=VALUE")
-    p_opt.add_argument("--diagnostics", action="store_true",
-                       help="add each restart's stop reason, iteration and "
-                            "evaluation counts and wall time")
-    p_opt.set_defaults(func=_cmd_optimize)
-
-    p_measure = sub.add_parser(
-        "measure", help="computational-basis measurement of one party"
-    )
-    _add_state_arguments(p_measure)
-    p_measure.add_argument("--party", type=int, required=True)
-    p_measure.add_argument("--outcome", type=int, required=True)
-    p_measure.set_defaults(func=_cmd_measure)
-
-    p_apply = sub.add_parser("apply", help="apply a local gate")
-    _add_state_arguments(p_apply)
-    p_apply.add_argument("--party", type=int, required=True)
-    p_apply.add_argument("--gate", required=True,
-                         help="H, PHASE(p0,...,pN-1), or U(file.json)")
-    p_apply.set_defaults(func=_cmd_apply)
-
-    p_regroup = sub.add_parser(
-        "regroup", help="merge parties into blocks, e.g. --groups 1,2|3,4"
-    )
-    _add_state_arguments(p_regroup)
-    p_regroup.add_argument("--groups", required=True)
-    p_regroup.set_defaults(func=_cmd_regroup)
-
-    p_oracle = sub.add_parser(
-        "oracle", help="independent concurrence reference values"
-    )
-    _add_state_arguments(p_oracle)
-    p_oracle.add_argument("--kind", required=True,
-                          choices=("concurrence", "purity", "wootters", "dur"))
-    p_oracle.add_argument("--split", help="bipartition for --kind purity")
-    p_oracle.add_argument("--pair", help="kept qubit pair for --kind wootters")
-    p_oracle.add_argument("--m", type=int,
-                          help="party count for --kind dur")
-    p_oracle.set_defaults(func=_cmd_oracle)
-
-    p_suite = sub.add_parser(
-        "paper-suite",
-        help="run the built-in table of closed-form example states",
-    )
-    p_suite.set_defaults(func=_cmd_paper_suite)
-
+    for name, command in _COMMANDS.items():
+        sub_parser = sub.add_parser(name, help=command.help)
+        for option in command.options:
+            sub_parser.add_argument(option.name, **option.arguments())
+        sub_parser.set_defaults(func=command.func)
     return parser
 
 
@@ -492,13 +535,73 @@ def _shared_parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _reading_table(command: _Command) -> tuple[dict, dict, tuple[str, ...]]:
+    """``command``'s options by name with their dests, the namespace's
+    defaults (``func`` too) and the dests of the required options."""
+    options, defaults = {}, {"func": command.func}
+    for option in command.options:
+        dest = option.name[2:].replace("-", "_")
+        options[option.name] = option, dest
+        defaults[dest] = False if option.action == "store_true" else option.default
+    required = tuple(dest for option, dest in options.values() if option.required)
+    return options, defaults, required
+
+
+_READING = {name: _reading_table(command) for name, command in _COMMANDS.items()}
+
+
+def _read_argv(argv: Sequence[str]) -> argparse.Namespace | None:
+    """The namespace ``parse_args`` would give for well-formed ``argv``, or None.
+
+    Well-formed is a subcommand, then that subcommand's exact long options,
+    each value option followed by a value that does not start with ``-``,
+    each value converted by its type and within its choices, and every
+    required option given.  Anything else (help, abbreviations,
+    ``--opt=value``, ``--``, values such as ``-1``, and every mistake) is
+    None, and argparse reads it by its own rules.
+    """
+    if not argv or argv[0] not in _READING:
+        return None
+    options, defaults, required = _READING[argv[0]]
+    values = {**defaults, "command": argv[0]}
+    i, end = 1, len(argv)
+    while i < end:
+        found = options.get(argv[i])
+        if found is None:
+            return None
+        option, dest = found
+        if option.action == "store_true":
+            values[dest] = True
+            i += 1
+            continue
+        if i + 1 == end or argv[i + 1].startswith("-"):
+            return None
+        value = argv[i + 1]
+        if option.type is not None:
+            try:
+                value = option.type(value)
+            except (TypeError, ValueError):
+                return None
+        if option.choices is not None and value not in option.choices:
+            return None
+        if option.action == "append":
+            value = [*(values[dest] or ()), value]
+        values[dest] = value
+        i += 2
+    if any(values[dest] is None for dest in required):
+        return None
+    return argparse.Namespace(**values)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _shared_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code if isinstance(exc.code, int) else 2
-        return code
+    args = _read_argv(sys.argv[1:] if argv is None else argv)
+    if args is None:
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            code = exc.code if isinstance(exc.code, int) else 2
+            return code
     try:
         return args.func(args, sys.stdout)
     except KetSyntaxError as exc:
@@ -514,7 +617,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 2
-    except WorkLimitError as exc:
+    except (WorkLimitError, _UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

@@ -138,10 +138,15 @@ class _Parser:
         self.text = text
         self.texts, self.kinds = _tokenize(text)
         self.pos = 0
-        self.compact_used = False
+        self.first_compact: int | None = None  # token index of the first compact ket
 
     def fail(self, reason: str, index: int) -> NoReturn:
         raise KetSyntaxError(reason, *_place(self.text, index))
+
+    def fail_at_term(self, reason: str, term: int) -> NoReturn:
+        """Fail at the ket of term ``term``: terms keep the order of their kets."""
+        kets = [i for i, kind in enumerate(self.kinds) if kind == "KET"]
+        self.fail(reason, kets[term])
 
     def shown(self, index: int) -> str:
         """Token ``index`` as the messages quote it: a ket without its bars."""
@@ -264,7 +269,8 @@ class _Parser:
             if inner.strip("01"):
                 self.fail("compact kets are for qubits only; use the comma "
                           f"form for {token}", index)
-            self.compact_used = True
+            if self.first_compact is None:
+                self.first_compact = index
             parts = list(inner)
         try:
             return tuple(map(int, parts))
@@ -288,36 +294,30 @@ def parse_amplitudes(
     if not terms:
         raise KetSyntaxError("empty expression", 1, 1)
     if (
-        parser.compact_used
+        parser.first_compact is not None
         and structure_hint is not None
         and any(n != 2 for n in structure_hint.dims)
     ):
-        raise KetSyntaxError(
-            "compact kets require every party dimension to be 2", 1, 1
-        )
+        parser.fail("compact kets require every party dimension to be 2",
+                    parser.first_compact)
     arity = len(terms[0][1])
-    for _, ket in terms:
+    for term, (_, ket) in enumerate(terms):
         if len(ket) != arity:
-            raise KetSyntaxError(
+            parser.fail_at_term(
                 f"inconsistent ket arity: found both {arity} and {len(ket)} parties",
-                1, 1,
-            )
+                term)
     if structure_hint is not None:
         if structure_hint.num_parties != arity:
-            raise KetSyntaxError(
+            parser.fail_at_term(
                 f"expression has {arity} parties but the structure hint has "
-                f"{structure_hint.num_parties}",
-                1, 1,
-            )
+                f"{structure_hint.num_parties}", 0)
         structure = structure_hint
-        for _, ket in terms:
+        for term, (_, ket) in enumerate(terms):
             for party, (k, n) in enumerate(zip(ket, structure.dims)):
                 if k >= n:
-                    raise KetSyntaxError(
+                    parser.fail_at_term(
                         f"digit {k} exceeds hinted dimension {n} for party "
-                        f"{party + 1}",
-                        1, 1,
-                    )
+                        f"{party + 1}", term)
     else:
         dims = tuple(
             max(2, 1 + max(ket[j] for _, ket in terms)) for j in range(arity)

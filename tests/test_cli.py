@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -131,6 +132,29 @@ class TestCompute:
         for extra in ([], ["--norm-const", "2=9", "--sizes", "2"]):
             doc = run_json(capsys, "compute", "--expr", expr, "--detached", *extra)
             assert doc["detached_parties"] == detached
+
+    @pytest.mark.parametrize("expr, row", [
+        (HGHZ_EXPR, "detached  none"),
+        ("(|0,0,0> + |0,1,1>)/sqrt(2)", "detached  1"),
+        ("(|0,1,1,0> + |1,0,0,1> + |0,1,1,1> + |1,0,0,0>)/2", "detached  4"),
+    ], ids=["none", "first", "last"])
+    def test_detached_table_row(self, capsys, expr, row):
+        # the table used to run the scan and print nothing of it
+        code, out, err = run_cli(capsys, "compute", "--table", "--detached",
+                                 "--expr", expr)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1] == row
+        code, plain, _ = run_cli(capsys, "compute", "--table", "--expr", expr)
+        assert code == 0 and "detached" not in plain
+        assert len(out.splitlines()) == len(plain.splitlines()) + 1
+
+    def test_detached_row_widens_the_label_column(self, capsys):
+        code, out, _ = run_cli(capsys, "compute", "--table", "--detached",
+                               "--expr", "(|0,0,0> + |0,1,1>)/sqrt(2)")
+        assert code == 0
+        assert out.splitlines() == [
+            "subset    value", "1,2       0", "1,3       0", "2,3       1",
+            "1,2,3     0", "norm      1", "detached  1"]
 
     def test_hadamard_ghz_expression_is_the_fixture(self):
         assert np.allclose(
@@ -359,15 +383,24 @@ class TestFuzzedBoundary:
 
 
 def reference_table(doc: dict) -> str:
-    """``compute --table`` as one ``print`` per line of ``report_to_dict``."""
+    """``compute --table`` as one ``print`` per line of ``report_to_dict``.
+
+    With ``--detached`` the last row names the parties that factor out,
+    and its label counts in the column's width.
+    """
     out = io.StringIO()
+    detached = doc.get("detached_parties")
     width = max([len("subset"), *(len(",".join(map(str, c["subset"])))
-                                  for c in doc["components"])])
+                                  for c in doc["components"]),
+                 *([len("detached")] if detached is not None else [])])
     print(f"{'subset':<{width}}  value", file=out)
     for entry in doc["components"]:
         label = ",".join(map(str, entry["subset"]))
         print(f"{label:<{width}}  {entry['value']:.15g}", file=out)
     print(f"{'norm':<{width}}  {doc['tensor_norm']:.15g}", file=out)
+    if detached is not None:
+        print(f"{'detached':<{width}}  {','.join(map(str, detached)) or 'none'}",
+              file=out)
     return out.getvalue()
 
 
@@ -736,6 +769,282 @@ class TestParserReuse:
         assert capsys.readouterr().err == ""
 
 
+def _argv_outcome(argv):
+    """Exit code, stdout and stderr of ``main(argv)``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _comparable(namespace):
+    """``vars(namespace)`` with each value's type, and NaN equal to itself."""
+    return {key: (type(value), "nan" if value != value else value)
+            for key, value in vars(namespace).items()}
+
+
+_COMMAND_NAMES = list(cli_module._COMMANDS)
+_OPTION_NAMES = sorted({option.name for command in cli_module._COMMANDS.values()
+                        for option in command.options})
+_ODD_VALUES = ["", " 3", "-1", "nan", "1,2", "- 0.5*|0,0>", "é", "٣", "２", "3",
+               "0", "1.5", "1e-3", "x", "H", "min", "dur", "--", EPR_EXPR]
+_VALUES = st.sampled_from(_ODD_VALUES) | st.text(max_size=4)
+_WORDS = st.one_of(
+    st.sampled_from(_OPTION_NAMES),
+    st.sampled_from([n for n in _OPTION_NAMES if len(n) > 3]).flatmap(  # abbreviations
+        lambda name: st.integers(3, len(name) - 1).map(lambda k: name[:k])),
+    st.builds("{}={}".format, st.sampled_from(_OPTION_NAMES), _VALUES),
+    st.sampled_from(["-h", "--help", "--", "-", "stray", *_COMMAND_NAMES]),
+    _VALUES,
+)
+
+
+@st.composite
+def _option_argv(draw):
+    """A subcommand and a run of its own options, each with a value drawn
+    from its type or choices, or an odd one; required options most often."""
+    name = draw(st.sampled_from(_COMMAND_NAMES))
+    options = list(cli_module._COMMANDS[name].options)
+    chosen = [o for o in options if o.required and draw(st.integers(0, 5))]
+    if options:
+        chosen += draw(st.lists(st.sampled_from(options), max_size=5))
+    argv = [name]
+    for option in draw(st.permutations(chosen)):
+        argv.append(option.name)
+        if option.action == "store_true":
+            continue
+        if option.choices:
+            valid = st.sampled_from(option.choices)
+        elif option.type is int:
+            valid = st.integers(-3, 40).map(str)
+        elif option.type is float:
+            valid = st.floats(allow_nan=True).map(repr)
+        else:
+            valid = st.sampled_from([EPR_EXPR, "1,2", "1|2", "H", "/no/such.ket"])
+        argv.append(draw(valid | _VALUES))
+    return argv
+
+
+_ARGV = _option_argv() | st.builds(
+    lambda name, words: [name, *words],
+    st.sampled_from([*_COMMAND_NAMES, "bogus", "-h"]), st.lists(_WORDS, max_size=8))
+
+# argv that argparse reads by rules of its own, or refuses; each must give
+# the exit code, stdout and stderr of a main that always calls argparse
+_EDGE_ARGV = [
+    [], ["-h"], ["bogus"], ["--help", "compute"], ["compute", "-h"],
+    ["compute", "--he"],
+    ["compute", "--expr", EPR_EXPR, "extra"],
+    ["compute", "--", "--expr", EPR_EXPR],
+    ["compute", "--sta", "x"],
+    ["compute", f"--expr={EPR_EXPR}"],
+    ["compute", "--expr"],
+    ["compute", "--table=1", "--expr", EPR_EXPR],
+    ["paper-suite", "extra"],
+    ["optimize", "--expr", EPR_EXPR, "--subset", "1,2", "--restarts", "x"],
+    ["optimize", "--expr", EPR_EXPR, "--subsets", "1,2", "--objective", "max"],
+    ["optimize", "--expr", EPR_EXPR, "--subset", "1,2", "--restarts", "1",
+     "--iters", "1", "--seed", "-3"],
+    ["measure", "--expr", EPR_EXPR, "--party", "1"],
+    ["apply", "--expr", EPR_EXPR, "--party", "1", "--gate"],
+    ["regroup", "--expr", GHZ_EXPR, "--groups", "1,2|3", "--groups"],
+    ["oracle", "--kind", "other", "--expr", EPR_EXPR],
+    ["oracle", "--kind", "dur", "--m", "-1"],
+    ["oracle", "--kind", "concurrence", "--normalize", "--expr",
+     "- 0.5*|0,0> + |1,1>"],
+    ["oracle", "--kind", "dur", "--m", "4", "--m"],
+]
+
+# the help texts as argparse prints them at 80 columns (Python 3.10-3.12)
+HELP_TEXTS = {
+    '': (
+        'usage: etensor [-h]\n'
+        '               {compute,optimize,measure,apply,regroup,oracle,paper-suite} ...\n'
+        '\n'
+        'entanglement tensor components of pure multipartite states\n'
+        '\n'
+        'positional arguments:\n'
+        '  {compute,optimize,measure,apply,regroup,oracle,paper-suite}\n'
+        '    compute             component values for subsets of parties\n'
+        '    optimize            maximize components over local unitaries\n'
+        '    measure             computational-basis measurement of one party\n'
+        '    apply               apply a local gate\n'
+        '    regroup             merge parties into blocks, e.g. --groups 1,2|3,4\n'
+        '    oracle              independent concurrence reference values\n'
+        '    paper-suite         run the built-in table of closed-form example states\n'
+        '\n'
+        'options:\n'
+        '  -h, --help            show this help message and exit\n'
+    ),
+    'compute': (
+        'usage: etensor compute [-h] [--state STATE] [--expr EXPR] [--normalize]\n'
+        '                       [--all] [--sizes SIZES] [--subset SUBSET]\n'
+        '                       [--norm-const D=VALUE] [--table] [--detached]\n'
+        '\n'
+        'options:\n'
+        '  -h, --help            show this help message and exit\n'
+        '  --state STATE         path to a .ket or .ket.json file\n'
+        '  --expr EXPR           inline ket expression\n'
+        '  --normalize           rescale unnormalized input instead of rejecting it\n'
+        '  --all                 all subsets of every size (default)\n'
+        '  --sizes SIZES         comma list of subset sizes\n'
+        '  --subset SUBSET       one 1-based subset like 1,2 (repeatable)\n'
+        '  --norm-const D=VALUE  override the normalization constant for size D\n'
+        '  --table               aligned table instead of JSON\n'
+        '  --detached            list the parties that factor out of the state\n'
+    ),
+    'optimize': (
+        'usage: etensor optimize [-h] [--state STATE] [--expr EXPR] [--normalize]\n'
+        '                        [--subset SUBSET] [--subsets SUBSETS]\n'
+        '                        [--objective {min,mean}] [--restarts RESTARTS]\n'
+        '                        [--iters ITERS] [--step-tol STEP_TOL]\n'
+        '                        [--value-tol VALUE_TOL] [--seed SEED]\n'
+        '                        [--norm-const D=VALUE] [--diagnostics]\n'
+        '\n'
+        'options:\n'
+        '  -h, --help            show this help message and exit\n'
+        '  --state STATE         path to a .ket or .ket.json file\n'
+        '  --expr EXPR           inline ket expression\n'
+        '  --normalize           rescale unnormalized input instead of rejecting it\n'
+        '  --subset SUBSET       1-based subset like 2,3\n'
+        '  --subsets SUBSETS     semicolon list of subsets for a joint search\n'
+        '  --objective {min,mean}\n'
+        '                        joint objective for --subsets\n'
+        '  --restarts RESTARTS\n'
+        '  --iters ITERS\n'
+        '  --step-tol STEP_TOL\n'
+        '  --value-tol VALUE_TOL\n'
+        '  --seed SEED           default: $ETENSOR_SEED or 0\n'
+        '  --norm-const D=VALUE\n'
+        "  --diagnostics         add each restart's stop reason, iteration and\n"
+        '                        evaluation counts and wall time\n'
+    ),
+    'measure': (
+        'usage: etensor measure [-h] [--state STATE] [--expr EXPR] [--normalize]\n'
+        '                       --party PARTY --outcome OUTCOME\n'
+        '\n'
+        'options:\n'
+        '  -h, --help         show this help message and exit\n'
+        '  --state STATE      path to a .ket or .ket.json file\n'
+        '  --expr EXPR        inline ket expression\n'
+        '  --normalize        rescale unnormalized input instead of rejecting it\n'
+        '  --party PARTY\n'
+        '  --outcome OUTCOME\n'
+    ),
+    'apply': (
+        'usage: etensor apply [-h] [--state STATE] [--expr EXPR] [--normalize] --party\n'
+        '                     PARTY --gate GATE\n'
+        '\n'
+        'options:\n'
+        '  -h, --help     show this help message and exit\n'
+        '  --state STATE  path to a .ket or .ket.json file\n'
+        '  --expr EXPR    inline ket expression\n'
+        '  --normalize    rescale unnormalized input instead of rejecting it\n'
+        '  --party PARTY\n'
+        '  --gate GATE    H, PHASE(p0,...,pN-1), or U(file.json)\n'
+    ),
+    'regroup': (
+        'usage: etensor regroup [-h] [--state STATE] [--expr EXPR] [--normalize]\n'
+        '                       --groups GROUPS\n'
+        '\n'
+        'options:\n'
+        '  -h, --help       show this help message and exit\n'
+        '  --state STATE    path to a .ket or .ket.json file\n'
+        '  --expr EXPR      inline ket expression\n'
+        '  --normalize      rescale unnormalized input instead of rejecting it\n'
+        '  --groups GROUPS\n'
+    ),
+    'oracle': (
+        'usage: etensor oracle [-h] [--state STATE] [--expr EXPR] [--normalize] --kind\n'
+        '                      {concurrence,purity,wootters,dur} [--split SPLIT]\n'
+        '                      [--pair PAIR] [--m M]\n'
+        '\n'
+        'options:\n'
+        '  -h, --help            show this help message and exit\n'
+        '  --state STATE         path to a .ket or .ket.json file\n'
+        '  --expr EXPR           inline ket expression\n'
+        '  --normalize           rescale unnormalized input instead of rejecting it\n'
+        '  --kind {concurrence,purity,wootters,dur}\n'
+        '  --split SPLIT         bipartition for --kind purity\n'
+        '  --pair PAIR           kept qubit pair for --kind wootters\n'
+        '  --m M                 party count for --kind dur\n'
+    ),
+    'paper-suite': (
+        'usage: etensor paper-suite [-h]\n'
+        '\n'
+        'options:\n'
+        '  -h, --help  show this help message and exit\n'
+    ),
+}
+
+
+class TestArgvReader:
+    """``main`` reads well-formed argv from the option table, not argparse."""
+
+    @given(_ARGV)
+    @settings(max_examples=400, deadline=None)
+    def test_a_read_namespace_is_argparses(self, argv):
+        read = cli_module._read_argv(argv)
+        if read is None:
+            return
+        try:
+            with contextlib.redirect_stderr(io.StringIO()):
+                parsed = cli_module._shared_parser().parse_args(argv)
+        except SystemExit as exc:
+            pytest.fail(f"argparse refused argv the reader read: {argv} "
+                        f"(exit {exc.code})")
+        assert _comparable(read) == _comparable(parsed)
+
+    @pytest.mark.parametrize("argv", [
+        ["paper-suite"],
+        ["compute", "--expr", W3_EXPR, "--subset", "1,2", "--subset", "1,3",
+         "--norm-const", "2=9", "--table", "--detached"],
+        ["compute", "--state", "x.ket", "--normalize", "--all", "--sizes", "2,3"],
+        ["optimize", "--expr", EPR_EXPR, "--subsets", "1,2;1,2", "--objective",
+         "mean", "--restarts", "3", "--iters", "9", "--step-tol", "1e-6",
+         "--value-tol", "nan", "--seed", "7", "--diagnostics", "--seed", "8"],
+        ["measure", "--outcome", "0", "--party", "2", "--expr", EPR_EXPR],
+        ["apply", "--expr", EPR_EXPR, "--party", "1", "--gate", "H"],
+        ["regroup", "--expr", GHZ_EXPR, "--groups", "1,2|3"],
+        ["oracle", "--kind", "wootters", "--expr", W3_EXPR, "--pair", "1,2"],
+        ["oracle", "--kind", "dur", "--m", " 3"],
+    ], ids=["paper-suite", "compute", "compute-state", "optimize", "measure",
+            "apply", "regroup", "oracle", "oracle-dur"])
+    def test_reads_well_formed_argv(self, argv):
+        read = cli_module._read_argv(argv)
+        assert read is not None
+        assert _comparable(read) == _comparable(
+            cli_module._shared_parser().parse_args(argv))
+
+    def test_a_valid_call_does_not_reach_argparse(self, capsys, monkeypatch):
+        calls = []
+        real = argparse.ArgumentParser.parse_known_args
+
+        def counted(self, *args, **kwargs):
+            calls.append(args)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+        run_json(capsys, "compute", "--expr", W3_EXPR, "--subset", "1,2")
+        assert calls == []
+        assert run_cli(capsys, "compute", "--expr", W3_EXPR, "extra")[0] == 2
+        assert calls
+
+    @pytest.mark.parametrize("argv", _EDGE_ARGV)
+    def test_edge_argv_as_argparse_alone(self, monkeypatch, argv):
+        got = _argv_outcome(argv)
+        monkeypatch.setattr(cli_module, "_read_argv", lambda argv: None)
+        assert got == _argv_outcome(argv)
+
+    @pytest.mark.skipif(sys.version_info >= (3, 13),
+                        reason="argparse 3.13 wraps usage lines differently")
+    @pytest.mark.parametrize("command", list(HELP_TEXTS))
+    def test_help_text(self, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "80")
+        argv = [command, "-h"] if command else ["-h"]
+        assert _argv_outcome(argv) == (0, HELP_TEXTS[command], "")
+
+
 class TestInputBudget:
     def test_expression_over_budget_is_exit_two(self, capsys, monkeypatch):
         monkeypatch.setattr(states_module, "MAX_TOTAL_DIM", 4)
@@ -787,6 +1096,19 @@ class TestOptimize:
                             "--subset", "1,2", "--restarts", "4",
                             "--seed", "13")
         assert from_env["best_value"] == explicit["best_value"]
+
+    @pytest.mark.parametrize("value", ["abc", "-1", "1.5"])
+    def test_bad_env_seed_is_a_usage_error(self, capsys, monkeypatch, value):
+        # "abc" used to print int()'s message and exit 1
+        monkeypatch.setenv("ETENSOR_SEED", value)
+        code, out, err = run_cli(capsys, "optimize", "--expr", W3_EXPR,
+                                 "--subset", "1,2", "--restarts", "1")
+        assert (code, out) == (2, "")
+        assert err == (f"error: ETENSOR_SEED must be a non-negative integer, "
+                       f"got {value!r}\n")
+        # an explicit --seed does not read the variable
+        assert run_cli(capsys, "optimize", "--expr", W3_EXPR, "--subset", "1,2",
+                       "--restarts", "1", "--iters", "1", "--seed", "3")[0] == 0
 
     def test_simultaneous(self, capsys):
         doc = run_json(capsys, "optimize", "--expr", GHZ_EXPR,

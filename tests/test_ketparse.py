@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import re
 import sys
 import tracemalloc
 from dataclasses import dataclass
@@ -167,6 +168,23 @@ class TestErrors:
         hint = PartyStructure((2, 2, 2))
         with pytest.raises(KetSyntaxError, match="parties"):
             parse_ket("(|0,0> + |1,1>)/sqrt(2)", structure_hint=hint)
+
+    # these checks run after parsing, and were all placed at 1:1
+    @pytest.mark.parametrize("text, dims, error", [
+        ("(|0,0> +\n\n |0,0,0>)/sqrt(2)", None,
+         ("inconsistent ket arity: found both 2 and 3 parties", 3, 2)),
+        ("\n (|0,1> + |1,1>)/sqrt(2)", (2, 2, 2),
+         ("expression has 2 parties but the structure hint has 3", 2, 3)),
+        ("|0,1> +\n |0,2>", (2, 2),
+         ("digit 2 exceeds hinted dimension 2 for party 2", 2, 2)),
+        ("|0,1> + |01> + |10>", (2, 3),
+         ("compact kets require every party dimension to be 2", 1, 9)),
+    ], ids=["arity", "hint-arity", "hint-digit", "compact-under-hint"])
+    def test_checks_after_parsing_are_placed_at_their_ket(self, text, dims, error):
+        hint = None if dims is None else PartyStructure(dims)
+        with pytest.raises(KetSyntaxError) as err:
+            parse_amplitudes(text, hint)
+        assert (err.value.reason, err.value.line, err.value.col) == error
 
     def test_trailing_garbage(self):
         with pytest.raises(KetSyntaxError, match="trailing"):
@@ -612,10 +630,10 @@ def ket_sums(draw):
     return "".join(draw(_SEPARATORS) + token for token in tokens) + draw(_SEPARATORS)
 
 
-def _parsed(parse, text):
-    """Dims and amplitude bits, or the error, of ``parse(text)``."""
+def _parsed(parse, text, hint=None):
+    """Dims and amplitude bits, or the error, of ``parse(text, hint)``."""
     try:
-        structure, amps = parse(text)
+        structure, amps = parse(text, hint)
     except KetSyntaxError as exc:
         return ("error", exc.reason, exc.line, exc.col)
     except KetFormatError as exc:  # over the test's amplitude budget
@@ -623,15 +641,57 @@ def _parsed(parse, text):
     return structure.dims, amps.tobytes()
 
 
+def offending_ket(text: str, reason: str) -> tuple[int, int] | None:
+    """Line and column of the ket that a check after parsing names in ``reason``.
+
+    The reference places these four errors at 1:1; ``parse_amplitudes``
+    places them at the ket, found here from ``positioned_tokens``.  None for
+    every other reason.
+    """
+    if not re.match(r"inconsistent ket arity|expression has|digit \d+ exceeds|"
+                    r"compact kets require", reason):
+        return None
+    kets = [(t.line, t.col, "".join(t.text.split()))
+            for t in positioned_tokens(text) if t.kind == "KET"]
+
+    def parts(inner):
+        return inner.split(",") if "," in inner else list(inner)
+
+    if match := re.fullmatch(r"inconsistent ket arity: found both \d+ and (\d+) "
+                             r"parties", reason):
+        return next((line, col) for line, col, inner in kets
+                    if len(parts(inner)) == int(match[1]))
+    if re.fullmatch(r"expression has \d+ parties but the structure hint has \d+",
+                    reason):
+        return kets[0][:2]
+    if match := re.fullmatch(r"digit \d+ exceeds hinted dimension (\d+) for "
+                             r"party (\d+)", reason):
+        dim, party = int(match[1]), int(match[2]) - 1
+        return next((line, col) for line, col, inner in kets
+                    if int(parts(inner)[party]) >= dim)
+    if reason == "compact kets require every party dimension to be 2":
+        return next((line, col) for line, col, inner in kets
+                    if "," not in inner and len(inner) > 1)
+    return None
+
+
 class TestParserAgainstReference:
-    """``parse_amplitudes`` against the positioned-token parser above."""
+    """``parse_amplitudes`` against the positioned-token parser above.
+
+    Dims, amplitude bits and reasons must be the reference's, and so must
+    every position but those of the four checks after parsing, which must
+    be at the offending ket.
+    """
 
     @staticmethod
-    def assert_same(text):
+    def assert_same(text, hint=None):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(states_module, "MAX_TOTAL_DIM", 4096)
-            got = _parsed(parse_amplitudes, text)
-            assert got == _parsed(reference_parse_amplitudes, text), text
+            got = _parsed(parse_amplitudes, text, hint)
+            want = _parsed(reference_parse_amplitudes, text, hint)
+        if want[0] == "error" and (place := offending_ket(text, want[1])):
+            want = (*want[:2], *place)
+        assert got == want, text
 
     @given(st.text(alphabet=KET_ALPHABET, max_size=40))
     @settings(max_examples=400, deadline=None)
@@ -644,6 +704,11 @@ class TestParserAgainstReference:
     @settings(max_examples=300, deadline=None)
     def test_sums_of_terms(self, text):
         self.assert_same(text)
+
+    @given(ket_sums(), st.lists(st.sampled_from([2, 3]), min_size=1, max_size=4))
+    @settings(max_examples=200, deadline=None)
+    def test_sums_of_terms_under_a_hint(self, text, dims):
+        self.assert_same(text, PartyStructure(tuple(dims)))
 
     @pytest.mark.parametrize("text", [
         "-(\n3/5*|0,1>\n - 4/5 * i *|1,0>\n)",
