@@ -379,7 +379,7 @@ def _cmd_oracle(args: argparse.Namespace, out: TextIO) -> int:
                 "pair": [p + 1 for p in pair.parties],
                 "value": value,
             }
-        else:  # pragma: no cover - argparse restricts choices
+        else:  # pragma: no cover - the option table restricts choices
             raise ValueError(f"unknown oracle kind {kind!r}")
     write_json(doc, out, round_floats=True)
     return 0
