@@ -6,15 +6,15 @@ while tracing out the other M-2 parties leaves a mixed pair whose
 concurrence is smaller.  The default table shows both, their closed forms,
 and the measured-vs-discarded ratio M/2.
 
-``--every-size`` searches instead the supremum over local bases of the
+``--every-size`` tabulates instead the supremum over local bases of the
 component of parties 1..D of W_M, for M = 3..--max-m (at most 7) and every
-D = 2..M: 6 restarts, seed 1.  Each row gives the best sup^2, the spread of
-sup^2 over the top three restarts, the law (D/M) sup^2_D(W_D), and each
-restart's stop reason.  The law takes sup^2_D(W_D) as 1, 4/9 and 1/8 for
-D = 2, 3 and 4, and for D >= 5 from this scan's own row M = D.  Its lower
-half is proved: measuring the other M - D parties in the computational
-basis leaves W_D with probability D/M and a product state otherwise.  The
-upper half is proved for D = 2 and conjectured beyond.
+D = 2..M.  It makes one search per D = 3..--max-m, on W_D itself: 6
+restarts, seed 1.  Each such row gives the best sup^2, the spread of sup^2
+over the top three restarts and each restart's stop reason.  Every row with
+M > D is the proved law sup^2_D(W_M) = (D/M) sup^2_D(W_D) (README,
+"Semantics"), with sup^2_D(W_D) from ``etensor.golden.W_D_SUP_SQUARED`` for
+D <= 4 (1, 4/9 and 1/8) and from this scan's search on W_D for D >= 5,
+where it is not known.
 """
 
 import argparse
@@ -30,9 +30,7 @@ from etensor import (
     trace_to_pair,
     w_state,
 )
-
-# sup^2 of the component of every party of W_D
-KNOWN_W_D = {2: 1.0, 3: 4 / 9, 4: 1 / 8}
+from etensor.golden import W_D_SUP_SQUARED
 
 
 def pair_table(max_m: int) -> None:
@@ -53,23 +51,23 @@ def pair_table(max_m: int) -> None:
 
 
 def every_size_table(max_m: int) -> None:
-    header = (f"{'M':>2}  {'D':>2}  {'best sup^2':>12}  {'top-3 spread':>12}  "
-              f"{'law':>12}  stop reasons")
+    header = (f"{'M':>2}  {'D':>2}  {'sup^2':>12}  {'from':<6}  "
+              f"{'top-3 spread':>12}  stop reasons")
     print(header)
     print("-" * len(header))
-    w_d = dict(KNOWN_W_D)
+    w_d = dict(W_D_SUP_SQUARED)
     config = OptimizerConfig(restarts=6, seed=1)
     for m in range(3, max_m + 1):
-        state = w_state(m)
-        for d in range(2, m + 1):
-            result = maximize_component(state, SubsetSelector(tuple(range(d))),
-                                        config=config)
-            best = result.best_value**2
-            top = sorted((v * v for v in result.restart_values), reverse=True)
-            w_d.setdefault(d, best)  # D >= 5: the row M = D comes first
-            reasons = ",".join(r.stop_reason for r in result.restarts)
-            print(f"{m:>2}  {d:>2}  {best:>12.8f}  {top[0] - top[2]:>12.2e}  "
-                  f"{d / m * w_d[d]:>12.8f}  {reasons}")
+        for d in range(2, m):
+            print(f"{m:>2}  {d:>2}  {d / m * w_d[d]:>12.8f}  law")
+        result = maximize_component(w_state(m), SubsetSelector(tuple(range(m))),
+                                    config=config)
+        best = result.best_value**2
+        top = sorted((v * v for v in result.restart_values), reverse=True)
+        w_d.setdefault(m, best)  # where no value is known, the law reads the search
+        reasons = ",".join(r.stop_reason for r in result.restarts)
+        print(f"{m:>2}  {m:>2}  {best:>12.8f}  search  {top[0] - top[2]:>12.2e}  "
+              f"{reasons}")
 
 
 def main() -> None:
@@ -79,7 +77,8 @@ def main() -> None:
                         help="largest party count (default 8, limit 10; "
                              "with --every-size default and limit 7)")
     parser.add_argument("--every-size", action="store_true",
-                        help="search the supremum of every subset size D")
+                        help="the supremum of every subset size D: one search "
+                             "on W_D per D, every M > D from the law")
     args = parser.parse_args()
     if args.every_size:
         max_m = 7 if args.max_m is None else args.max_m

@@ -7,8 +7,7 @@ at the boundary; everything below is 0-based.  Output is
 JSON on stdout (or an aligned table for ``compute --table``); diagnostics
 go to stderr.  Exit codes: 0 success, 2 usage/parse/file problems,
 running out of memory and work over ``tensor.MAX_KERNEL_WORK``, 1
-computation errors.  ``main`` builds its argument parser once per
-process, on first use, and reuses it for every call.
+computation errors.
 
 Every subcommand's options are defined once, in the table ``_COMMANDS``.
 ``build_parser`` builds the argparse parser from it, and ``_read_argv``
@@ -19,7 +18,8 @@ given.  For such argv it returns the namespace argparse would build, for
 a fraction of argparse's cost.  ``main`` tries it first; any other argv
 (help, abbreviations, ``--opt=value``, ``--``, values such as ``-1``, and
 every mistake) goes to argparse, which keeps the help text and explains
-each refusal by its own rules.
+each refusal by its own rules.  The parser is built only then, once per
+process, and reused for every later call that needs it.
 """
 
 from __future__ import annotations
@@ -260,6 +260,8 @@ def _env_seed() -> int:
 
 
 def _cmd_optimize(args: argparse.Namespace, out: TextIO) -> int:
+    if args.seed is not None and args.seed < 0:
+        raise _UsageError(f"--seed must be a non-negative integer, got {args.seed}")
     seed = _env_seed() if args.seed is None else args.seed
     state = _load_state(args)
     scheme = _parse_norm_consts(args.norm_const or [])
@@ -594,11 +596,10 @@ def _read_argv(argv: Sequence[str]) -> argparse.Namespace | None:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _shared_parser()
     args = _read_argv(sys.argv[1:] if argv is None else argv)
     if args is None:
         try:
-            args = parser.parse_args(argv)
+            args = _shared_parser().parse_args(argv)
         except SystemExit as exc:
             code = exc.code if isinstance(exc.code, int) else 2
             return code

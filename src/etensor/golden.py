@@ -2,7 +2,9 @@
 
 ``paper-suite`` prints one line per entry of :data:`CHECKS`, and the
 acceptance tests assert each entry and compare ``full_tensor`` with the
-closed forms in :data:`FIXTURES`.  No state is built at import:
+closed forms in :data:`FIXTURES`.  :data:`W_D_SUP_SQUARED` holds the
+known suprema of the W family, which the optimizer tests and
+``scripts/w_family_scan.py`` read.  No state is built at import:
 :func:`results` builds each fixture state once per run.
 """
 
@@ -45,6 +47,10 @@ FIXTURES: dict[str, tuple[Callable[..., StateVector], Callable[..., float]]] = {
     **{f"w{m}": (lambda get, m=m: w_state(m), lambda parties, m=m:
                  math.sqrt(2.0 / m) if len(parties) == 2 else 0.0) for m in W_PARTIES},
 }
+
+# sup^2 over local bases of the component of every party of W_D, where it is
+# known; parties 1..D of W_M then reach (D/M) times it (README, "Semantics")
+W_D_SUP_SQUARED = {2: 1.0, 3: 4 / 9, 4: 1 / 8}
 
 
 class Check(NamedTuple):

@@ -724,7 +724,8 @@ class TestFuzzedArgv:
 
 
 class TestParserReuse:
-    """``main`` shares one parser across calls; no call may see another's."""
+    """``main`` builds its parser only for argv the reader does not read, and
+    shares it across calls; no call may see another's."""
 
     def test_main_builds_the_parser_once(self, capsys, monkeypatch):
         real_build = cli_module.build_parser
@@ -738,6 +739,9 @@ class TestParserReuse:
         cli_module._shared_parser.cache_clear()
         for _ in range(3):
             run_json(capsys, "oracle", "--kind", "dur", "--m", "4")
+        assert built == []
+        for _ in range(2):
+            run_json(capsys, "oracle", "--kind", "dur", "--m=4")
         assert len(built) == 1
         assert cli_module._shared_parser() is cli_module._shared_parser()
         assert real_build() is not real_build()
@@ -1109,6 +1113,13 @@ class TestOptimize:
         # an explicit --seed does not read the variable
         assert run_cli(capsys, "optimize", "--expr", W3_EXPR, "--subset", "1,2",
                        "--restarts", "1", "--iters", "1", "--seed", "3")[0] == 0
+
+    def test_negative_seed_is_a_usage_error(self, capsys):
+        # argparse reads "-1" as an int, which the optimizer refused with exit 1
+        code, out, err = run_cli(capsys, "optimize", "--expr", W3_EXPR,
+                                 "--subset", "1,2", "--restarts", "1", "--seed", "-1")
+        assert (code, out) == (2, "")
+        assert err == "error: --seed must be a non-negative integer, got -1\n"
 
     def test_simultaneous(self, capsys):
         doc = run_json(capsys, "optimize", "--expr", GHZ_EXPR,

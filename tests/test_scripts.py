@@ -3,6 +3,8 @@ from pathlib import Path
 
 import pytest
 
+from etensor.golden import W_D_SUP_SQUARED
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
@@ -14,6 +16,7 @@ def _script(name):
 
 
 bench_pairs = _script("bench_pairs")
+w_family_scan = _script("w_family_scan")
 
 METRICS = [{"name": "throughput_ops_s", "unit": "1/s", "better": "higher"},
            {"name": "latency_p50_ms", "unit": "ms", "better": "lower"}]
@@ -66,3 +69,27 @@ class TestBenchPairsSummary:
         for name, metric in entry["metrics"].items():
             assert {k: v for k, v in metric.items() if k != "control"} == \
                 without["metrics"][name]
+
+
+class TestEverySizeScan:
+    def test_searches_only_w_d_and_prints_the_law(self, capsys, monkeypatch):
+        searched = []
+        real = w_family_scan.maximize_component
+
+        def counted(state, selector, *args, **kwargs):
+            searched.append((state.structure.num_parties, selector.parties))
+            return real(state, selector, *args, **kwargs)
+
+        monkeypatch.setattr(w_family_scan, "maximize_component", counted)
+        w_family_scan.every_size_table(4)
+        assert searched == [(3, (0, 1, 2)), (4, (0, 1, 2, 3))]
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()[2:]]
+        assert [(r[0], r[1], r[3]) for r in rows] == [
+            ("3", "2", "law"), ("3", "3", "search"), ("4", "2", "law"),
+            ("4", "3", "law"), ("4", "4", "search")]
+        for m, d, value, *_ in rows:
+            m, d = int(m), int(d)
+            if m > d:
+                assert value == f"{d / m * W_D_SUP_SQUARED[d]:.8f}"
+            else:
+                assert abs(float(value) - W_D_SUP_SQUARED[d]) <= 1e-8

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from etensor import kernel as kernel_module
 from etensor import tensor as tensor_module
+from etensor.golden import W_D_SUP_SQUARED
 from etensor.localops import LocalUnitary, apply_local
 from etensor.states import (
     PartyStructure,
@@ -213,9 +214,9 @@ class TestClaimedSupremaNotExceeded:
     @pytest.mark.parametrize("m, d", [(m, 3) for m in range(3, 7)]
                              + [(m, 4) for m in range(4, 7)])
     def test_w_family_plateaus_of_three_and_four_parties(self, m, d):
-        # sup^2 = (D/M) sup^2(W_D), with sup^2(W_3) = 4/9 and sup^2(W_4) = 1/8;
-        # the plateau is reached from Haar restarts and never beaten
-        plateau = math.sqrt(4 / (3 * m) if d == 3 else 1 / (2 * m))
+        # sup^2 = (D/M) sup^2(W_D); the plateau is reached from Haar
+        # restarts and never beaten
+        plateau = math.sqrt(d / m * W_D_SUP_SQUARED[d])
         result = maximize_component(
             w_state(m), SubsetSelector(tuple(range(d))),
             config=OptimizerConfig(restarts=6, max_iters=150, seed=m),
@@ -231,6 +232,13 @@ class TestClaimedSupremaNotExceeded:
         assert max(result.restart_values) <= 1 + 1e-6
 
 
+def _rotated(state, unitaries):
+    """``state`` with ``unitaries[k]`` applied to party k."""
+    for party, unitary in enumerate(unitaries):
+        state = apply_local(state, LocalUnitary(party, unitary))
+    return state
+
+
 class TestWFamilyLowerHalf:
     """The same unitaries on parties 0..D-1 of W_M and of W_D.
 
@@ -241,7 +249,8 @@ class TestWFamilyLowerHalf:
     degree-4 term scales by p^2 and its weight 1/p leaves p: a component
     squared is the p-weighted sum of its sectors' squares.  So the D-party
     component of W_M squares to D/M times that of W_D, in every basis of
-    the D parties.
+    the D parties: the lower half of the W_M law, whose upper half
+    :class:`TestWFamilyLaw` pins.
     """
 
     def test_rotated_subset_scales_w_d(self):
@@ -250,12 +259,68 @@ class TestWFamilyLowerHalf:
             for d in range(2, m + 1):
                 subset = SubsetSelector(tuple(range(d)))
                 for _ in range(2):
-                    w_m, w_d = w_state(m), w_state(d)
-                    for party in range(d):
-                        unitary = LocalUnitary(party, haar_unitary(2, rng))
-                        w_m, w_d = apply_local(w_m, unitary), apply_local(w_d, unitary)
+                    unitaries = [haar_unitary(2, rng) for _ in range(d)]
+                    w_m = _rotated(w_state(m), unitaries)
+                    w_d = _rotated(w_state(d), unitaries)
                     assert abs(component(w_m, subset) ** 2
                                - d / m * component(w_d, subset) ** 2) <= 1e-12
+
+
+class TestWFamilyLaw:
+    """sup^2_D(W_M) = (D/M) sup^2_D(W_D), the proof of README "Semantics".
+
+    The identity: for phi in the span of the one-excitation kets and
+    |alpha|^2 + |beta|^2 = 1, comp^2_U(alpha phi + beta |0...0>) =
+    |alpha|^4 comp^2_U(phi) in every product basis U.  Reading the other
+    M - D parties of W_M, rotated, leaves such a state on the D selected
+    parties in every sector, so comp^2_U(W_M) <= (D/M) comp^2_U(W_D).
+    """
+
+    @staticmethod
+    def _form(amplitudes, unitaries):
+        """comp^2 of all parties of the rotated ``amplitudes``, scaled as a
+        degree-4 form, so that an unnormalized sum compares term by term."""
+        norm = np.linalg.norm(amplitudes)
+        d = len(unitaries)
+        state = _rotated(StateVector(PartyStructure((2,) * d), amplitudes / norm),
+                         unitaries)
+        return component(state, SubsetSelector(tuple(range(d)))) ** 2 * norm**4
+
+    def test_one_excitation_identity_and_ghz_control(self):
+        rng = np.random.default_rng(23)
+        for d in range(2, 7):
+            vacuum = np.zeros(2**d, complex)
+            vacuum[0] = 1
+            ghz = ghz_state(d).amplitudes
+            ghz_misses = []
+            for _ in range(10):
+                unitaries = [haar_unitary(2, rng) for _ in range(d)]
+                phi = np.zeros(2**d, complex)
+                phi[[1 << k for k in range(d)]] = (rng.normal(size=d)
+                                                   + 1j * rng.normal(size=d))
+                phi /= np.linalg.norm(phi)
+                alpha, beta = rng.normal(size=2) + 1j * rng.normal(size=2)
+                norm = math.hypot(abs(alpha), abs(beta))
+                alpha, beta = alpha / norm, beta / norm
+                assert abs(self._form(alpha * phi + beta * vacuum, unitaries)
+                           - abs(alpha) ** 4 * self._form(phi, unitaries)) <= 1e-12
+                ghz_misses.append(abs(self._form(alpha * ghz + beta * vacuum, unitaries)
+                                      - abs(alpha) ** 4 * self._form(ghz, unitaries)))
+            # GHZ_D's unfolding shares no vector with that of |0...0>, so the
+            # cross term of the innermost minors survives
+            assert d == 2 or max(ghz_misses) > 1e-3
+
+    def test_every_party_rotated_is_bounded_by_w_d(self):
+        rng = np.random.default_rng(24)
+        for m in range(2, 8):
+            for d in range(2, m + 1):
+                subset = SubsetSelector(tuple(range(d)))
+                for _ in range(3):
+                    unitaries = [haar_unitary(2, rng) for _ in range(m)]
+                    w_m = _rotated(w_state(m), unitaries)
+                    w_d = _rotated(w_state(d), unitaries[:d])
+                    assert (component(w_m, subset) ** 2
+                            <= d / m * component(w_d, subset) ** 2 + 1e-12)
 
 
 class TestRestartRecords:
