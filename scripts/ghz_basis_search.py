@@ -21,6 +21,7 @@ from etensor import (
     maximize_simultaneous,
     subsets_of_size,
 )
+from etensor.supremum import MAX_RESTARTS
 
 
 def main() -> None:
@@ -28,6 +29,10 @@ def main() -> None:
     parser.add_argument("--restarts", type=int, default=8)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
+    if not 1 <= args.restarts <= MAX_RESTARTS:
+        parser.error(f"--restarts takes 1 to {MAX_RESTARTS:,}")
+    if args.seed < 0:
+        parser.error("--seed must be non-negative")
     config = OptimizerConfig(restarts=args.restarts, seed=args.seed)
 
     ghz = ghz_state(3)

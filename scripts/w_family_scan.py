@@ -86,7 +86,10 @@ def main() -> None:
             parser.error("--every-size takes --max-m from 3 to 7")
         every_size_table(max_m)
     else:
-        pair_table(8 if args.max_m is None else args.max_m)
+        max_m = 8 if args.max_m is None else args.max_m
+        if not 3 <= max_m <= 10:
+            parser.error("--max-m takes 3 to 10")
+        pair_table(max_m)
 
 
 if __name__ == "__main__":

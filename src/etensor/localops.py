@@ -83,8 +83,11 @@ def apply_local(state: StateVector, unitary: LocalUnitary) -> StateVector:
 
 
 def _apply_matrix(matrix: np.ndarray, tensor: np.ndarray, axis: int) -> np.ndarray:
-    """``matrix`` applied to one axis of an amplitude tensor."""
-    return np.moveaxis(np.tensordot(matrix, tensor, axes=(1, axis)), 0, axis)
+    """``(..., n, n)`` matrices on one axis of a tensor: ``(..., *tensor.shape)``."""
+    dims = tensor.shape
+    out = np.matmul(matrix[..., None, :, :],
+                    tensor.reshape(math.prod(dims[:axis]), dims[axis], -1))
+    return out.reshape(matrix.shape[:-2] + dims)
 
 
 def measure_party(

@@ -8,20 +8,27 @@ search is a multi-start ascent:
   below the component of the input basis;
 * every other restart begins from independent per-party unitaries drawn
   uniformly (QR of complex Gaussians with the phase fix);
-* each party's unitary is parameterized as start * exp(A) with A
-  anti-Hermitian built from dim^2 real parameters, and the objective is
-  climbed by central finite-difference gradient ascent with a backtracking
-  (and greedy-doubling) line search.
+* a restart's only state is its current per-party unitaries.  A step of
+  length t along a direction multiplies each moving party's unitary on the
+  left by exp(t A_j), where A_j is the anti-Hermitian matrix of that
+  party's dim^2 coordinates of the direction: steepest ascent on U(dim)
+  from the current point (Abrudan, Eriksson & Koivunen, IEEE Trans. Signal
+  Process. 56, 1134 (2008)).  The objective is climbed by central
+  finite-difference gradient ascent with a backtracking (and
+  greedy-doubling) line search.
 
-Each gradient is built party by party.  The 2 * dim^2 probes of one party
-differ from the current point only in that party's unitary, so they are
-made as one stack of unitaries.  They are applied to the state with every
-other unitary in place, with one matmul per pass of the batched kernel,
-and each subset scores the ``(P, *dims)`` stack of a pass with one call of
-its evaluator from :func:`etensor.tensor.component_evaluator`.  A pass
-holds as many probes as one kernel pass of every evaluator takes: the
+The gradient is taken at the current point tensor.  Because steps multiply
+on the left, a probe of party j is exp(+-h G_k) applied to axis j of that
+tensor, for each of the dim^2 generators G_k.  So the 2 * dim^2 probe
+unitaries of a dimension are one fixed stack, built once per search, and a
+gradient runs no ``eigh`` and re-applies no other party's unitary.  The
+probes of one party are applied with one matmul per pass of the batched
+kernel, and each subset scores the ``(P, *dims)`` stack of a pass with one
+call of its evaluator from :func:`etensor.tensor.component_evaluator`.  A
+pass holds as many probes as one kernel pass of every evaluator takes: the
 whole stack on small states, one probe on large ones, so a gradient never
-holds more probe tensors than one pass.  Line-search points go through the
+holds more probe tensors than one pass.  Line-search points take one
+stacked ``eigh`` per dimension for their step unitaries and go through the
 same evaluators one tensor at a time.
 
 Directions that cannot change the value are not probed.  A pair component
@@ -51,7 +58,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .localops import LocalUnitary, apply_local
+from .localops import LocalUnitary, _apply_matrix, apply_local
 from .states import PartyStructure, StateVector
 from .tensor import (
     DEFAULT_SCHEME,
@@ -182,7 +189,8 @@ class _Objective:
     ``batch`` is the number of probe tensors that one kernel pass of every
     evaluator takes.  ``frozen`` lists the parties never probed: those
     whose subsets are all pairs containing them.  ``moving`` lists the
-    others with the slice of the parameter vector each one owns.
+    others with the slice of a direction vector each one owns, and
+    ``probes`` holds each moving dimension's exp(+h G_k) then exp(-h G_k).
     """
 
     def __init__(
@@ -217,6 +225,11 @@ class _Objective:
             same = [(j, a, b) for j, a, b in self.moving if dims[j] == n]
             self.blocks.append((n, [j for j, _, _ in same],
                                 np.array([np.arange(a, b) for _, a, b in same])))
+        self.probes = {
+            n: _unitary_exp(_antihermitian(
+                GRADIENT_STEP * np.concatenate([np.eye(n * n), -np.eye(n * n)]), n))
+            for n, _, _ in self.blocks
+        }
 
     def values(self, amplitudes: np.ndarray) -> list[float]:
         """Every subset's component at one amplitude tensor."""
@@ -228,56 +241,35 @@ class _Objective:
             return min(values)
         return sum(values) / len(values)
 
-    def unitaries(
-        self, starts: list[np.ndarray], theta: np.ndarray
+    def stepped(
+        self, mats: list[np.ndarray], direction: np.ndarray
     ) -> list[np.ndarray]:
-        """Every party's unitary at ``theta``; a frozen party keeps its start."""
-        mats = list(starts)
+        """``mats`` with each moving party's unitary left-multiplied by exp(A_j).
+
+        A_j is the anti-Hermitian matrix of party j's slice of ``direction``;
+        the parties of one dimension get theirs from one stacked ``eigh``.
+        """
+        mats = list(mats)
         for n, parties, index in self.blocks:
-            exps = _unitary_exp(_antihermitian(theta[index], n))
+            exps = _unitary_exp(_antihermitian(direction[index], n))
             for j, exp in zip(parties, exps):
-                mats[j] = starts[j] @ exp
+                mats[j] = exp @ mats[j]
         return mats
 
-    def apply(self, mats: np.ndarray, amplitudes: np.ndarray, party: int) -> np.ndarray:
-        """``(..., n, n)`` unitaries on one party of a tensor: ``(..., *dims)``."""
-        dims = self.dims
-        out = np.matmul(
-            mats[..., None, :, :],
-            amplitudes.reshape(math.prod(dims[:party]), dims[party], -1),
-        )
-        return out.reshape(mats.shape[:-2] + dims)
+    def gradient(self, point: np.ndarray, values: list[float]) -> np.ndarray:
+        """Central-difference gradient of :meth:`stepped` at the point tensor.
 
-    def gradient(
-        self,
-        base: np.ndarray,
-        starts: list[np.ndarray],
-        theta: np.ndarray,
-        values: list[float],
-    ) -> np.ndarray:
-        """Central-difference gradient over the moving parties' parameters.
-
-        ``base`` is the input tensor with the frozen parties' starts applied
-        and ``values`` are the subsets' components at ``theta``.  Each
-        party's probes are applied and scored ``batch`` at a time.
+        ``values`` are the subsets' components at ``point``.  Each moving
+        party's fixed probe stack is applied to its axis of ``point`` and
+        scored ``batch`` probes at a time.
         """
-        dims = self.dims
-        mats = self.unitaries(starts, theta)
         grad = np.empty(self.num_params)
         for j, a, b in self.moving:
-            rest = base
-            for i, _, _ in self.moving:
-                if i != j:
-                    rest = self.apply(mats[i], rest, i)
-            # parameters + h, then parameters - h, one probe per row
-            shifts = np.concatenate([np.eye(b - a), -np.eye(b - a)])
-            probes = starts[j] @ _unitary_exp(
-                _antihermitian(theta[a:b] + GRADIENT_STEP * shifts, dims[j])
-            )
+            probes = self.probes[self.dims[j]]
             scores = np.empty(len(probes))
             for start in range(0, len(probes), self.batch):
                 part = slice(start, start + self.batch)
-                scores[part] = self._score(self.apply(probes[part], rest, j), j,
+                scores[part] = self._score(_apply_matrix(probes[part], point, j), j,
                                            values)
             grad[a:b] = (scores[:b - a] - scores[b - a:]) / (2.0 * GRADIENT_STEP)
         return grad
@@ -309,28 +301,27 @@ def _ascend(
     began = time.perf_counter()
     base = psi
     for j in objective.frozen:
-        base = objective.apply(starts[j], base, j)
+        base = _apply_matrix(starts[j], base, j)
     evaluations = 0
 
-    def values_of(th: np.ndarray) -> list[float]:
+    def scored(mats: list[np.ndarray]):
+        """(objective, unitaries, point tensor, components) at ``mats``."""
         nonlocal evaluations
         evaluations += 1
-        mats = objective.unitaries(starts, th)
-        out = base
+        point = base
         for j, _, _ in objective.moving:
-            out = objective.apply(mats[j], out, j)
-        return objective.values(out)
+            point = _apply_matrix(mats[j], point, j)
+        values = objective.values(point)
+        return objective.value(values), mats, point, values
 
-    theta = np.zeros(objective.num_params)
-    values = values_of(theta)
-    current = objective.value(values)
+    current, mats, point, values = scored(list(starts))
     trace = [current]
     step = INITIAL_STEP
     stop_reason = "max_iters"
     iterations = 0
     while iterations < config.max_iters:
         iterations += 1
-        grad = objective.gradient(base, starts, theta, values)
+        grad = objective.gradient(point, values)
         evaluations += 2 * len(grad)
         grad_norm = float(np.linalg.norm(grad))
         if grad_norm < 1e-12:
@@ -340,21 +331,19 @@ def _ascend(
         trial_step = step
         accepted = False
         while trial_step >= config.step_tol:
-            candidate_values = values_of(theta + trial_step * direction)
-            candidate = objective.value(candidate_values)
-            if candidate > current:
+            candidate = scored(objective.stepped(mats, trial_step * direction))
+            if candidate[0] > current:
                 # ride the ray while it keeps paying
                 while trial_step * 2.0 <= MAX_STEP:
-                    extended_values = values_of(theta + 2.0 * trial_step * direction)
-                    extended = objective.value(extended_values)
-                    if extended > candidate:
+                    extended = scored(
+                        objective.stepped(mats, 2.0 * trial_step * direction))
+                    if extended[0] > candidate[0]:
                         trial_step *= 2.0
-                        candidate, candidate_values = extended, extended_values
+                        candidate = extended
                     else:
                         break
-                theta = theta + trial_step * direction
-                improvement = candidate - current
-                current, values = candidate, candidate_values
+                improvement = candidate[0] - current
+                current, mats, point, values = candidate
                 trace.append(current)
                 step = trial_step
                 accepted = True
@@ -368,7 +357,7 @@ def _ascend(
             break
     record = RestartRecord(stop_reason, iterations, evaluations,
                            time.perf_counter() - began)
-    return current, objective.unitaries(starts, theta), trace, record
+    return current, mats, trace, record
 
 
 def _maximize(

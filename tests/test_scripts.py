@@ -1,4 +1,5 @@
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ def _script(name):
 
 
 bench_pairs = _script("bench_pairs")
+ghz_basis_search = _script("ghz_basis_search")
 w_family_scan = _script("w_family_scan")
 
 METRICS = [{"name": "throughput_ops_s", "unit": "1/s", "better": "higher"},
@@ -93,3 +95,24 @@ class TestEverySizeScan:
                 assert value == f"{d / m * W_D_SUP_SQUARED[d]:.8f}"
             else:
                 assert abs(float(value) - W_D_SUP_SQUARED[d]) <= 1e-8
+
+
+class TestOutOfRangeArguments:
+    """A script refuses an argument outside its stated range before any work."""
+
+    @pytest.mark.parametrize("script, argv", [
+        (w_family_scan, ["--max-m", "11"]),
+        (w_family_scan, ["--max-m", "2"]),
+        (w_family_scan, ["--every-size", "--max-m", "8"]),
+        (ghz_basis_search, ["--restarts", "0"]),
+        (ghz_basis_search, ["--restarts", "10001"]),
+        (ghz_basis_search, ["--seed", "-1"]),
+    ])
+    def test_usage_error(self, capsys, monkeypatch, script, argv):
+        monkeypatch.setattr(sys, "argv", [script.__name__, *argv])
+        with pytest.raises(SystemExit) as exit_info:
+            script.main()
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: " in captured.err

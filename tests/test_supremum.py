@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from etensor import kernel as kernel_module
+from etensor import supremum as supremum_module
 from etensor import tensor as tensor_module
 from etensor.golden import W_D_SUP_SQUARED
 from etensor.localops import LocalUnitary, apply_local
@@ -352,67 +353,56 @@ class TestRestartRecords:
             assert record.evaluations > record.iterations
 
 
-def _loop_gradient(psi, dims, starts, thetas, objective, apply):
+def _haar_point(psi, dims, rng):
+    """Haar unitaries on every party, and ``psi`` with them applied."""
+    mats = [haar_unitary(n, rng) for n in dims]
+    for j, mat in enumerate(mats):
+        psi = supremum_module._apply_matrix(mat, psi, j)
+    return mats, psi
+
+
+def _loop_gradient(point, dims, objective):
     """The per-probe loop the batched gradient replaced, over every party.
 
-    ``thetas`` holds each party's dim^2 parameters; every probe moves one
-    of them and is applied and scored on its own.  ``apply`` puts a unitary
-    on one party; with the search's own matmul passed in, the two sides
-    differ only in batching, pruning and the order of the other parties.
+    Probe k of party j is exp(+-h G_k) on axis j of the point tensor, built
+    and scored on its own; the two sides differ only in batching and in the
+    pairs that the batched gradient reuses.
     """
-    mats = [start @ _unitary_exp(_antihermitian(theta, n))
-            for start, theta, n in zip(starts, thetas, dims)]
+    def single(tensor):
+        return objective.value(objective.values(tensor))
+
     grads = []
     for j, n in enumerate(dims):
-        rest = psi
-        for axis, mat in enumerate(mats):
-            if axis != j:
-                rest = apply(mat, rest, axis)
         grad = np.zeros(n * n)
-        for p in range(n * n):
-            plus = thetas[j].copy()
-            plus[p] += GRADIENT_STEP
-            up = starts[j] @ _unitary_exp(_antihermitian(plus, n))
-            minus = thetas[j].copy()
-            minus[p] -= GRADIENT_STEP
-            um = starts[j] @ _unitary_exp(_antihermitian(minus, n))
-            grad[p] = (objective(apply(up, rest, j))
-                       - objective(apply(um, rest, j))) / (2 * GRADIENT_STEP)
+        for k in range(n * n):
+            shift = np.zeros(n * n)
+            shift[k] = GRADIENT_STEP
+            up = _unitary_exp(_antihermitian(shift, n))
+            um = _unitary_exp(_antihermitian(-shift, n))
+            grad[k] = (single(supremum_module._apply_matrix(up, point, j))
+                       - single(supremum_module._apply_matrix(um, point, j))
+                       ) / (2 * GRADIENT_STEP)
         grads.append(grad)
     return grads
 
 
 def _gradient_case(dims, parties_list, combine, seed):
-    """Batched and loop gradients at a random point of a random state."""
+    """Batched and loop gradients at random Haar unitaries of a random state."""
     structure = PartyStructure(dims)
     rng = np.random.default_rng(seed)
     psi = random_state(structure, rng).tensor
     subsets = [SubsetSelector(p) for p in parties_list]
     objective = _Objective(structure, subsets, DEFAULT_SCHEME, combine)
-    starts = [haar_unitary(n, rng) for n in dims]
-    thetas = [np.zeros(n * n) if j in objective.frozen
-              else 0.3 * rng.normal(size=n * n) for j, n in enumerate(dims)]
-    theta = np.concatenate([thetas[j] for j, _, _ in objective.moving])
-    base = psi
-    for j in objective.frozen:
-        base = objective.apply(starts[j], base, j)
-    point = base
-    mats = objective.unitaries(starts, theta)
-    for j, _, _ in objective.moving:
-        point = objective.apply(mats[j], point, j)
-    batched = objective.gradient(base, starts, theta, objective.values(point))
-
-    def single(tensor):
-        return objective.value(objective.values(tensor))
-
-    loop = _loop_gradient(psi, dims, starts, thetas, single, objective.apply)
+    _, point = _haar_point(psi, dims, rng)
+    batched = objective.gradient(point, objective.values(point))
+    loop = _loop_gradient(point, dims, objective)
     return objective, batched, loop
 
 
 # Round-off floor of a central difference: values near 1 that differ by a
 # few ulps between two evaluation orders, over the probe distance 2h.  The
-# loop applies the other parties in another order, and re-scores the pairs
-# that the batched gradient reuses; both move its probe values by ulps.
+# loop scores each probe alone, and re-scores the pairs that the batched
+# gradient reuses; both move its probe values by ulps.
 FD_ROUND_OFF = 4 * np.finfo(float).eps / (2 * GRADIENT_STEP)
 
 
@@ -444,20 +434,20 @@ class TestBatchedGradient:
         dims, parties_list = (3, 2, 3), [(0, 1), (0, 1, 2)]
         passes, stacks = [], []
         evaluate_pass = kernel_module._evaluate_pass
-        apply = _Objective.apply
+        apply = supremum_module._apply_matrix
 
         def counted(shape, *args):
             (group,) = shape.groups
             passes.append(group.batch)
             return evaluate_pass(shape, *args)
 
-        def applied(self, mats, amplitudes, party):
+        def applied(mats, amplitudes, party):
             if mats.ndim == 3:
                 stacks.append(len(mats))
-            return apply(self, mats, amplitudes, party)
+            return apply(mats, amplitudes, party)
 
         monkeypatch.setattr(kernel_module, "_evaluate_pass", counted)
-        monkeypatch.setattr(_Objective, "apply", applied)
+        monkeypatch.setattr(supremum_module, "_apply_matrix", applied)
         _, whole, _ = _gradient_case(dims, parties_list, "min", seed=5)
         whole_passes = list(passes)
         # each party's probes are applied as one stack in the default budget
@@ -478,6 +468,68 @@ class TestBatchedGradient:
         assert len(passes) > len(whole_passes)
         assert max(passes) < 8
         assert np.array_equal(chunked, whole)
+
+
+class TestGradientOfTheStep:
+    """The gradient is the derivative of the step the ascent takes.
+
+    Along a random unit direction v, ``grad @ v`` must match a central
+    difference of the objective over ``stepped(mats, +-eps v)``, so a probe
+    convention that does not match the step convention fails here.
+    """
+
+    EPS = 1e-4
+
+    @pytest.mark.parametrize("dims, parties_list, combine", [
+        ((2, 2, 2), [(0, 1)], "min"),
+        ((3, 2, 3), [(0, 2)], "min"),
+        ((3, 3, 2), [(0, 1, 2)], "min"),
+        ((2, 2, 2, 2), [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)], "min"),
+        ((2, 3, 2), [(0, 1), (0, 2)], "mean"),
+        ((2, 2, 2, 2, 2), [(0, 1, 2, 3, 4)], "min"),
+        ((4, 3, 3), [(0, 1, 2)], "min"),
+    ])
+    def test_directional_derivative(self, dims, parties_list, combine):
+        structure = PartyStructure(dims)
+        rng = np.random.default_rng(sum(dims) + len(parties_list))
+        # the six pairs are the W4 joint search's objective, so on W4
+        psi = (w_state(4).tensor if dims == (2, 2, 2, 2)
+               else random_state(structure, rng).tensor)
+        objective = _Objective(structure, [SubsetSelector(p) for p in parties_list],
+                               DEFAULT_SCHEME, combine)
+        mats, point = _haar_point(psi, dims, rng)
+
+        def moved(direction):
+            tensor = psi
+            for j, mat in enumerate(objective.stepped(mats, direction)):
+                tensor = supremum_module._apply_matrix(mat, tensor, j)
+            return objective.value(objective.values(tensor))
+
+        grad = objective.gradient(point, objective.values(point))
+        v = rng.normal(size=objective.num_params)
+        v /= np.linalg.norm(v)
+        along = (moved(self.EPS * v) - moved(-self.EPS * v)) / (2 * self.EPS)
+        assert abs(grad @ v - along) <= 1e-6 * abs(along)
+
+    def test_gradient_builds_no_unitary(self, monkeypatch):
+        dims = (3, 2, 3)
+        structure = PartyStructure(dims)
+        rng = np.random.default_rng(24)
+        objective = _Objective(structure, [SubsetSelector((0, 1)),
+                                           SubsetSelector((0, 1, 2))],
+                               DEFAULT_SCHEME, "min")
+        mats, point = _haar_point(random_state(structure, rng).tensor, dims, rng)
+        values = objective.values(point)
+        exps, eighs = [], []
+        unitary_exp, eigh = supremum_module._unitary_exp, np.linalg.eigh
+        monkeypatch.setattr(supremum_module, "_unitary_exp",
+                            lambda a: exps.append(a.shape) or unitary_exp(a))
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: eighs.append(a.shape) or eigh(a))
+        grad = objective.gradient(point, values)
+        assert (exps, eighs) == ([], [])
+        # a step does build its unitaries: one stacked eigh per dimension
+        objective.stepped(mats, grad)
+        assert exps == [(1, 2, 2), (2, 3, 3)] and eighs == exps
 
 
 @st.composite
