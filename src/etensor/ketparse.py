@@ -291,8 +291,6 @@ def parse_amplitudes(
     """
     parser = _Parser(text)
     terms = parser.parse()
-    if not terms:
-        raise KetSyntaxError("empty expression", 1, 1)
     if (
         parser.first_compact is not None
         and structure_hint is not None

@@ -23,22 +23,23 @@ tensor, for each of the dim^2 generators G_k.  So the 2 * dim^2 probe
 unitaries of a dimension are one fixed stack, built once per search, and a
 gradient runs no ``eigh`` and re-applies no other party's unitary.  The
 probes of one party are applied with one matmul per pass of the batched
-kernel, and each subset scores the ``(P, *dims)`` stack of a pass with one
-call of its evaluator from :func:`etensor.tensor.component_evaluator`.  A
-pass holds as many probes as one kernel pass of every evaluator takes: the
-whole stack on small states, one probe on large ones, so a gradient never
-holds more probe tensors than one pass.  Line-search points take one
-stacked ``eigh`` per dimension for their step unitaries and go through the
-same evaluators one tensor at a time.
+kernel, and ``_Objective.scores`` scores the ``(P, *dims)`` stack of a pass
+with one call of each subset's evaluator from
+:func:`etensor.tensor.component_evaluator`.  A pass holds as many probes as
+one kernel pass of every evaluator takes: the whole stack on small states,
+one probe on large ones, so a gradient never holds more probe tensors than
+one pass.  Line-search points take one stacked ``eigh`` per dimension for
+their step unitaries and are scored the same way, as stacks of one.
 
 Directions that cannot change the value are not probed.  A pair component
 is sqrt(2 sum_s p_s (1 - Tr rho_s^2)) over the sectors s of the other
 parties, and unitaries on the pair's own two parties leave every p_s and
-Tr rho_s^2 as they are (Rungta et al., PRA 64, 042315 (2001)).  So a party
-whose subsets are all pairs containing it keeps its start unitary, which
-is applied to the state once per restart; a single-pair search moves only
-the other M - 2 parties.  In a joint search, a probe on party j reuses the
-current value of every pair that contains j instead of scoring it again.
+Tr rho_s^2 as they are (Rungta et al., PRA 64, 042315 (2001)).  The
+objective holds this fact once, as a table of the subsets each party's
+unitary can change.  A party with none keeps its start unitary, which is
+applied to the state once per restart; a single-pair search moves only the
+other M - 2 parties.  A probe on party j evaluates only party j's subsets,
+and every pair that contains j keeps its current value.
 
 The objective has absolute-value kinks, so a restart simply stops when the
 line search stalls below the step tolerance.  Each restart reports why it
@@ -184,13 +185,16 @@ def _unitary_exp(antiherm: np.ndarray) -> np.ndarray:
 class _Objective:
     """Components of some subsets, combined by ``min`` or ``mean``.
 
-    Each subset has one evaluator from :func:`component_evaluator`, which
-    scores both a single point and a stack of gradient probes on one party.
+    Each subset has one evaluator from :func:`component_evaluator`, and
+    :meth:`scores` runs them on a ``(P, *dims)`` stack: a line-search point
+    is a stack of one, a gradient pass a stack of probes on one party.
     ``batch`` is the number of probe tensors that one kernel pass of every
-    evaluator takes.  ``frozen`` lists the parties never probed: those
-    whose subsets are all pairs containing them.  ``moving`` lists the
-    others with the slice of a direction vector each one owns, and
-    ``probes`` holds each moving dimension's exp(+h G_k) then exp(-h G_k).
+    evaluator takes.  ``changed_by[j]`` lists the subsets whose component
+    party j's unitary can change: all but the pairs that contain j.
+    ``frozen`` lists the parties that change none, which are never probed.
+    ``moving`` lists the others with the slice of a direction vector each
+    one owns, and ``probes`` holds each moving dimension's exp(+h G_k) then
+    exp(-h G_k).
     """
 
     def __init__(
@@ -202,16 +206,18 @@ class _Objective:
     ) -> None:
         dims = structure.dims
         self.dims = dims
-        self.subsets = tuple(subsets)
         self.evaluators = [
             component_evaluator(structure, subset, scheme) for subset in subsets
         ]
         self.batch = min(evaluate.batch for evaluate in self.evaluators)
         self.combine = combine
-        self.frozen = tuple(
-            j for j in range(len(dims))
-            if all(s.size == 2 and j in s.parties for s in subsets)
-        )
+        # a pair component ignores unitaries on its own two parties
+        self.changed_by = [
+            [row for row, subset in enumerate(subsets)
+             if not (subset.size == 2 and j in subset.parties)]
+            for j in range(len(dims))
+        ]
+        self.frozen = tuple(j for j, rows in enumerate(self.changed_by) if not rows)
         self.moving = []
         offset = 0
         for j, n in enumerate(dims):
@@ -231,15 +237,31 @@ class _Objective:
             for n, _, _ in self.blocks
         }
 
-    def values(self, amplitudes: np.ndarray) -> list[float]:
-        """Every subset's component at one amplitude tensor."""
-        return [evaluate(amplitudes) for evaluate in self.evaluators]
+    def scores(
+        self,
+        stack: np.ndarray,
+        party: int | None = None,
+        values: np.ndarray | None = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(len(subsets), P)`` rows of components and the combined objective.
 
-    def value(self, values: list[float]) -> float:
-        """The combined objective of the subsets' components at one point."""
+        With ``party``, the ``(P, *dims)`` stack differs only on that party
+        from a point whose rows are ``values``, so only the rows in
+        ``changed_by[party]`` are evaluated.  The mean sums the rows in
+        order: numpy's pairwise sum would score a stack of one differently
+        from eight rows on.
+        """
+        rows = np.empty((len(self.evaluators), len(stack)))
+        if party is None:
+            changed = range(len(rows))
+        else:
+            rows[:] = values
+            changed = self.changed_by[party]
+        for row in changed:
+            rows[row] = self.evaluators[row](stack)
         if self.combine == "min":
-            return min(values)
-        return sum(values) / len(values)
+            return rows, rows.min(axis=0)
+        return rows, sum(rows) / len(rows)
 
     def stepped(
         self, mats: list[np.ndarray], direction: np.ndarray
@@ -256,39 +278,23 @@ class _Objective:
                 mats[j] = exp @ mats[j]
         return mats
 
-    def gradient(self, point: np.ndarray, values: list[float]) -> np.ndarray:
+    def gradient(self, point: np.ndarray, values: np.ndarray) -> np.ndarray:
         """Central-difference gradient of :meth:`stepped` at the point tensor.
 
-        ``values`` are the subsets' components at ``point``.  Each moving
+        ``values`` are the rows of :meth:`scores` at ``point``.  Each moving
         party's fixed probe stack is applied to its axis of ``point`` and
         scored ``batch`` probes at a time.
         """
         grad = np.empty(self.num_params)
         for j, a, b in self.moving:
             probes = self.probes[self.dims[j]]
-            scores = np.empty(len(probes))
+            probed = np.empty(len(probes))
             for start in range(0, len(probes), self.batch):
                 part = slice(start, start + self.batch)
-                scores[part] = self._score(_apply_matrix(probes[part], point, j), j,
-                                           values)
-            grad[a:b] = (scores[:b - a] - scores[b - a:]) / (2.0 * GRADIENT_STEP)
+                probed[part] = self.scores(_apply_matrix(probes[part], point, j), j,
+                                           values)[1]
+            grad[a:b] = (probed[:b - a] - probed[b - a:]) / (2.0 * GRADIENT_STEP)
         return grad
-
-    def _score(self, stack: np.ndarray, party: int, values: list[float]) -> np.ndarray:
-        """Combined value of each tensor of a ``(P, *dims)`` stack of probes.
-
-        The probes differ from the current point only on ``party``, so a
-        pair containing it keeps its current value from ``values``.
-        """
-        scores = np.empty((len(self.subsets), len(stack)))
-        for row, (subset, evaluate) in enumerate(zip(self.subsets, self.evaluators)):
-            if subset.size == 2 and party in subset.parties:
-                scores[row] = values[row]
-            else:
-                scores[row] = evaluate(stack)
-        if self.combine == "min":
-            return scores.min(axis=0)
-        return scores.sum(axis=0) / len(self.subsets)
 
 
 def _ascend(
@@ -311,8 +317,8 @@ def _ascend(
         point = base
         for j, _, _ in objective.moving:
             point = _apply_matrix(mats[j], point, j)
-        values = objective.values(point)
-        return objective.value(values), mats, point, values
+        values, combined = objective.scores(point[None])
+        return float(combined[0]), mats, point, values
 
     current, mats, point, values = scored(list(starts))
     trace = [current]
@@ -360,44 +366,6 @@ def _ascend(
     return current, mats, trace, record
 
 
-def _maximize(
-    state: StateVector,
-    objective: _Objective,
-    config: OptimizerConfig,
-) -> SupremumResult:
-    dims = state.structure.dims
-    psi = state.tensor
-    streams = np.random.SeedSequence(config.seed).spawn(config.restarts)
-    best_value = -math.inf
-    best_mats: list[np.ndarray] = []
-    best_index = 0
-    restart_values: list[float] = []
-    records: list[RestartRecord] = []
-    for r in range(config.restarts):
-        if r == 0:
-            starts = [np.eye(n, dtype=np.complex128) for n in dims]
-        else:
-            rng = np.random.default_rng(streams[r])
-            starts = [haar_unitary(n, rng) for n in dims]
-        value, mats, _, record = _ascend(psi, starts, objective, config)
-        restart_values.append(value)
-        records.append(record)
-        if value > best_value:
-            best_value = value
-            best_mats = mats
-            best_index = r
-    unitaries = tuple(
-        LocalUnitary(party, mat) for party, mat in enumerate(best_mats)
-    )
-    return SupremumResult(
-        best_value=best_value,
-        best_unitaries=unitaries,
-        restart_values=tuple(restart_values),
-        best_restart=best_index,
-        restarts=tuple(records),
-    )
-
-
 def maximize_component(
     state: StateVector,
     subset: SubsetSelector,
@@ -405,8 +373,7 @@ def maximize_component(
     config: OptimizerConfig = OptimizerConfig(),
 ) -> SupremumResult:
     """Largest component value found for one subset over local bases."""
-    return _maximize(state, _Objective(state.structure, [subset], scheme, "min"),
-                     config)
+    return maximize_simultaneous(state, [subset], scheme, config)
 
 
 def maximize_simultaneous(
@@ -419,12 +386,31 @@ def maximize_simultaneous(
     """Maximize the minimum (or mean) of several components jointly.
 
     With ``objective="min"`` this looks for a basis in which all listed
-    components are large at once; a single-subset list degenerates to
-    :func:`maximize_component`.
+    components are large at once; :func:`maximize_component` is this
+    search on one subset.
     """
     if not subsets:
         raise ValueError("at least one subset is required")
     if objective not in ("min", "mean"):
         raise ValueError(f"objective must be 'min' or 'mean', got {objective!r}")
-    return _maximize(state, _Objective(state.structure, subsets, scheme, objective),
-                     config)
+    search = _Objective(state.structure, subsets, scheme, objective)
+    dims = state.structure.dims
+    streams = np.random.SeedSequence(config.seed).spawn(config.restarts)
+    runs = []
+    for r in range(config.restarts):
+        if r == 0:
+            starts = [np.eye(n, dtype=np.complex128) for n in dims]
+        else:
+            rng = np.random.default_rng(streams[r])
+            starts = [haar_unitary(n, rng) for n in dims]
+        runs.append(_ascend(state.tensor, starts, search, config))
+    # max keeps the first restart of the best value
+    best = max(range(config.restarts), key=lambda r: runs[r][0])
+    return SupremumResult(
+        best_value=runs[best][0],
+        best_unitaries=tuple(
+            LocalUnitary(party, mat) for party, mat in enumerate(runs[best][1])),
+        restart_values=tuple(run[0] for run in runs),
+        best_restart=best,
+        restarts=tuple(run[3] for run in runs),
+    )

@@ -323,13 +323,10 @@ def _make_evaluator(
     order: tuple[int, ...],
     constant: float,
 ) -> Callable[[np.ndarray], float | np.ndarray]:
-    _check_work(
-        math.prod(math.comb(dims[p], 2) for p in order) * 2 ** len(order)
-        * math.prod(dims) // math.prod(dims[p] for p in order),
-        "subset {} of dims {}", order, dims,
-    )
     total = math.prod(dims)
     selected = tuple(dims[p] for p in order)
+    _check_work(_kernel_work(selected, len(order)) * (total // math.prod(selected)),
+                "subset {} of dims {}", order, dims)
     others = tuple(p for p in range(len(dims)) if p not in order)
     layout = kernel._layout(selected, total // math.prod(selected),
                             GATHER_BUDGET_BYTES)

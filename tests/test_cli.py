@@ -294,6 +294,37 @@ class TestErrorChannels:
     def test_parties_are_named_as_typed(self, capsys, argv, message):
         assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
 
+    # "{list}" is a .ket.json file that holds a JSON list
+    @pytest.mark.parametrize("argv, code, message", [
+        (["compute", "--expr", EPR_EXPR, "--subset", "1,x"], 1,
+         "error: bad subset '1,x': expected comma-separated 1-based party numbers"),
+        (["compute", "--expr", EPR_EXPR, "--subset", "0,2"], 1,
+         "error: bad subset '0,2': party numbers are 1-based"),
+        (["regroup", "--expr", GHZ_EXPR, "--groups", "1,x|2,3"], 1,
+         "error: bad grouping '1,x|2,3': expected blocks like '1,2|3,4'"),
+        (["optimize", "--expr", EPR_EXPR], 1,
+         "error: provide --subset or --subsets"),
+        (["oracle", "--kind", "dur"], 1, "error: oracle --kind dur needs --m"),
+        (["oracle", "--kind", "purity", "--expr", GHZ_EXPR], 1,
+         "error: oracle --kind purity needs --split"),
+        (["oracle", "--kind", "wootters", "--expr", GHZ_EXPR], 1,
+         "error: oracle --kind wootters needs --pair"),
+        (["measure", "--expr", "(|0> + |1>)/sqrt(2)", "--party", "1",
+          "--outcome", "0"], 1,
+         "error: measuring the only party would leave no state"),
+        (["compute", "--expr", "|>"], 2, "parse error at 1:1: empty ket"),
+        (["compute", "--state", "{list}"], 2,
+         "parse error: coefficient document must be a JSON object"),
+    ], ids=["subset-not-a-number", "subset-zero", "grouping-not-a-number",
+            "optimize-no-subset", "dur-no-m", "purity-no-split",
+            "wootters-no-pair", "measure-only-party", "empty-ket",
+            "json-list"])
+    def test_refusal_is_one_line(self, capsys, tmp_path, argv, code, message):
+        listed = tmp_path / "list.ket.json"
+        listed.write_text("[1, 2]")
+        argv = [str(listed) if arg == "{list}" else arg for arg in argv]
+        assert run_cli(capsys, *argv) == (code, "", message + "\n")
+
 
 def _ket(parties):
     return "|" + ",".join(map(str, parties)) + ">"

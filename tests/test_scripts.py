@@ -2,6 +2,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from etensor.golden import W_D_SUP_SQUARED
@@ -19,6 +20,7 @@ def _script(name):
 bench_pairs = _script("bench_pairs")
 ghz_basis_search = _script("ghz_basis_search")
 w_family_scan = _script("w_family_scan")
+w_zero_starts = _script("w_zero_starts")
 
 METRICS = [{"name": "throughput_ops_s", "unit": "1/s", "better": "higher"},
            {"name": "latency_p50_ms", "unit": "ms", "better": "lower"}]
@@ -95,6 +97,16 @@ class TestEverySizeScan:
                 assert value == f"{d / m * W_D_SUP_SQUARED[d]:.8f}"
             else:
                 assert abs(float(value) - W_D_SUP_SQUARED[d]) <= 1e-8
+
+
+class TestZeroStarts:
+    def test_no_random_basis_of_w3_is_a_zero(self, capsys):
+        # the W_3 full component is bounded away from zero (least 1.1e-2 in
+        # 400 bases), so a handful of bases finds none below 1e-6
+        w_zero_starts.random_bases(3, 20, np.random.default_rng(0))
+        line = capsys.readouterr().out
+        assert line.startswith("W_3: 0 of 20 random bases below 1e-06; the least is ")
+        assert float(line.split()[-1]) > 1e-2
 
 
 class TestOutOfRangeArguments:

@@ -369,7 +369,7 @@ def _loop_gradient(point, dims, objective):
     pairs that the batched gradient reuses.
     """
     def single(tensor):
-        return objective.value(objective.values(tensor))
+        return objective.scores(tensor[None])[1][0]
 
     grads = []
     for j, n in enumerate(dims):
@@ -394,7 +394,7 @@ def _gradient_case(dims, parties_list, combine, seed):
     subsets = [SubsetSelector(p) for p in parties_list]
     objective = _Objective(structure, subsets, DEFAULT_SCHEME, combine)
     _, point = _haar_point(psi, dims, rng)
-    batched = objective.gradient(point, objective.values(point))
+    batched = objective.gradient(point, objective.scores(point[None])[0])
     loop = _loop_gradient(point, dims, objective)
     return objective, batched, loop
 
@@ -503,9 +503,9 @@ class TestGradientOfTheStep:
             tensor = psi
             for j, mat in enumerate(objective.stepped(mats, direction)):
                 tensor = supremum_module._apply_matrix(mat, tensor, j)
-            return objective.value(objective.values(tensor))
+            return objective.scores(tensor[None])[1][0]
 
-        grad = objective.gradient(point, objective.values(point))
+        grad = objective.gradient(point, objective.scores(point[None])[0])
         v = rng.normal(size=objective.num_params)
         v /= np.linalg.norm(v)
         along = (moved(self.EPS * v) - moved(-self.EPS * v)) / (2 * self.EPS)
@@ -519,7 +519,7 @@ class TestGradientOfTheStep:
                                            SubsetSelector((0, 1, 2))],
                                DEFAULT_SCHEME, "min")
         mats, point = _haar_point(random_state(structure, rng).tensor, dims, rng)
-        values = objective.values(point)
+        values = objective.scores(point[None])[0]
         exps, eighs = [], []
         unitary_exp, eigh = supremum_module._unitary_exp, np.linalg.eigh
         monkeypatch.setattr(supremum_module, "_unitary_exp",

@@ -890,7 +890,7 @@ class TestKernelOrder:
             ])
             want = (scores.min(axis=0) if combine == "min"
                     else scores.sum(axis=0) / len(parties_list))
-            got = objective._score(stack, party, values)
+            got = objective.scores(stack, party, np.array(values)[:, None])[1]
             scored += sum(not (len(p) == 2 and party in p) for p in parties_list)
             assert got.tolist() == want.tolist()
         # each scored stack of 5 probes is one pass in the default budget;
