@@ -1,19 +1,18 @@
 #!/usr/bin/env python3
 """Count the Haar restart starts at which the full W_M component vanishes.
 
-The every-size scan searches sup_M(W_M) with 6 restarts.  Restart r >= 1
-of a search with seed s starts from one Haar unitary per party, drawn in
-party order from ``SeedSequence(s).spawn(6)[r]``.  For M = 5 and 6 and
-seeds 1..5 this prints how many of the 25 starts (restarts 1..5) have a
-full-subset component below 1e-6.  For each such start it prints the
-largest component at 20 random local steps of norm 0.01 from it (each
-party's unitary left-multiplied by exp(i H_j), the H_j Hermitian with
-Frobenius norm 0.01 together), and the value the search reaches from it
-(sup^2, stop reason, iterations).  A start whose steps all stay at
-round-off lies in a region where the component is flat zero, so its exact
-gradient vanishes and central differences see only round-off.  For M = 3
-and 4 it counts the same among 400 random local bases (seed 0).  It takes
-about 8 s on a 2-vCPU host.
+The every-size scan searches sup_M(W_M) with 6 restarts.  Its starts come
+from ``supremum._restart_starts``: restart r >= 1 starts from one Haar
+unitary per party.  For M = 5 and 6 and seeds 1..5 this prints how many of
+the 25 starts (restarts 1..5) have a full-subset component below 1e-6.
+For each such start it prints the largest component at 20 random local
+steps of norm 0.01 from it (each party's unitary left-multiplied by
+exp(i H_j), the H_j Hermitian with Frobenius norm 0.01 together), and the
+value the search reaches from it (sup^2, stop reason, iterations).  A
+start whose steps all stay at round-off lies in a region where the
+component is flat zero, so its exact gradient vanishes and central
+differences see only round-off.  For M = 3 and 4 it counts the same among
+400 random local bases (seed 0).  It takes about 8 s on a 2-vCPU host.
 """
 
 import numpy as np
@@ -27,7 +26,7 @@ from etensor import (
     maximize_component,
     w_state,
 )
-from etensor.supremum import haar_unitary
+from etensor.supremum import _restart_starts, haar_unitary
 
 ZERO = 1e-6
 STEP = 0.01
@@ -58,12 +57,10 @@ def restart_starts(m: int) -> None:
     state, full = w_state(m), SubsetSelector(tuple(range(m)))
     lines, climbed, nearby = [], 0, np.random.default_rng(0)
     for seed in range(1, 6):
-        result = maximize_component(state, full,
-                                    config=OptimizerConfig(restarts=6, seed=seed))
-        streams = np.random.SeedSequence(seed).spawn(6)
-        for r in range(1, 6):
-            rng = np.random.default_rng(streams[r])
-            mats = [haar_unitary(2, rng) for _ in range(m)]
+        config = OptimizerConfig(restarts=6, seed=seed)
+        result = maximize_component(state, full, config=config)
+        starts = list(_restart_starts(state.structure.dims, config))[1:]
+        for r, mats in enumerate(starts, 1):
             start = value_at(state, mats)
             if start < ZERO:
                 end, record = result.restart_values[r], result.restarts[r]

@@ -314,14 +314,14 @@ def _cmd_measure(args: argparse.Namespace, out: TextIO) -> int:
     doc: dict[str, Any] = {
         "party": args.party,
         "outcome": args.outcome,
-        "probability": float(f"{prob:.15g}"),
+        "probability": prob,
     }
     if conditioned is None:
         doc["state"] = None
     else:
         doc["state"] = state_document(conditioned)
         doc["labels"] = list(conditioned.structure.labels)
-    write_json(doc, out)
+    write_json(doc, out, round_floats=True)
     return 0
 
 

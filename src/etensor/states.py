@@ -16,7 +16,6 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 NORM_TOL = 1e-9        # allowed deviation of the squared norm at construction
-PROB_TOL = 1e-12       # bookkeeping tolerance for probability sums
 MAX_TOTAL_DIM = 1 << 24  # most amplitudes a parsed input may ask to allocate
 
 
@@ -170,8 +169,8 @@ def projection_probability(
 ) -> BasisProjection:
     """Probability of observing ``fixed`` (party -> basis value) jointly.
 
-    The empty projection has probability 1.  For any single party the
-    probabilities over its basis values sum to 1 within ``PROB_TOL``.
+    The empty projection, like the sum over any one party's basis values,
+    gives the state's squared norm, which is 1 only within ``NORM_TOL``.
     """
     dims = state.structure.dims
     index: list[slice | int] = [slice(None)] * len(dims)

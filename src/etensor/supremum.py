@@ -55,7 +55,7 @@ import functools
 import math
 import time
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -105,8 +105,9 @@ class RestartRecord:
     ``stop_reason`` is ``grad_zero`` (the gradient vanished),
     ``line_search_stall`` (no step down to ``step_tol`` improved the value),
     ``value_tol`` (the last accepted step gained less than ``value_tol``) or
-    ``max_iters``.  ``evaluations`` counts every point at which the
-    objective was evaluated, gradient probes included.
+    ``max_iters``.  ``evaluations`` is what ``_Objective.scores`` counted
+    over the restart: the start, two probes per parameter per gradient and
+    one per line-search point.
     """
 
     stop_reason: str
@@ -194,7 +195,8 @@ class _Objective:
     ``frozen`` lists the parties that change none, which are never probed.
     ``moving`` lists the others with the slice of a direction vector each
     one owns, and ``probes`` holds each moving dimension's exp(+h G_k) then
-    exp(-h G_k).
+    exp(-h G_k).  ``evaluations`` counts the points :meth:`scores` has
+    scored, one per tensor of each stack.
     """
 
     def __init__(
@@ -211,6 +213,7 @@ class _Objective:
         ]
         self.batch = min(evaluate.batch for evaluate in self.evaluators)
         self.combine = combine
+        self.evaluations = 0
         # a pair component ignores unitaries on its own two parties
         self.changed_by = [
             [row for row, subset in enumerate(subsets)
@@ -251,6 +254,7 @@ class _Objective:
         order: numpy's pairwise sum would score a stack of one differently
         from eight rows on.
         """
+        self.evaluations += len(stack)
         rows = np.empty((len(self.evaluators), len(stack)))
         if party is None:
             changed = range(len(rows))
@@ -297,23 +301,35 @@ class _Objective:
         return grad
 
 
+def _restart_starts(
+    dims: Sequence[int], config: OptimizerConfig
+) -> Iterator[list[np.ndarray]]:
+    """Each restart's start unitaries: the identity for restart 0, then for
+    restart r one Haar unitary per party, in party order, from stream r of
+    the ``config.restarts`` streams spawned from ``config.seed``."""
+    streams = np.random.SeedSequence(config.seed).spawn(config.restarts)
+    yield [np.eye(n, dtype=np.complex128) for n in dims]
+    for stream in streams[1:]:
+        rng = np.random.default_rng(stream)
+        yield [haar_unitary(n, rng) for n in dims]
+
+
 def _ascend(
     psi: np.ndarray,
     starts: list[np.ndarray],
     objective: _Objective,
     config: OptimizerConfig,
-) -> tuple[float, list[np.ndarray], list[float], RestartRecord]:
-    """Single restart; returns (value, unitaries, accepted-value trace, record)."""
+) -> tuple[float, list[np.ndarray], RestartRecord]:
+    """Single restart; returns (value, unitaries, record), the record's
+    ``evaluations`` being what ``objective.scores`` counted over the restart."""
     began = time.perf_counter()
+    counted = objective.evaluations
     base = psi
     for j in objective.frozen:
         base = _apply_matrix(starts[j], base, j)
-    evaluations = 0
 
     def scored(mats: list[np.ndarray]):
         """(objective, unitaries, point tensor, components) at ``mats``."""
-        nonlocal evaluations
-        evaluations += 1
         point = base
         for j, _, _ in objective.moving:
             point = _apply_matrix(mats[j], point, j)
@@ -321,49 +337,41 @@ def _ascend(
         return float(combined[0]), mats, point, values
 
     current, mats, point, values = scored(list(starts))
-    trace = [current]
     step = INITIAL_STEP
     stop_reason = "max_iters"
     iterations = 0
     while iterations < config.max_iters:
         iterations += 1
         grad = objective.gradient(point, values)
-        evaluations += 2 * len(grad)
         grad_norm = float(np.linalg.norm(grad))
         if grad_norm < 1e-12:
             stop_reason = "grad_zero"
             break
         direction = grad / grad_norm
-        trial_step = step
-        accepted = False
-        while trial_step >= config.step_tol:
-            candidate = scored(objective.stepped(mats, trial_step * direction))
+        while step >= config.step_tol:
+            candidate = scored(objective.stepped(mats, step * direction))
             if candidate[0] > current:
-                # ride the ray while it keeps paying
-                while trial_step * 2.0 <= MAX_STEP:
-                    extended = scored(
-                        objective.stepped(mats, 2.0 * trial_step * direction))
-                    if extended[0] > candidate[0]:
-                        trial_step *= 2.0
-                        candidate = extended
-                    else:
-                        break
-                improvement = candidate[0] - current
-                current, mats, point, values = candidate
-                trace.append(current)
-                step = trial_step
-                accepted = True
                 break
-            trial_step /= 2.0
-        if not accepted:
+            step /= 2.0
+        else:
             stop_reason = "line_search_stall"
             break
+        # ride the ray while it keeps paying
+        while step * 2.0 <= MAX_STEP:
+            extended = scored(objective.stepped(mats, 2.0 * step * direction))
+            if extended[0] > candidate[0]:
+                step *= 2.0
+                candidate = extended
+            else:
+                break
+        improvement = candidate[0] - current
+        current, mats, point, values = candidate
         if improvement < config.value_tol:
             stop_reason = "value_tol"
             break
-    record = RestartRecord(stop_reason, iterations, evaluations,
+    record = RestartRecord(stop_reason, iterations, objective.evaluations - counted,
                            time.perf_counter() - began)
-    return current, mats, trace, record
+    return current, mats, record
 
 
 def maximize_component(
@@ -394,16 +402,8 @@ def maximize_simultaneous(
     if objective not in ("min", "mean"):
         raise ValueError(f"objective must be 'min' or 'mean', got {objective!r}")
     search = _Objective(state.structure, subsets, scheme, objective)
-    dims = state.structure.dims
-    streams = np.random.SeedSequence(config.seed).spawn(config.restarts)
-    runs = []
-    for r in range(config.restarts):
-        if r == 0:
-            starts = [np.eye(n, dtype=np.complex128) for n in dims]
-        else:
-            rng = np.random.default_rng(streams[r])
-            starts = [haar_unitary(n, rng) for n in dims]
-        runs.append(_ascend(state.tensor, starts, search, config))
+    runs = [_ascend(state.tensor, starts, search, config)
+            for starts in _restart_starts(state.structure.dims, config)]
     # max keeps the first restart of the best value
     best = max(range(config.restarts), key=lambda r: runs[r][0])
     return SupremumResult(
@@ -412,5 +412,5 @@ def maximize_simultaneous(
             LocalUnitary(party, mat) for party, mat in enumerate(runs[best][1])),
         restart_values=tuple(run[0] for run in runs),
         best_restart=best,
-        restarts=tuple(run[3] for run in runs),
+        restarts=tuple(run[2] for run in runs),
     )

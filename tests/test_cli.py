@@ -315,10 +315,14 @@ class TestErrorChannels:
         (["compute", "--expr", "|>"], 2, "parse error at 1:1: empty ket"),
         (["compute", "--state", "{list}"], 2,
          "parse error: coefficient document must be a JSON object"),
+        (["apply", "--expr", "(|0,0> + |2,1>)/sqrt(2)", "--party", "1",
+          "--gate", "H"], 1, "error: the H gate acts on qubits only"),
+        (["oracle", "--kind", "wootters", "--expr", GHZ_EXPR, "--pair", "1,2,3"], 1,
+         "error: --pair must name exactly two parties"),
     ], ids=["subset-not-a-number", "subset-zero", "grouping-not-a-number",
             "optimize-no-subset", "dur-no-m", "purity-no-split",
             "wootters-no-pair", "measure-only-party", "empty-ket",
-            "json-list"])
+            "json-list", "hadamard-on-qutrit", "wootters-three-parties"])
     def test_refusal_is_one_line(self, capsys, tmp_path, argv, code, message):
         listed = tmp_path / "list.ket.json"
         listed.write_text("[1, 2]")

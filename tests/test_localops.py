@@ -195,6 +195,21 @@ class TestRegroup:
         with pytest.raises(ValueError, match="cover"):
             regroup(ghz_state(3), PartyGrouping(((0, 1),)))
 
+    @pytest.mark.parametrize("refused, message", [
+        (lambda: PartyGrouping(((),)), "grouping needs at least one non-empty block"),
+        (lambda: ungroup(ghz_state(3), PartyGrouping(((0, 1), (2,))),
+                         PartyStructure((2, 2, 3))),
+         "state dims (2, 2, 2) do not match the grouping's merged dims (4, 3)"),
+        (lambda: trace_to_pair(ghz_state(3), (0, 0)),
+         "kept parties must be distinct, got [0, 0]"),
+        (lambda: reduced_density(ghz_state(3), (0, 0)),
+         "kept parties must be distinct, got [0, 0]"),
+    ], ids=["empty-blocks", "ungroup-dims", "pair-repeat", "density-repeat"])
+    def test_refusal_names_the_input(self, refused, message):
+        with pytest.raises(ValueError) as error:
+            refused()
+        assert str(error.value) == message
+
     @given(seed_strategy, st.permutations(list(range(4))), st.integers(1, 3))
     @settings(max_examples=40, deadline=None)
     def test_round_trip_bit_for_bit(self, seed, order, cut):

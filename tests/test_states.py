@@ -125,6 +125,9 @@ class TestStateVector:
         with pytest.raises(ValueError):
             state.amplitudes[0] = 0.0
 
+    def test_repr_counts_nonzero_amplitudes(self):
+        assert repr(w_state(3)) == "StateVector(dims=(2, 2, 2), nonzero_amplitudes=3)"
+
     def test_tensor_view_shape(self):
         state = ghz_state(3)
         assert state.tensor.shape == (2, 2, 2)
@@ -147,6 +150,15 @@ class TestBuilders:
     def test_product_state_normalizes_factors(self):
         state = product_state([[2.0, 0.0], [1.0, 1.0]])
         assert state.amplitude((0, 0)) == pytest.approx(1 / math.sqrt(2))
+
+    @pytest.mark.parametrize("refused, message", [
+        (lambda: w_state(1), "a W state needs at least 2 parties"),
+        (lambda: product_state([[0, 0], [1, 0]]), "local state must be nonzero"),
+    ], ids=["w-one-party", "zero-factor"])
+    def test_refusal_names_the_input(self, refused, message):
+        with pytest.raises(ValueError) as error:
+            refused()
+        assert str(error.value) == message
 
     def test_random_states_are_normalized(self):
         rng = np.random.default_rng(11)
@@ -194,6 +206,20 @@ class TestProjection:
     def test_out_of_range_value(self):
         with pytest.raises(ValueError):
             projection_probability(epr_state(), {0: 2})
+
+    def test_single_party_sum_is_the_squared_norm(self):
+        # StateVector accepts a squared norm up to NORM_TOL away from 1
+        states = [StateVector(PartyStructure((2, 2)), [1 + 4e-10, 0, 0, 0])]
+        rng = np.random.default_rng(33)
+        for _ in range(50):
+            dims = tuple(rng.integers(2, 5, size=rng.integers(1, 5)))
+            states.append(random_state(PartyStructure(dims), rng))
+        for state in states:
+            a = state.amplitudes
+            for party, dim in enumerate(state.structure.dims):
+                total = sum(projection_probability(state, {party: k}).probability
+                            for k in range(dim))
+                assert abs(total - np.vdot(a, a).real) <= 1e-15
 
     @given(dims_strategy, st.integers(0, 2**32 - 1), st.data())
     @settings(max_examples=40, deadline=None)

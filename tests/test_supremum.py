@@ -9,7 +9,7 @@ from etensor import kernel as kernel_module
 from etensor import supremum as supremum_module
 from etensor import tensor as tensor_module
 from etensor.golden import W_D_SUP_SQUARED
-from etensor.localops import LocalUnitary, apply_local
+from etensor.localops import LocalUnitary, apply_local, hadamard
 from etensor.states import (
     PartyStructure,
     StateVector,
@@ -28,6 +28,7 @@ from etensor.supremum import (
     _antihermitian,
     _ascend,
     _Objective,
+    _restart_starts,
     _unitary_exp,
 )
 from etensor.tensor import (
@@ -139,19 +140,39 @@ class TestMaximizeComponent:
         assert result.restart_values[result.best_restart] == result.best_value
 
 
-class TestMonotoneTrajectory:
-    def test_accepted_values_never_decrease(self):
-        state = w_state(3)
+class TestAscendResult:
+    """What one restart returns: a value no lower than its start's, reached
+    by the unitaries it returns, and the evaluations the objective counted."""
+
+    def test_value_is_reached_by_the_returned_unitaries(self):
+        state, subset = w_state(3), SubsetSelector((0, 1))
         rng = np.random.default_rng(17)
         starts = [haar_unitary(2, rng) for _ in range(3)]
-        objective = _Objective(state.structure, [SubsetSelector((0, 1))],
-                               DEFAULT_SCHEME, "min")
-        _, _, trace, _ = _ascend(
-            state.tensor, starts, objective,
-            OptimizerConfig(restarts=1, max_iters=200, seed=0),
-        )
-        assert len(trace) > 1
-        assert all(b >= a for a, b in zip(trace, trace[1:]))
+        objective = _Objective(state.structure, [subset], DEFAULT_SCHEME, "min")
+        config = OptimizerConfig(restarts=1, max_iters=200, seed=0)
+        value, mats, record = _ascend(state.tensor, starts, objective, config)
+        again = _ascend(state.tensor, starts, objective, config)[2]
+        assert record.evaluations == again.evaluations > 1
+        assert objective.evaluations == 2 * record.evaluations
+        start_value = objective.scores(_rotated(state, starts).tensor[None])[1][0]
+        assert value >= start_value
+        assert abs(component(_rotated(state, mats), subset) - value) <= 1e-12
+
+
+class TestRestartStarts:
+    def test_identity_then_one_seed_stream_per_restart(self):
+        dims, restarts, seed = (2, 3, 2), 4, 9
+        starts = list(_restart_starts(dims, OptimizerConfig(restarts=restarts,
+                                                            seed=seed)))
+        assert len(starts) == restarts
+        for mat, n in zip(starts[0], dims):
+            assert np.array_equal(mat, np.eye(n))
+        streams = np.random.SeedSequence(seed).spawn(restarts)
+        for r in range(1, restarts):
+            rng = np.random.default_rng(streams[r])
+            assert len(starts[r]) == len(dims)
+            for mat, n in zip(starts[r], dims):
+                assert np.array_equal(mat, haar_unitary(n, rng))
 
 
 class TestMaximizeSimultaneous:
@@ -322,6 +343,23 @@ class TestWFamilyLaw:
                     w_d = _rotated(w_state(d), unitaries[:d])
                     assert (component(w_m, subset) ** 2
                             <= d / m * component(w_d, subset) ** 2 + 1e-12)
+
+
+class TestWHadamardBasis:
+    """H on every party of W_D: the full component squares to a rational.
+
+    The rotated amplitudes are (D - 2|x|)/sqrt(D 2^D).  For W_5 and W_7 the
+    values, 1/50 and 1/1568, lie above every basis search so far.
+    """
+
+    @pytest.mark.parametrize("d, squared", list(zip(range(2, 14), [
+        1, 4 / 9, 1 / 8, 1 / 50, 0, 1 / 1568, 0, 0, 0, 1 / 991232, 0, 0])))
+    def test_full_component(self, d, squared):
+        state = w_state(d)
+        for party in range(d):
+            state = apply_local(state, hadamard(party))
+        value = component(state, SubsetSelector(tuple(range(d))))
+        assert abs(value**2 - squared) <= 1e-15
 
 
 class TestRestartRecords:

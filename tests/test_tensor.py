@@ -85,6 +85,19 @@ class TestSubsetSelector:
             assert repr(twin) == repr(subset)
             assert twin.parties == (0, 2) and twin.size == 2
 
+    @pytest.mark.parametrize("refused, message", [
+        (lambda: SubsetSelector((-1, 0)),
+         "party indices must be non-negative, got (-1, 0)"),
+        (lambda: subsets_of_size(PartyStructure((2, 2, 2)), 1),
+         "subset size 1 out of range 2..3"),
+        (lambda: component_with_nesting_order(ghz_state(3), (0, 0)),
+         "nesting order must list distinct parties, got (0, 0)"),
+    ], ids=["negative-party", "size-out-of-range", "nesting-repeat"])
+    def test_refusal_names_the_input(self, refused, message):
+        with pytest.raises(ValueError) as error:
+            refused()
+        assert str(error.value) == message
+
     @pytest.mark.parametrize("m,d", [(3, 2), (4, 2), (4, 3), (5, 3), (6, 4)])
     def test_subset_count_is_binomial(self, m, d):
         structure = PartyStructure((2,) * m)
